@@ -111,9 +111,18 @@ class LabeledGraph:
     @staticmethod
     def from_json(text: str) -> "LabeledGraph":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise GraphError("graph JSON must be an object")
+        n, edges = obj.get("n"), obj.get("edges")
+        if type(n) is not int or n < 0:
+            raise GraphError('graph JSON needs "n", a non-negative integer')
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and
+                all(type(v) is int for v in e) for e in edges):
+            raise GraphError('graph JSON needs "edges", a list of vertex pairs')
         return LabeledGraph.build(
-            obj["n"],
-            [tuple(e) for e in obj.get("edges", [])],
+            n,
+            [tuple(e) for e in edges],
             obj.get("labels", {}),
             {int(v): s for v, s in obj.get("names", {}).items()},
         )

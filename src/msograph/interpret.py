@@ -19,9 +19,9 @@ from .logic import (
     DEFAULT_SET_CAP,
     Formula,
     PredicateLibrary,
-    _Context,
-    _eval,
     compile_formula,
+    free_vars,
+    is_set_var,
     materialize_all,
     parse_formula,
     parse_library,
@@ -68,19 +68,12 @@ def apply(I: Interpretation, G: LabeledGraph,
         bound = {name: frozenset(vals) for name, vals in zip(I.params, params)}
     work = G.with_labels(bound) if bound else G
     tables = materialize_all(work, I.library, set_cap=set_cap)
-    ctx = _Context(work, I.library, set_cap, tables)
-
-    dom_var = _single_var(I.domain, "domain")
-    edge_vars = _pair_vars(I.edge, "edge")
-    dom_fn = compile_formula(I.domain, (dom_var,), ctx)
-    if dom_fn is None:
-        dom_fn = lambda x: _eval(I.domain, ctx, {dom_var: x})
-    edge_fn = compile_formula(I.edge, edge_vars, ctx)
-    if edge_fn is None:
-        env: dict = {}
-        def edge_fn(x, y, _env=env):
-            _env[edge_vars[0]], _env[edge_vars[1]] = x, y
-            return _eval(I.edge, ctx, _env)
+    dom_fn = compile_formula(work, I.library, I.domain,
+                             (_single_var(I.domain, "domain"),),
+                             set_cap=set_cap, tables=tables)
+    edge_fn = compile_formula(work, I.library, I.edge,
+                              _pair_vars(I.edge, "edge"),
+                              set_cap=set_cap, tables=tables)
     domain = [x for x in range(work.n) if dom_fn(x)]
     dom_set = set(domain)
     edges = []
@@ -111,7 +104,6 @@ def apply(I: Interpretation, G: LabeledGraph,
 
 
 def _single_var(f: Formula, what: str) -> str:
-    from .logic import free_vars, is_set_var
     fv = [v for v in free_vars(f) if not is_set_var(v)]
     if len(fv) > 1:
         raise InterpretationError(f"{what} formula has free variables {sorted(fv)}")
@@ -119,7 +111,6 @@ def _single_var(f: Formula, what: str) -> str:
 
 
 def _pair_vars(f: Formula, what: str) -> tuple[str, str]:
-    from .logic import free_vars, is_set_var
     fv = sorted(v for v in free_vars(f) if not is_set_var(v))
     if len(fv) > 2:
         raise InterpretationError(f"{what} formula has free variables {fv}")

@@ -1,8 +1,8 @@
-"""The MSO formula dialect: AST, parser, evaluator, relation tables.
+"""The MSO formula dialect: AST, parser, libraries, one evaluator.
 
 Concrete syntax
 ---------------
-  vertex variables   lowercase identifiers        x, y, z1
+  vertex variables   lowercase identifiers        x, y, z1, x'
   set variables      identifiers starting upper   X, Z1
   atoms              E(x,y)   name(x)   X(x)   x = y   x != y   true  false
   connectives        !  &  |  ->  <->  xor
@@ -14,14 +14,21 @@ Library files are sequences of ``def name(x,y) := <formula>`` blocks (a
 formula may span lines, up to the next ``def``); ``#`` starts a comment.
 Definitions may only reference earlier definitions.
 
-Semantics notes: vertex quantifiers range over V(G); set quantifiers
-enumerate subsets of V(G) and refuse graphs larger than the configured
-cap.  TC is a first-class primitive computed by fixpoint, so formulas
-built from it stay polynomial to evaluate.
+Evaluation: ``evaluate``, ``materialize`` and the interpretations all
+compile a formula through ``compile_formula`` into a Python function
+over vertex indices and set bitmasks on one graph.  Vertex quantifiers
+range over V(G); set quantifiers enumerate subsets of V(G) and raise
+``SetQuantifierCapError`` when reached on a graph larger than the cap.
+TC is a first-class primitive computed by fixpoint, once per valuation
+of its outer variables, so formulas built from it stay polynomial to
+evaluate.  Names are resolved while compiling: an unassigned variable
+or an unknown predicate raises ``EvalError`` before evaluation.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -180,7 +187,8 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free vertex/set variables.  Binders shadow as usual."""
+    """Rename free vertex/set variables.  Binders shadow as usual; no
+    binder is renamed, so every new name must be fresh for f."""
     if not mapping:
         return f
     def s(name):
@@ -208,17 +216,13 @@ def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     raise TypeError(f"unknown node {f!r}")
 
 
-_FRESH = 0
-
-
 def fresh_var(base: str, avoid: Iterable[str]) -> str:
-    global _FRESH
+    """The first of base_1, base_2, ... that is not in avoid."""
     avoid = set(avoid)
-    while True:
-        _FRESH += 1
-        cand = f"{base}_{_FRESH}"
-        if cand not in avoid:
-            return cand
+    i = 1
+    while f"{base}_{i}" in avoid:
+        i += 1
+    return f"{base}_{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +351,7 @@ class _Parser:
             if is_set_var(var):
                 raise FormulaSyntaxError("exists! only binds vertex variables",
                                          var_tok.pos)
-            other = fresh_var(var, free_vars(body) | {var})
+            other = fresh_var(var, _all_vars(body) | {var})
             # exists x. body & forall x'. body[x->x'] -> x' = x
             return ExistsV(var, And(body, ForallV(
                 other, Implies(substitute(body, {var: other}), Eq(other, var)))))
@@ -555,139 +559,36 @@ def parse_library(text: str) -> PredicateLibrary:
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
+#
+# A formula becomes the source of one Python function, exec'd against the
+# globals of a _Compiler for one graph.  Quantifiers become any()/all();
+# a TC node and a call to a definition without a table each get a
+# compiled function of their own, memoized per argument tuple.
 
-class _Context:
-    def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
-                 set_cap: int, tables: Optional[dict[str, set[tuple[int, ...]]]]):
-        self.G = G
-        self.lib = lib or PredicateLibrary()
-        self.set_cap = set_cap
-        self.tables = tables if tables is not None else {}
-        self.adj = G.adjacency_masks()
-        self.label_masks = {}
-        for name, verts in G.labels.items():
-            m = 0
-            for v in verts:
-                m |= 1 << v
-            self.label_masks[name] = m
-        self.def_memo: dict[tuple[str, tuple[int, ...]], bool] = {}
-        self.tc_memo: dict[tuple, list[int]] = {}
+# AST levels per generated function; deeper subformulas continue in a
+# function of their own, because Python's parser refuses more than 200
+# nested brackets and a level can open three.
+_MAX_NESTING = 50
 
 
-_MISSING = object()
+def _ident(name: str) -> str:
+    """An injective map from variable names (``x'`` is one) to Python
+    identifiers that cannot collide with the compiler's ``_`` globals."""
+    return "V" + "".join(c if c.isascii() and c.isalnum() else f"_{ord(c):x}_"
+                         for c in name)
 
 
-def _lookup_vertex(env, name):
-    try:
-        return env[name]
-    except KeyError:
-        raise EvalError(f"unassigned vertex variable {name!r}") from None
+def _mask(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
-def _eval(f: Formula, ctx: _Context, env: dict) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, EdgeAtom):
-        a = _lookup_vertex(env, f.x)
-        b = _lookup_vertex(env, f.y)
-        return bool((ctx.adj[a] >> b) & 1)
-    if isinstance(f, Eq):
-        return _lookup_vertex(env, f.x) == _lookup_vertex(env, f.y)
-    if isinstance(f, SetAtom):
-        v = _lookup_vertex(env, f.x)
-        if f.set_name in env:
-            return bool((env[f.set_name] >> v) & 1)
-        if f.set_name in ctx.label_masks:
-            return bool((ctx.label_masks[f.set_name] >> v) & 1)
-        raise EvalError(f"unassigned set variable {f.set_name!r}")
-    if isinstance(f, App):
-        args = tuple(_lookup_vertex(env, a) for a in f.args)
-        if f.name in ctx.tables:
-            return args in ctx.tables[f.name]
-        if f.name in ctx.lib:
-            d = ctx.lib.by_name[f.name]
-            if len(d.params) != len(args):
-                raise EvalError(f"{f.name!r} called with arity {len(args)}, "
-                                f"defined with {len(d.params)}")
-            key = (f.name, args)
-            memo = ctx.def_memo
-            if key in memo:
-                return memo[key]
-            res = _eval(d.body, ctx, dict(zip(d.params, args)))
-            memo[key] = res
-            return res
-        if len(args) == 1 and f.name in ctx.label_masks:
-            return bool((ctx.label_masks[f.name] >> args[0]) & 1)
-        raise EvalError(f"unknown predicate or label {f.name!r}")
-    if isinstance(f, Not):
-        return not _eval(f.body, ctx, env)
-    if isinstance(f, And):
-        return _eval(f.left, ctx, env) and _eval(f.right, ctx, env)
-    if isinstance(f, Or):
-        return _eval(f.left, ctx, env) or _eval(f.right, ctx, env)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, ctx, env)) or _eval(f.right, ctx, env)
-    if isinstance(f, Iff):
-        return _eval(f.left, ctx, env) == _eval(f.right, ctx, env)
-    if isinstance(f, (ExistsV, ForallV)):
-        want = isinstance(f, ExistsV)
-        saved = env.get(f.var, _MISSING)
-        result = not want
-        for v in range(ctx.G.n):
-            env[f.var] = v
-            if _eval(f.body, ctx, env) == want:
-                result = want
-                break
-        if saved is _MISSING:
-            env.pop(f.var, None)
-        else:
-            env[f.var] = saved
-        return result
-    if isinstance(f, (ExistsS, ForallS)):
-        n = ctx.G.n
-        if n > ctx.set_cap:
-            raise SetQuantifierCapError(n, ctx.set_cap)
-        want = isinstance(f, ExistsS)
-        saved = env.get(f.var, _MISSING)
-        result = not want
-        for mask in range(1 << n):
-            env[f.var] = mask
-            if _eval(f.body, ctx, env) == want:
-                result = want
-                break
-        if saved is _MISSING:
-            env.pop(f.var, None)
-        else:
-            env[f.var] = saved
-        return result
-    if isinstance(f, TC):
-        a = _lookup_vertex(env, f.a)
-        b = _lookup_vertex(env, f.b)
-        reach = _tc_closure(f, ctx, env)
-        return bool((reach[a] >> b) & 1)
-    raise TypeError(f"unknown node {f!r}")
-
-
-def _tc_closure(f: TC, ctx: _Context, env: dict) -> list[int]:
-    outer = tuple(sorted((name, env[name])
-                         for name in free_vars(f.body) - {f.u, f.v}
-                         if name in env))
-    key = (id(f), outer)
-    if key in ctx.tc_memo:
-        return ctx.tc_memo[key]
-    n = ctx.G.n
-    succ = [0] * n
-    body_env = dict(env)
-    for p in range(n):
-        body_env[f.u] = p
-        for q in range(n):
-            body_env[f.v] = q
-            if _eval(f.body, ctx, body_env):
-                succ[p] |= 1 << q
-    reach = []
-    for start in range(n):
+def _reach_rows(succ: list[int]) -> list[int]:
+    """Row p: the bitmask of vertices reachable from p along succ."""
+    rows = []
+    for start in range(len(succ)):
         seen = 1 << start
         frontier = seen
         while frontier:
@@ -699,113 +600,163 @@ def _tc_closure(f: TC, ctx: _Context, env: dict) -> list[int]:
                 new |= succ[bit.bit_length() - 1]
             frontier = new & ~seen
             seen |= new
-        reach.append(seen)
-    ctx.tc_memo[key] = reach
-    return reach
+        rows.append(seen)
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# Compiled fast path
-# ---------------------------------------------------------------------------
-#
-# Quantifier-heavy predicates are far too slow to tabulate through the
-# recursive evaluator, so formulas whose features allow it (no set
-# quantifiers, TC bodies closed up to labels and tables) are translated
-# to a Python function over vertex indices.  Anything else falls back to
-# ``_eval``; both paths implement the same semantics.
-
-
-class _CompileBail(Exception):
-    pass
+def _tc_rows(body, n: int):
+    """The reachability rows of TC over ``body(*outer, u, v)`` as a function
+    of the outer variables, computed once per valuation."""
+    @functools.cache
+    def rows(*outer):
+        succ = [0] * n
+        for p in range(n):
+            for q in range(n):
+                if body(*outer, p, q):
+                    succ[p] |= 1 << q
+        return _reach_rows(succ)
+    return rows
 
 
 class _Compiler:
-    def __init__(self, ctx: _Context):
-        self.ctx = ctx
-        self.globals: dict = {"_A": ctx.adj, "_R": range(ctx.G.n)}
-        self.counter = 0
+    """Compiles formulas over one graph; the generated functions share its
+    globals: adjacency, tables, label masks, compiled definitions and TC
+    closures."""
 
-    def _gname(self, base: str, value) -> str:
-        self.counter += 1
-        name = f"_{base}{self.counter}"
-        self.globals[name] = value
-        return name
+    def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
+                 set_cap: int, tables: Optional[dict]):
+        self.G = G
+        self.lib = lib or PredicateLibrary()
+        self.tables = tables if tables is not None else {}
+        n = G.n
 
-    def emit(self, f: Formula, bound: set[str]) -> str:
-        ctx = self.ctx
+        def subsets():
+            if n > set_cap:
+                raise SetQuantifierCapError(n, set_cap)
+            return range(1 << n)
+
+        self.globals: dict = {"_A": G.adjacency_masks(), "_R": range(n),
+                              "_S": subsets}
+        self.names: dict[tuple, str] = {}
+
+    def function(self, f: Formula, params: Sequence[str]):
+        """A Python function of params equivalent to f."""
+        if len(set(params)) < len(params):
+            raise EvalError(f"repeated variable in {list(params)}")
+        expr = self.emit(f, frozenset(params))
+        src = (f"def _f({', '.join(map(_ident, params))}):\n"
+               f"    return bool({expr})\n")
+        namespace: dict = {}
+        exec(src, self.globals, namespace)
+        return namespace["_f"]
+
+    def _new_global(self, kind: str, value) -> str:
+        g = f"_{kind}{len(self.globals)}"
+        self.globals[g] = value
+        return g
+
+    def _global(self, key: tuple, make) -> str:
+        """The global holding make(), made once per key."""
+        g = self.names.get(key)
+        if g is None:
+            g = self.names[key] = self._new_global(key[0], make())
+        return g
+
+    def vertex(self, name: str, scope: frozenset) -> str:
+        if name not in scope:
+            raise EvalError(f"unassigned vertex variable {name!r}")
+        return _ident(name)
+
+    def label(self, name: str) -> str:
+        return self._global(("L", name), lambda: _mask(self.G.labels[name]))
+
+    def set_mask(self, name: str, scope: frozenset) -> str:
+        if name in scope:
+            return _ident(name)
+        if name in self.G.labels:
+            return self.label(name)
+        raise EvalError(f"unassigned set variable {name!r}")
+
+    def emit(self, f: Formula, scope: frozenset, depth: int = 0) -> str:
+        if depth == _MAX_NESTING:
+            params = sorted(free_vars(f) & scope)
+            g = self._new_global("F", self.function(f, params))
+            return f"{g}({', '.join(map(_ident, params))})"
+        d = depth + 1
         if isinstance(f, TrueF):
             return "True"
         if isinstance(f, FalseF):
             return "False"
         if isinstance(f, EdgeAtom):
-            return f"((_A[V{f.x}] >> V{f.y}) & 1)"
+            return (f"((_A[{self.vertex(f.x, scope)}] >> "
+                    f"{self.vertex(f.y, scope)}) & 1)")
         if isinstance(f, Eq):
-            return f"(V{f.x} == V{f.y})"
+            return f"({self.vertex(f.x, scope)} == {self.vertex(f.y, scope)})"
         if isinstance(f, SetAtom):
-            if f.set_name not in ctx.label_masks:
-                raise _CompileBail(f.set_name)
-            g = self._gname("L", ctx.label_masks[f.set_name])
-            return f"(({g} >> V{f.x}) & 1)"
+            return (f"(({self.set_mask(f.set_name, scope)} >> "
+                    f"{self.vertex(f.x, scope)}) & 1)")
         if isinstance(f, App):
-            if f.name in ctx.tables:
-                g = self._gname("T", ctx.tables[f.name])
-                args = ", ".join(f"V{a}" for a in f.args)
-                return f"(({args},) in {g})"
-            if f.name in ctx.lib:
-                # inline the definition body under renamed parameters;
-                # substitute does not rename binders, so refuse arguments
-                # that a binder inside the body would capture
-                d = ctx.lib.by_name[f.name]
-                if set(f.args) & (_all_vars(d.body) - set(d.params)):
-                    raise _CompileBail(f.name)
-                return self.emit(substitute(d.body, dict(zip(d.params, f.args))),
-                                 bound)
-            if len(f.args) == 1 and f.name in ctx.label_masks:
-                g = self._gname("L", ctx.label_masks[f.name])
-                return f"(({g} >> V{f.args[0]}) & 1)"
-            raise _CompileBail(f.name)
+            return self._app(f, scope)
         if isinstance(f, Not):
-            return f"(not {self.emit(f.body, bound)})"
+            return f"(not {self.emit(f.body, scope, d)})"
         if isinstance(f, And):
-            return f"({self.emit(f.left, bound)} and {self.emit(f.right, bound)})"
+            return (f"({self.emit(f.left, scope, d)} and "
+                    f"{self.emit(f.right, scope, d)})")
         if isinstance(f, Or):
-            return f"({self.emit(f.left, bound)} or {self.emit(f.right, bound)})"
+            return (f"({self.emit(f.left, scope, d)} or "
+                    f"{self.emit(f.right, scope, d)})")
         if isinstance(f, Implies):
-            return f"((not {self.emit(f.left, bound)}) or {self.emit(f.right, bound)})"
+            return (f"((not {self.emit(f.left, scope, d)}) or "
+                    f"{self.emit(f.right, scope, d)})")
         if isinstance(f, Iff):
-            return (f"(bool({self.emit(f.left, bound)}) == "
-                    f"bool({self.emit(f.right, bound)}))")
-        if isinstance(f, ExistsV):
-            body = self.emit(f.body, bound | {f.var})
-            return f"any({body} for V{f.var} in _R)"
-        if isinstance(f, ForallV):
-            body = self.emit(f.body, bound | {f.var})
-            return f"all({body} for V{f.var} in _R)"
-        if isinstance(f, (ExistsS, ForallS)):
-            raise _CompileBail("set quantifier")
+            return (f"(bool({self.emit(f.left, scope, d)}) == "
+                    f"bool({self.emit(f.right, scope, d)}))")
+        if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+            test = "any" if isinstance(f, (ExistsV, ExistsS)) else "all"
+            domain = "_R" if isinstance(f, (ExistsV, ForallV)) else "_S()"
+            body = self.emit(f.body, scope | {f.var}, d)
+            return f"{test}({body} for {_ident(f.var)} in {domain})"
         if isinstance(f, TC):
-            outer = free_vars(f.body) - {f.u, f.v}
-            if any(not is_set_var(w) for w in outer):
-                raise _CompileBail("TC with outer vertex variables")
-            reach = _tc_closure(f, self.ctx, {})
-            g = self._gname("C", reach)
-            return f"(({g}[V{f.a}] >> V{f.b}) & 1)"
+            outer = sorted((free_vars(f.body) - {f.u, f.v}) & scope)
+            g = self._global(("C", f.u, f.v, f.body, tuple(outer)),
+                             lambda: _tc_rows(self.function(
+                                 f.body, outer + [f.u, f.v]), self.G.n))
+            return (f"(({g}({', '.join(map(_ident, outer))})"
+                    f"[{self.vertex(f.a, scope)}] >> "
+                    f"{self.vertex(f.b, scope)}) & 1)")
         raise TypeError(f"unknown node {f!r}")
 
+    def _app(self, f: App, scope: frozenset) -> str:
+        args = ", ".join(self.set_mask(a, scope) if is_set_var(a)
+                         else self.vertex(a, scope) for a in f.args)
+        if f.name in self.tables:
+            g = self._global(("T", f.name), lambda: self.tables[f.name])
+            return f"(({args},) in {g})"
+        if f.name in self.lib:
+            d = self.lib.by_name[f.name]
+            if len(d.params) != len(f.args):
+                raise EvalError(f"{f.name!r} called with arity {len(f.args)}, "
+                                f"defined with {len(d.params)}")
+            g = self._global(("D", f.name), lambda: functools.cache(
+                self.function(d.body, d.params)))
+            return f"{g}({args})"
+        if len(f.args) == 1 and f.name in self.G.labels:
+            return f"(({self.label(f.name)} >> {args}) & 1)"
+        raise EvalError(f"unknown predicate or label {f.name!r}")
 
-def compile_formula(f: Formula, params: Sequence[str], ctx: _Context):
-    """A Python function of the vertex parameters equivalent to f on
-    ctx's graph, or None when the formula needs the generic evaluator."""
-    comp = _Compiler(ctx)
-    try:
-        expr = comp.emit(f, set(params))
-    except _CompileBail:
-        return None
-    arglist = ", ".join(f"V{p}" for p in params)
-    src = f"def _compiled({arglist}):\n    return bool({expr})\n"
-    namespace: dict = {}
-    exec(src, comp.globals, namespace)
-    return namespace["_compiled"]
+
+def compile_formula(G: LabeledGraph, lib: Optional[PredicateLibrary],
+                    f: Formula, params: Sequence[str], *,
+                    set_cap: int = DEFAULT_SET_CAP,
+                    tables: Optional[dict[str, set[tuple[int, ...]]]] = None):
+    """A Python function of params (vertex indices for vertex variables,
+    bitmasks for set variables) equivalent to f on G.
+
+    Every other free name of f must be a label of G and every call must
+    name a table, a library definition or a label; otherwise EvalError is
+    raised here, before anything is evaluated.
+    """
+    return _Compiler(G, lib, set_cap, tables).function(f, list(params))
 
 
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
@@ -814,20 +765,19 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
              tables: Optional[dict[str, set[tuple[int, ...]]]] = None) -> bool:
     """Evaluate f on G under the valuation (vertex vars -> vertex index,
     set vars -> vertex set or bitmask)."""
-    env = {}
-    for name, val in (valuation or {}).items():
-        if is_set_var(name) and not isinstance(val, int):
-            mask = 0
-            for v in val:
-                mask |= 1 << v
-            env[name] = mask
-        else:
-            env[name] = val
-    ctx = _Context(G, lib, set_cap, tables)
-    return _eval(f, ctx, env)
+    valuation = valuation or {}
+    fn = compile_formula(G, lib, f, list(valuation), set_cap=set_cap,
+                         tables=tables)
+    return fn(*(_mask(val) if is_set_var(name) and not isinstance(val, int)
+                else val for name, val in valuation.items()))
 
 
 MAX_MATERIALIZE_ARITY = 3
+
+
+def _tabulatable(d: Definition) -> bool:
+    return len(d.params) <= MAX_MATERIALIZE_ARITY and \
+        not any(is_set_var(p) for p in d.params)
 
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
@@ -838,46 +788,25 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
 
     Tables for the predicate's dependencies are computed first (in library
     order) and reused; pass a ``tables`` dict to keep them across calls.
+    A dependency that cannot be tabulated (arity above 3 or set
+    parameters) is called through its compiled function instead.
     """
     if name not in lib:
         raise EvalError(f"no definition for {name!r}")
+    if not _tabulatable(lib.by_name[name]):
+        raise EvalError(
+            f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
+            f"parameters and cannot be tabulated; evaluate it pointwise")
     if tables is None:
         tables = {}
-    needed = _dependency_order(lib, name)
-    ctx = _Context(G, lib, set_cap, tables)
-    for dep in needed:
-        if dep in tables:
-            continue
+    comp = _Compiler(G, lib, set_cap, tables)
+    for dep in _dependency_order(lib, name):
         d = lib.by_name[dep]
-        arity = len(d.params)
-        if arity > MAX_MATERIALIZE_ARITY:
-            raise EvalError(
-                f"{dep!r} has arity {arity} > {MAX_MATERIALIZE_ARITY}; "
-                f"evaluate it pointwise instead")
-        if any(is_set_var(p) for p in d.params):
-            raise EvalError(f"{dep!r} has set parameters and cannot be tabulated")
-        fn = compile_formula(d.body, d.params, ctx)
-        table = set()
-        if fn is not None:
-            table.update(args for args in _tuples(G.n, arity) if fn(*args))
-        else:
-            env: dict = {}
-            for args in _tuples(G.n, arity):
-                env.update(zip(d.params, args))
-                if _eval(d.body, ctx, env):
-                    table.add(args)
-        tables[dep] = table
-        ctx.def_memo.clear()
+        if dep not in tables and _tabulatable(d):
+            fn = comp.function(d.body, d.params)
+            tables[dep] = {args for args in itertools.product(
+                range(G.n), repeat=len(d.params)) if fn(*args)}
     return tables[name]
-
-
-def _tuples(n: int, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, arity - 1):
-            yield (head,) + rest
 
 
 def _dependency_order(lib: PredicateLibrary, name: str) -> list[str]:
@@ -897,8 +826,7 @@ def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
     """Tables for every tabulatable definition in the library."""
     tables: dict[str, set[tuple[int, ...]]] = {}
     for d in lib.defs:
-        if len(d.params) <= MAX_MATERIALIZE_ARITY and \
-                not any(is_set_var(p) for p in d.params):
+        if _tabulatable(d):
             materialize(G, lib, d.name, set_cap=set_cap, tables=tables)
     return tables
 

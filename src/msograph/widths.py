@@ -384,24 +384,26 @@ def _partition_groupings(blocks: list[int], k: int):
     yield from rec(0)
 
 
+def _cross_edge(G_adj: list[int], a: int, b: int) -> bool:
+    """Whether some edge joins the vertex sets a and b."""
+    m = a
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        if G_adj[v] & b:
+            return True
+    return False
+
+
 def _grouping_feasible(G_adj: list[int], groups: tuple[int, ...],
                        s1: int, s2: int, outside: int) -> bool:
     """Whether merging into ``groups`` after uniting s1 and s2 leaves a
     live state: every crossing edge is addable by a complete join, no
     crossing edge is trapped inside one group, and group-mates agree
     outside the union."""
-    def cross_edge(a: int, b: int) -> bool:
-        m = a
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if G_adj[v] & b:
-                return True
-        return False
-
     for g in groups:
         a1, a2 = g & s1, g & s2
-        if a1 and a2 and cross_edge(a1, a2):
+        if a1 and a2 and _cross_edge(G_adj, a1, a2):
             return False          # edge trapped inside one class
         if g.bit_count() > 1:
             sig = None
@@ -415,8 +417,8 @@ def _grouping_feasible(G_adj: list[int], groups: tuple[int, ...],
                 elif nb != sig:
                     return False  # class-mates disagree outside
     for ga, gb in combinations(groups, 2):
-        needed = (cross_edge(ga & s1, gb & s2) or
-                  cross_edge(ga & s2, gb & s1))
+        needed = (_cross_edge(G_adj, ga & s1, gb & s2) or
+                  _cross_edge(G_adj, ga & s2, gb & s1))
         if needed:
             m = ga
             while m:
@@ -430,21 +432,12 @@ def _grouping_feasible(G_adj: list[int], groups: tuple[int, ...],
 def _join_pairs(G_adj: list[int], groups: tuple[int, ...],
                 s1: int, s2: int) -> list[tuple[int, int]]:
     """Indices of group pairs whose join the union step must apply."""
-    def cross_edge(a: int, b: int) -> bool:
-        m = a
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if G_adj[v] & b:
-                return True
-        return False
-
     out = []
     for ia in range(len(groups)):
         for ib in range(ia + 1, len(groups)):
             ga, gb = groups[ia], groups[ib]
-            if (cross_edge(ga & s1, gb & s2) or
-                    cross_edge(ga & s2, gb & s1)):
+            if (_cross_edge(G_adj, ga & s1, gb & s2) or
+                    _cross_edge(G_adj, ga & s2, gb & s1)):
                 out.append((ia, ib))
     return out
 

@@ -67,6 +67,16 @@ def test_eval_formula_and_pred(tmp_path, capsys):
     assert code == 0 and out.split() == []  # no degree-1 vertices in D_12
 
 
+def test_eval_pred_with_primed_names(tmp_path, capsys):
+    g = tmp_path / "p3.json"
+    g.write_text(LabeledGraph.build(3, [(0, 1)]).to_json())
+    lib = tmp_path / "lib.mso"
+    lib.write_text("def p(x') := exists y. E(x', y)\n")
+    code, out, _ = run(capsys, "eval", str(g), "--library", str(lib),
+                       "--pred", "p")
+    assert code == 0 and out.split() == ["0", "1"]
+
+
 def test_apply_builtin_and_pipeline(tmp_path, capsys):
     z4 = tmp_path / "z4.json"
     run(capsys, "gen", "--family", "bichain", "--n", "4", "--labels",
@@ -121,6 +131,16 @@ def test_width_exact_and_certify(tmp_path, capsys):
     code, out, _ = run(capsys, "width", str(g2), "--measure", "cwd",
                        "--certify", str(cert))
     assert code == 1
+
+
+def test_malformed_graph_is_usage_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    for text in ('{"edges": []}', '{"n": 3}', '{"n": "3", "edges": []}',
+                 '{"n": 3, "edges": [[0]]}', '[]'):
+        g.write_text(text)
+        code, _, err = run(capsys, "width", str(g), "--measure", "twd",
+                           "--exact")
+        assert code == 2 and err.startswith("error:")
 
 
 def test_width_cap_is_exit_3(tmp_path, capsys):

@@ -27,6 +27,14 @@ def test_params_bound_from_labels():
     assert H.n == 2
 
 
+def test_primed_names():
+    lib = parse_library("def p(x') := exists y. E(x', y)")
+    I = Interpretation((), parse_formula("p(x')"),
+                       parse_formula("E(x', y') & p(x') & p(y')"), lib)
+    H = apply(I, LabeledGraph.build(4, [(0, 1), (1, 2)]))
+    assert H.n == 3 and H.edges == {(0, 1), (1, 2)}
+
+
 def test_missing_params_error():
     with pytest.raises(InterpretationError):
         apply(builtin_induced(), grid(2, 2))

@@ -10,7 +10,8 @@ from msograph.graphs import LabeledGraph, grid, induced_subgraph
 from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             FalseF, ForallS, ForallV, Formula,
                             FormulaSyntaxError, Iff, Implies, Not, Or,
-                            SetAtom, SetQuantifierCapError, TC, TrueF, App,
+                            PredicateLibrary, SetAtom, SetQuantifierCapError,
+                            TC, TrueF, App,
                             evaluate, free_vars, materialize,
                             materialize_all, parse_formula, parse_library,
                             relativize, tc_naive_encoding)
@@ -20,7 +21,9 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
 # Reference evaluator: no bitsets, no compilation, no caching
 # ---------------------------------------------------------------------------
 
-def ref_eval(G: LabeledGraph, f: Formula, env: dict) -> bool:
+def ref_eval(G: LabeledGraph, f: Formula, env: dict, lib=None) -> bool:
+    def rec(g, e=env):
+        return ref_eval(G, g, e, lib)
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
@@ -30,34 +33,36 @@ def ref_eval(G: LabeledGraph, f: Formula, env: dict) -> bool:
     if isinstance(f, Eq):
         return env[f.x] == env[f.y]
     if isinstance(f, SetAtom):
-        return env[f.x] in env[f.set_name]
+        return env[f.x] in env.get(f.set_name, G.labels.get(f.set_name))
     if isinstance(f, App):
+        if lib is not None and f.name in lib:
+            d = lib.by_name[f.name]
+            return rec(d.body, {p: env.get(a, G.labels.get(a))
+                                for p, a in zip(d.params, f.args)})
         (x,) = f.args
         return env[x] in G.labels[f.name]
     if isinstance(f, Not):
-        return not ref_eval(G, f.body, env)
+        return not rec(f.body)
     if isinstance(f, And):
-        return ref_eval(G, f.left, env) and ref_eval(G, f.right, env)
+        return rec(f.left) and rec(f.right)
     if isinstance(f, Or):
-        return ref_eval(G, f.left, env) or ref_eval(G, f.right, env)
+        return rec(f.left) or rec(f.right)
     if isinstance(f, Implies):
-        return (not ref_eval(G, f.left, env)) or ref_eval(G, f.right, env)
+        return (not rec(f.left)) or rec(f.right)
     if isinstance(f, Iff):
-        return ref_eval(G, f.left, env) == ref_eval(G, f.right, env)
+        return rec(f.left) == rec(f.right)
     if isinstance(f, ExistsV):
-        return any(ref_eval(G, f.body, {**env, f.var: v})
-                   for v in range(G.n))
+        return any(rec(f.body, {**env, f.var: v}) for v in range(G.n))
     if isinstance(f, ForallV):
-        return all(ref_eval(G, f.body, {**env, f.var: v})
-                   for v in range(G.n))
+        return all(rec(f.body, {**env, f.var: v}) for v in range(G.n))
     if isinstance(f, (ExistsS, ForallS)):
         subsets = (frozenset(c) for r in range(G.n + 1)
                    for c in itertools.combinations(range(G.n), r))
-        results = (ref_eval(G, f.body, {**env, f.var: S}) for S in subsets)
+        results = (rec(f.body, {**env, f.var: S}) for S in subsets)
         return any(results) if isinstance(f, ExistsS) else all(results)
     if isinstance(f, TC):
         pairs = {(u, v) for u in range(G.n) for v in range(G.n)
-                 if ref_eval(G, f.body, {**env, f.u: u, f.v: v})}
+                 if rec(f.body, {**env, f.u: u, f.v: v})}
         reach = {env[f.a]}
         changed = True
         while changed:
@@ -82,13 +87,23 @@ def _random_graph(rng, n, n_labels=1):
     return LabeledGraph.build(n, edges, labels=labels)
 
 
-def _random_formula(rng, depth, vvars, svars):
+# Quantifiers and TC binders draw from small pools, so names clash on
+# purpose: inner binders shadow outer ones, a TC binder may reuse an outer
+# name, and primed and numbered names sit next to their base name.
+VERTEX_NAMES = ("x", "y", "x'", "x_1")
+SET_NAMES = ("S", "S'", "S_1")
+
+
+def _random_formula(rng, depth, vvars, svars, calls=()):
+    """calls: (name, arity kinds) of library predicates the formula may
+    call, each kind "v" for a vertex and "S" for a set argument."""
     if depth == 0:
         opts = ["true"]
         if vvars:
             opts += ["edge", "eq", "label"] * 2
             if svars:
                 opts += ["mem"] * 2
+            opts += ["call"] * len(calls)
         k = rng.choice(opts)
         if k == "edge":
             return EdgeAtom(rng.choice(vvars), rng.choice(vvars))
@@ -98,27 +113,46 @@ def _random_formula(rng, depth, vvars, svars):
             return App("red", (rng.choice(vvars),))
         if k == "mem":
             return SetAtom(rng.choice(svars), rng.choice(vvars))
+        if k == "call":
+            name, kinds = rng.choice(calls)
+            if "S" in kinds and not svars:
+                return TrueF()
+            return App(name, tuple(rng.choice(svars if kind == "S" else vvars)
+                                   for kind in kinds))
         return TrueF()
     k = rng.choice(["ev", "av", "es", "as", "and", "or", "imp", "iff", "not",
                     "tc", "ev", "av"])
     if k in ("ev", "av"):
-        v = f"v{len(vvars)}{len(svars)}{depth}"
-        body = _random_formula(rng, depth - 1, vvars + [v], svars)
+        v = rng.choice(VERTEX_NAMES)
+        body = _random_formula(rng, depth - 1, vvars + [v], svars, calls)
         return ExistsV(v, body) if k == "ev" else ForallV(v, body)
     if k in ("es", "as"):
-        S = f"S{len(vvars)}{len(svars)}{depth}"
-        body = _random_formula(rng, depth - 1, vvars, svars + [S])
+        S = rng.choice(SET_NAMES)
+        body = _random_formula(rng, depth - 1, vvars, svars + [S], calls)
         return ExistsS(S, body) if k == "es" else ForallS(S, body)
     if k == "not":
-        return Not(_random_formula(rng, depth - 1, vvars, svars))
-    if k == "tc" and len(vvars) >= 2:
-        body = _random_formula(rng, depth - 1, ["a", "b"], svars)
-        return TC("a", "b", body, rng.choice(vvars), rng.choice(vvars))
+        return Not(_random_formula(rng, depth - 1, vvars, svars, calls))
+    if k == "tc" and vvars:
+        u, v = rng.sample(VERTEX_NAMES, 2)
+        body = _random_formula(rng, depth - 1, vvars + [u, v], svars, calls)
+        return TC(u, v, body, rng.choice(vvars), rng.choice(vvars))
     if k in ("and", "or", "imp", "iff"):
         op = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[k]
-        return op(_random_formula(rng, depth - 1, vvars, svars),
-                  _random_formula(rng, depth - 1, vvars, svars))
-    return _random_formula(rng, depth - 1, vvars, svars)
+        return op(_random_formula(rng, depth - 1, vvars, svars, calls),
+                  _random_formula(rng, depth - 1, vvars, svars, calls))
+    return _random_formula(rng, depth - 1, vvars, svars, calls)
+
+
+def _random_library(rng):
+    """A binary predicate, and one with a set parameter that may call it;
+    both use names that their callers use too."""
+    lib = PredicateLibrary()
+    lib.define("p", ("x", "x'"),
+               _random_formula(rng, rng.randrange(0, 3), ["x", "x'"], []))
+    lib.define("q", ("y", "S"),
+               _random_formula(rng, rng.randrange(0, 3), ["y"], ["S"],
+                               calls=[("p", "vv")]))
+    return lib
 
 
 def test_evaluator_matches_reference():
@@ -138,6 +172,23 @@ def test_evaluator_matches_reference_with_sets():
         G = _random_graph(rng, n)
         f = ExistsS("S", _random_formula(rng, rng.randrange(0, 3), [], ["S"]))
         assert evaluate(G, None, f) == ref_eval(G, f, {})
+
+
+def test_evaluator_matches_reference_with_calls_and_free_variables():
+    rng = random.Random(23)
+    calls = [("p", "vv"), ("q", "vS")]
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        G = _random_graph(rng, n)
+        lib = _random_library(rng)
+        f = _random_formula(rng, rng.randrange(1, 5), ["x", "x_1"], ["S"],
+                            calls)
+        valuation = {"x": rng.randrange(n), "x_1": rng.randrange(n),
+                     "S": frozenset(v for v in range(n) if rng.random() < .5)}
+        assert evaluate(G, lib, f, valuation) == ref_eval(G, f, valuation, lib)
+        assert materialize(G, lib, "p") == {
+            (a, b) for a in range(n) for b in range(n)
+            if ref_eval(G, App("p", ("a", "b")), {"a": a, "b": b}, lib)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +214,13 @@ def test_parse_exists_unique():
         "exists! x. (forall y. !E(x, y))"))  # only vertex 2 is isolated
     assert not evaluate(G, None, parse_formula(
         "exists! x. (exists y. E(x, y))"))
+
+
+def test_exists_unique_is_capture_safe_and_deterministic():
+    K2 = LabeledGraph.build(2, [(0, 1)])
+    text = "exists! x. exists x_1. E(x, x_1)"
+    assert not evaluate(K2, None, parse_formula(text))
+    assert parse_formula(text) == parse_formula(text)
 
 
 def test_parse_tc():
@@ -210,10 +268,49 @@ def test_materialize_all_skips_set_parameters():
     assert "self" in tables and "inset" not in tables
 
 
+def test_materialize_all_calls_untabulatable_callees():
+    lib = parse_library("def r1(a, b, c, d) := E(a, b)\n"
+                        "def both(x, y) := r1(x, y, x, x)\n"
+                        "def inset(x, Y) := Y(x)\n"
+                        "def inred(x) := inset(x, Red)")
+    G = LabeledGraph.build(3, [(0, 1)], labels={"Red": [2]})
+    tables = materialize_all(G, lib)
+    assert tables == {"both": {(0, 1), (1, 0)}, "inred": {(2,)}}
+    with pytest.raises(EvalError):
+        materialize(G, lib, "r1")
+
+
+def test_primed_names():
+    lib = parse_library("def p(x') := exists y. E(x', y)")
+    G = LabeledGraph.build(3, [(0, 1)])
+    assert materialize(G, lib, "p") == {(0,), (1,)}
+    assert not evaluate(G, lib, parse_formula("p(x')"), {"x'": 2})
+    assert evaluate(G, None, parse_formula("TC[x', x'': E(x', x'')](x, y)"),
+                    {"x": 1, "y": 0})
+
+
+def test_unresolved_names_raise_before_evaluation():
+    G = grid(2, 2)
+    for text in ("false & E(x, y)", "false & nosuch(x)",
+                 "false & (exists x. Y(x))"):
+        with pytest.raises(EvalError):
+            evaluate(G, None, parse_formula(text), {"x": 0})
+
+
+def test_formulas_deeper_than_the_python_parser_allows():
+    f = Eq("x", "x")
+    for _ in range(300):
+        f = Not(f)
+    assert evaluate(grid(1, 2), None, f, {"x": 0})
+
+
 def test_set_cap_enforced():
     G = grid(5, 5)
     with pytest.raises(SetQuantifierCapError):
         evaluate(G, None, parse_formula("exists X. true"), set_cap=10)
+    # raised where the quantifier is reached, not where it is compiled
+    assert not evaluate(G, None, parse_formula("false & exists X. true"),
+                        set_cap=10)
 
 
 # ---------------------------------------------------------------------------
