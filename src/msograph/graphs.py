@@ -120,11 +120,22 @@ class LabeledGraph:
                 isinstance(e, list) and len(e) == 2 and
                 all(type(v) is int for v in e) for e in edges):
             raise GraphError('graph JSON needs "edges", a list of vertex pairs')
+        labels, names = obj.get("labels", {}), obj.get("names", {})
+        if not isinstance(labels, dict) or not all(
+                isinstance(vs, list) and all(type(v) is int for v in vs)
+                for vs in labels.values()):
+            raise GraphError('graph JSON "labels" must map names to lists '
+                             'of vertices')
+        if not isinstance(names, dict) or not all(
+                v.isascii() and v.isdigit() and isinstance(s, str)
+                for v, s in names.items()):
+            raise GraphError('graph JSON "names" must map vertex numbers '
+                             'to strings')
         return LabeledGraph.build(
             n,
             [tuple(e) for e in edges],
-            obj.get("labels", {}),
-            {int(v): s for v, s in obj.get("names", {}).items()},
+            labels,
+            {int(v): s for v, s in names.items()},
         )
 
     def to_dot(self) -> str:

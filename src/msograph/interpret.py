@@ -19,13 +19,14 @@ from .logic import (
     DEFAULT_SET_CAP,
     Formula,
     PredicateLibrary,
-    compile_formula,
+    compile_rows,
     free_vars,
     is_set_var,
     materialize_all,
     parse_formula,
     parse_library,
 )
+from .table import bits
 
 DEFAULT_ENUM_CAP = 22
 
@@ -68,32 +69,30 @@ def apply(I: Interpretation, G: LabeledGraph,
         bound = {name: frozenset(vals) for name, vals in zip(I.params, params)}
     work = G.with_labels(bound) if bound else G
     tables = materialize_all(work, I.library, set_cap=set_cap)
-    dom_fn = compile_formula(work, I.library, I.domain,
-                             (_single_var(I.domain, "domain"),),
-                             set_cap=set_cap, tables=tables)
-    edge_fn = compile_formula(work, I.library, I.edge,
-                              _pair_vars(I.edge, "edge"),
-                              set_cap=set_cap, tables=tables)
-    domain = [x for x in range(work.n) if dom_fn(x)]
-    dom_set = set(domain)
+    dom_row = compile_rows(work, I.library, I.domain,
+                           (_single_var(I.domain, "domain"),),
+                           set_cap=set_cap, tables=tables)
+    edge_row = compile_rows(work, I.library, I.edge,
+                            _pair_vars(I.edge, "edge"),
+                            set_cap=set_cap, tables=tables)
+    dom = dom_row()
+    domain = list(bits(dom))
+    rows = {x: edge_row(x) & dom for x in domain}
     edges = []
     for x in domain:
-        for y in domain:
-            if y < x:
-                continue
-            fwd = edge_fn(x, y)
-            if x == y:
-                if fwd:
-                    raise InterpretationError(
-                        f"edge formula is reflexive at {work.name_of(x)}")
-                continue
-            bwd = edge_fn(y, x)
-            if fwd != bwd:
-                raise InterpretationError(
-                    f"edge formula asymmetric on "
-                    f"({work.name_of(x)}, {work.name_of(y)})")
-            if fwd:
-                edges.append((x, y))
+        if (rows[x] >> x) & 1:
+            raise InterpretationError(
+                f"edge formula is reflexive at {work.name_of(x)}")
+        above = dom & -(2 << x)  # the domain vertices after x
+        back = sum(1 << y for y in domain if (rows[y] >> x) & 1)
+        odd = (rows[x] ^ back) & above
+        if odd:
+            y = (odd & -odd).bit_length() - 1
+            raise InterpretationError(
+                f"edge formula asymmetric on "
+                f"({work.name_of(x)}, {work.name_of(y)})")
+        edges += [(x, y) for y in bits(rows[x] & above)]
+    dom_set = set(domain)
     newid = {v: i for i, v in enumerate(domain)}
     names = {newid[v]: work.name_of(v) for v in domain}
     labels = {k: frozenset(newid[v] for v in vs if v in dom_set)

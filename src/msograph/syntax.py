@@ -1,0 +1,548 @@
+"""The MSO formula dialect: AST, parser and predicate libraries.
+
+Concrete syntax
+---------------
+  vertex variables   lowercase identifiers        x, y, z1, x'
+  set variables      identifiers starting upper   X, Z1
+  atoms              E(x,y)   name(x)   X(x)   x = y   x != y   true  false
+  connectives        !  &  |  ->  <->  xor
+  quantifiers        exists x.  forall x.  exists! x.  exists X.  forall X.
+  closure            TC[u,v: body](a,b)
+  predicate calls    name(x,y)  (defined in a library)
+
+Library files are sequences of ``def name(x,y) := <formula>`` blocks (a
+formula may span lines, up to the next ``def``); ``#`` starts a comment.
+Definitions may only reference earlier definitions.  ``logic`` evaluates
+what this module parses and re-exports its names.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass, field
+from typing import Iterable
+
+
+class FormulaSyntaxError(ValueError):
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (at position {pos})")
+        self.pos = pos
+
+
+# ---------------------------------------------------------------------------
+# AST
+# ---------------------------------------------------------------------------
+
+class Formula:
+    pass
+
+
+@dataclass(frozen=True)
+class TrueF(Formula):
+    pass
+
+
+@dataclass(frozen=True)
+class FalseF(Formula):
+    pass
+
+
+@dataclass(frozen=True)
+class EdgeAtom(Formula):
+    x: str
+    y: str
+
+
+@dataclass(frozen=True)
+class Eq(Formula):
+    x: str
+    y: str
+
+
+@dataclass(frozen=True)
+class SetAtom(Formula):
+    set_name: str
+    x: str
+
+
+@dataclass(frozen=True)
+class App(Formula):
+    """Reference to a named unary label or library predicate."""
+    name: str
+    args: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Not(Formula):
+    body: Formula
+
+
+@dataclass(frozen=True)
+class And(Formula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Or(Formula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Implies(Formula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class Iff(Formula):
+    left: Formula
+    right: Formula
+
+
+@dataclass(frozen=True)
+class ExistsV(Formula):
+    var: str
+    body: Formula
+
+
+@dataclass(frozen=True)
+class ForallV(Formula):
+    var: str
+    body: Formula
+
+
+@dataclass(frozen=True)
+class ExistsS(Formula):
+    var: str
+    body: Formula
+
+
+@dataclass(frozen=True)
+class ForallS(Formula):
+    var: str
+    body: Formula
+
+
+@dataclass(frozen=True)
+class TC(Formula):
+    """(a, b) lies in the reflexive-transitive closure of
+    {(u, v) | body} computed under the ambient valuation."""
+    u: str
+    v: str
+    body: Formula
+    a: str
+    b: str
+
+
+def is_set_var(name: str) -> bool:
+    return name[0].isupper()
+
+
+def subformulas(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f."""
+    if isinstance(f, (Not, ExistsV, ForallV, ExistsS, ForallS, TC)):
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    return ()
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    """Free vertex- and set-variable names of f (App names excluded)."""
+    if isinstance(f, (TrueF, FalseF)):
+        return frozenset()
+    if isinstance(f, (EdgeAtom, Eq)):
+        return frozenset({f.x, f.y})
+    if isinstance(f, SetAtom):
+        return frozenset({f.set_name, f.x})
+    if isinstance(f, App):
+        return frozenset(f.args)
+    if isinstance(f, Not):
+        return free_vars(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+        return free_vars(f.body) - {f.var}
+    if isinstance(f, TC):
+        return (free_vars(f.body) - {f.u, f.v}) | {f.a, f.b}
+    raise TypeError(f"unknown node {f!r}")
+
+
+def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
+    """Rename free vertex/set variables.  Binders shadow as usual; no
+    binder is renamed, so every new name must be fresh for f."""
+    if not mapping:
+        return f
+    def s(name):
+        return mapping.get(name, name)
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, EdgeAtom):
+        return EdgeAtom(s(f.x), s(f.y))
+    if isinstance(f, Eq):
+        return Eq(s(f.x), s(f.y))
+    if isinstance(f, SetAtom):
+        return SetAtom(s(f.set_name), s(f.x))
+    if isinstance(f, App):
+        return App(f.name, tuple(s(a) for a in f.args))
+    if isinstance(f, Not):
+        return Not(substitute(f.body, mapping))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+        inner = {k: v for k, v in mapping.items() if k != f.var}
+        return type(f)(f.var, substitute(f.body, inner))
+    if isinstance(f, TC):
+        inner = {k: v for k, v in mapping.items() if k not in (f.u, f.v)}
+        return TC(f.u, f.v, substitute(f.body, inner), s(f.a), s(f.b))
+    raise TypeError(f"unknown node {f!r}")
+
+
+def fresh_var(base: str, avoid: Iterable[str]) -> str:
+    """The first of base_1, base_2, ... that is not in avoid."""
+    avoid = set(avoid)
+    i = 1
+    while f"{base}_{i}" in avoid:
+        i += 1
+    return f"{base}_{i}"
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<arrow2><->)
+  | (?P<arrow>->)
+  | (?P<neq>!=)
+  | (?P<sym>[()\[\],.:=!&|])
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+""", re.VERBOSE)
+
+_KEYWORDS = {"exists", "forall", "xor", "true", "false", "TC", "E"}
+
+
+@dataclass
+class _Token:
+    kind: str   # 'ident', 'sym', 'arrow', 'arrow2', 'neq', 'eof'
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append(_Token(m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(_Token("eof", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next()
+        if tok.text != text:
+            raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
+        return tok
+
+    def at_end(self) -> bool:
+        return self.peek().kind == "eof"
+
+    # precedence: <->  ->  xor  |  &  unary
+    def formula(self) -> Formula:
+        left = self.implication()
+        while self.peek().kind == "arrow2":
+            self.next()
+            right = self.implication()
+            left = Iff(left, right)
+        return left
+
+    def implication(self) -> Formula:
+        left = self.xor_level()
+        if self.peek().kind == "arrow":
+            self.next()
+            right = self.implication()  # right associative
+            return Implies(left, right)
+        return left
+
+    def xor_level(self) -> Formula:
+        left = self.disjunction()
+        while self.peek().text == "xor":
+            self.next()
+            right = self.disjunction()
+            # desugared: exactly one of the two holds
+            left = Or(And(left, Not(right)), And(Not(left), right))
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.peek().text == "|":
+            self.next()
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.unary()
+        while self.peek().text == "&":
+            self.next()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok.text == "!":
+            self.next()
+            return Not(self.unary())
+        if tok.text in ("exists", "forall"):
+            return self.quantifier()
+        if tok.text == "TC":
+            return self.tc()
+        return self.atom()
+
+    def quantifier(self) -> Formula:
+        kw = self.next()
+        unique = False
+        if kw.text == "exists" and self.peek().text == "!":
+            self.next()
+            unique = True
+        var_tok = self.next()
+        if var_tok.kind != "ident":
+            raise FormulaSyntaxError("expected a variable after quantifier", var_tok.pos)
+        var = var_tok.text
+        self.expect(".")
+        body = self.formula()
+        if unique:
+            if is_set_var(var):
+                raise FormulaSyntaxError("exists! only binds vertex variables",
+                                         var_tok.pos)
+            other = fresh_var(var, all_vars(body) | {var})
+            # exists x. body & forall x'. body[x->x'] -> x' = x
+            return ExistsV(var, And(body, ForallV(
+                other, Implies(substitute(body, {var: other}), Eq(other, var)))))
+        if kw.text == "exists":
+            return ExistsS(var, body) if is_set_var(var) else ExistsV(var, body)
+        return ForallS(var, body) if is_set_var(var) else ForallV(var, body)
+
+    def tc(self) -> Formula:
+        self.next()  # TC
+        self.expect("[")
+        u = self.next()
+        self.expect(",")
+        v = self.next()
+        if u.kind != "ident" or v.kind != "ident":
+            raise FormulaSyntaxError("TC binder must be two vertex variables", u.pos)
+        self.expect(":")
+        body = self.formula()
+        self.expect("]")
+        self.expect("(")
+        a = self.next()
+        self.expect(",")
+        b = self.next()
+        self.expect(")")
+        if a.kind != "ident" or b.kind != "ident":
+            raise FormulaSyntaxError("TC arguments must be vertex variables", a.pos)
+        return TC(u.text, v.text, body, a.text, b.text)
+
+    def atom(self) -> Formula:
+        tok = self.next()
+        if tok.text == "(":
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        if tok.text == "true":
+            return TrueF()
+        if tok.text == "false":
+            return FalseF()
+        if tok.kind != "ident":
+            raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        name = tok.text
+        if self.peek().text == "(":
+            self.next()
+            args = [self._var_arg()]
+            while self.peek().text == ",":
+                self.next()
+                args.append(self._var_arg())
+            self.expect(")")
+            if name == "E":
+                if len(args) != 2:
+                    raise FormulaSyntaxError("E takes two arguments", tok.pos)
+                return EdgeAtom(args[0], args[1])
+            if is_set_var(name):
+                if len(args) != 1:
+                    raise FormulaSyntaxError(
+                        f"set atom {name} takes one argument", tok.pos)
+                return SetAtom(name, args[0])
+            return App(name, tuple(args))
+        # bare identifier: must be x = y / x != y
+        if self.peek().text == "=":
+            self.next()
+            rhs = self.next()
+            if rhs.kind != "ident":
+                raise FormulaSyntaxError("expected a variable after '='", rhs.pos)
+            return Eq(name, rhs.text)
+        if self.peek().kind == "neq":
+            self.next()
+            rhs = self.next()
+            if rhs.kind != "ident":
+                raise FormulaSyntaxError("expected a variable after '!='", rhs.pos)
+            return Not(Eq(name, rhs.text))
+        raise FormulaSyntaxError(
+            f"expected '(', '=' or '!=' after identifier {name!r}",
+            self.peek().pos)
+
+    def _var_arg(self) -> str:
+        tok = self.next()
+        if tok.kind != "ident":
+            raise FormulaSyntaxError("expected a variable argument", tok.pos)
+        return tok.text
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse the DSL; xor and exists! are desugared during parsing."""
+    p = _Parser(text)
+    f = p.formula()
+    if not p.at_end():
+        tok = p.peek()
+        raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# Predicate libraries
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Definition:
+    name: str
+    params: tuple[str, ...]
+    body: Formula
+
+
+class LibraryError(ValueError):
+    pass
+
+
+@dataclass
+class PredicateLibrary:
+    """Ordered named definitions; a body may only reference earlier names."""
+
+    defs: list[Definition] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.by_name: dict[str, Definition] = {}
+        for d in self.defs:
+            self._check(d)
+            self.by_name[d.name] = d
+
+    def _check(self, d: Definition):
+        if d.name in self.by_name:
+            raise LibraryError(f"duplicate definition of {d.name!r}")
+        for ref, arity in app_refs(d.body):
+            if ref in self.by_name:
+                if arity != len(self.by_name[ref].params):
+                    raise LibraryError(
+                        f"{d.name!r} calls {ref!r} with arity {arity}, "
+                        f"defined with {len(self.by_name[ref].params)}")
+            elif ref == d.name:
+                raise LibraryError(f"{d.name!r} references itself")
+            # other names are labels/parameters, resolved at evaluation
+        extra = {v for v in free_vars(d.body)
+                 if not is_set_var(v)} - set(d.params)
+        if extra:
+            raise LibraryError(
+                f"{d.name!r} has free vertex variables {sorted(extra)} "
+                f"outside its parameters")
+
+    def define(self, name: str, params: Iterable[str], body: Formula):
+        d = Definition(name, tuple(params), body)
+        self._check(d)
+        self.defs.append(d)
+        self.by_name[name] = d
+
+    def extended(self, other: "PredicateLibrary") -> "PredicateLibrary":
+        return PredicateLibrary(self.defs + other.defs)
+
+    def arity(self, name: str) -> int:
+        return len(self.by_name[name].params)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.by_name
+
+
+def app_refs(f: Formula) -> set[tuple[str, int]]:
+    """The (name, arity) of every call in f."""
+    out = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, App):
+            out.add((g.name, len(g.args)))
+        stack += subformulas(g)
+    return out
+
+
+_DEF_RE = re.compile(r"^def\s+([a-z][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*:=\s*(.*)$",
+                     re.DOTALL)
+
+
+def parse_library(text: str) -> PredicateLibrary:
+    """Parse a library file: ``def name(x,y) := formula`` blocks."""
+    # strip comments, then split into def blocks
+    lines = [re.sub(r"#.*", "", line) for line in text.splitlines()]
+    blocks: list[str] = []
+    current: list[str] = []
+    for line in lines:
+        if line.lstrip().startswith("def "):
+            if current:
+                blocks.append("\n".join(current))
+            current = [line]
+        elif line.strip():
+            if not current:
+                raise LibraryError(f"content before first def: {line.strip()!r}")
+            current.append(line)
+    if current:
+        blocks.append("\n".join(current))
+    lib = PredicateLibrary()
+    for block in blocks:
+        m = _DEF_RE.match(block.strip())
+        if m is None:
+            raise LibraryError(f"malformed definition block: {block.strip()[:60]!r}")
+        name, params_text, body_text = m.groups()
+        params = tuple(p.strip() for p in params_text.split(",") if p.strip())
+        body = parse_formula(body_text)
+        lib.define(name, params, body)
+    return lib
+
+
+def all_vars(f: Formula) -> set[str]:
+    """Every variable name of f, free or bound."""
+    out = set(free_vars(f))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+            out.add(g.var)
+        elif isinstance(g, TC):
+            out |= {g.u, g.v}
+        stack += subformulas(g)
+    return out

@@ -1,0 +1,122 @@
+"""Relation tables over the vertices of one graph, stored as rows of
+bitmasks: for each tuple of the leading arguments, the bitmask of the
+last one.  ``logic.materialize`` returns them."""
+
+from __future__ import annotations
+
+from collections.abc import Set as AbstractSet
+from typing import Iterable, Iterator, Optional
+
+
+def bits(m: int) -> Iterator[int]:
+    """The vertices of a bitmask, in increasing order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _empty_rows(n: int, depth: int):
+    """Rows indexed by depth leading arguments, all empty."""
+    if depth == 0:
+        return 0
+    return [_empty_rows(n, depth - 1) for _ in range(n)]
+
+
+def _add(rows, key: tuple[int, ...], v: int):
+    """rows with vertex v added to the row at key."""
+    if not key:
+        return rows | (1 << v)
+    node = rows
+    for i in key[:-1]:
+        node = node[i]
+    node[key[-1]] |= 1 << v
+    return rows
+
+
+def _count(rows, depth: int) -> int:
+    if depth <= 0:
+        return rows.bit_count()
+    return sum(_count(r, depth - 1) for r in rows)
+
+
+class Table(AbstractSet):
+    """A relation over the vertices 0..n-1 of one graph, stored as rows:
+    nested lists indexed by the leading arity-1 arguments whose leaves
+    are bitmasks of the last argument (for arity 0, 1 if the empty tuple
+    holds).  As a set it holds the tuples themselves: it compares equal
+    to the plain set of them, ``len`` counts them and ``|``, ``&`` and
+    ``-`` return frozensets."""
+
+    def __init__(self, n: int, arity: int, rows):
+        self.n = n
+        self.arity = arity
+        self._rows = rows
+        self._by_positions: dict[tuple[int, ...], object] = {}
+        self._len: Optional[int] = None
+
+    @classmethod
+    def of(cls, tuples: Iterable[tuple[int, ...]], arity: int,
+           n: int) -> "Table":
+        """The table of the tuples of the given arity over 0..n-1."""
+        rows = _empty_rows(n, max(arity - 1, 0))
+        for t in tuples:
+            if len(t) == arity and all(0 <= v < n for v in t):
+                rows = _add(rows, t[:-1], t[-1]) if arity else 1
+        return cls(n, arity, rows)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def rows(self, positions: tuple[int, ...]):
+        """The rows of the tuples that hold one vertex at all the given
+        positions: nested lists indexed by the arguments at the other
+        positions, in order, whose leaves are bitmasks of that vertex.
+        Positions other than the last are transposed once, here."""
+        if self.arity == 0 or positions == (self.arity - 1,):
+            return self._rows
+        got = self._by_positions.get(positions)
+        if got is None:
+            others = [i for i in range(self.arity) if i not in positions]
+            got = _empty_rows(self.n, len(others))
+            for t in self:
+                v = t[positions[0]]
+                if all(t[p] == v for p in positions):
+                    got = _add(got, tuple(t[i] for i in others), v)
+            self._by_positions[positions] = got
+        return got
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        if self.arity == 0:
+            if self._rows:
+                yield ()
+            return
+
+        def walk(rows, prefix):
+            if len(prefix) == self.arity - 1:
+                for v in bits(rows):
+                    yield prefix + (v,)
+            else:
+                for i, sub in enumerate(rows):
+                    yield from walk(sub, prefix + (i,))
+        yield from walk(self._rows, ())
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = _count(self._rows, self.arity - 1)
+        return self._len
+
+    def __contains__(self, t) -> bool:
+        if not (isinstance(t, tuple) and len(t) == self.arity and
+                all(isinstance(v, int) and 0 <= v < self.n for v in t)):
+            return False
+        if not t:
+            return bool(self._rows)
+        node = self._rows
+        for v in t[:-1]:
+            node = node[v]
+        return bool((node >> t[-1]) & 1)
+
+    def __repr__(self) -> str:
+        return f"Table({sorted(self)!r})"

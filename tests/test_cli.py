@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import msograph
 from msograph.cli import main, parse_assignment
 from msograph.graphs import LabeledGraph, grid
 from msograph.search import is_isomorphic
@@ -141,6 +143,33 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, "width", str(g), "--measure", "twd",
                            "--exact")
         assert code == 2 and err.startswith("error:")
+
+
+def test_malformed_labels_and_names_are_usage_errors(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    for extra in ('"labels": {"a": 5}', '"labels": {"a": [0, "1"]}',
+                  '"labels": [[0]]', '"names": ["a"]', '"names": {"x": "a"}',
+                  '"names": {"0": 7}'):
+        g.write_text(f'{{"n": 2, "edges": [], {extra}}}')
+        code, _, err = run(capsys, "width", str(g), "--measure", "twd")
+        assert code == 2 and err.startswith("error:"), extra
+    g.write_text('{"n": 2, "edges": [[0, 1]], "labels": {"a": [1]}, '
+                 '"names": {"0": "p", "1": "q"}}')
+    G = LabeledGraph.from_json(g.read_text())
+    assert G.labels == {"a": {1}} and G.name_of(1) == "q"
+
+
+def test_eval_pred_prints_the_rows_of_the_table(tmp_path, capsys):
+    # the rows and the count line of `msograph eval --pred`, as they
+    # were printed while tables were sets of tuples
+    g = tmp_path / "d12.json"
+    run(capsys, "gen", "--family", "power", "--n", "12", "-o", str(g))
+    lib = Path(msograph.__file__).parent / "libraries" / "power.mso"
+    code, out, err = run(capsys, "eval", str(g), "--library", str(lib),
+                         "--pred", "cliquemin")
+    assert code == 0
+    assert out.split() == ["1", "2", "4", "8"]
+    assert err == "# cliquemin: 4 tuples\n"
 
 
 def test_width_cap_is_exit_3(tmp_path, capsys):

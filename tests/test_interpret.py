@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from msograph.graphs import LabeledGraph, grid
@@ -50,6 +52,19 @@ def test_reflexive_edge_formula_rejected():
     bad = Interpretation((), parse_formula("x = x"), parse_formula("x = y"))
     with pytest.raises(InterpretationError):
         apply(bad, grid(2, 2))
+
+
+def test_edge_formula_errors_name_the_first_bad_pair():
+    # pairs are checked x by x, each x first against itself, then
+    # against the domain vertices after it
+    G = LabeledGraph.build(4, [], labels={"red": [1, 3], "blue": [2]})
+    for edge, message in [
+            ("(red(x) & !red(y)) | (x = y & blue(x))", "asymmetric on (0, 1)"),
+            ("(red(x) & y = x) | (blue(x) & red(y))", "reflexive at 1"),
+            ("blue(x) & red(y)", "asymmetric on (1, 2)")]:
+        bad = Interpretation((), parse_formula("x = x"), parse_formula(edge))
+        with pytest.raises(InterpretationError, match=re.escape(message)):
+            apply(bad, G)
 
 
 def test_asymmetric_edge_formula_rejected():

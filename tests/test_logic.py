@@ -11,7 +11,7 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             FalseF, ForallS, ForallV, Formula,
                             FormulaSyntaxError, Iff, Implies, Not, Or,
                             PredicateLibrary, SetAtom, SetQuantifierCapError,
-                            TC, TrueF, App,
+                            TC, Table, TrueF, App,
                             evaluate, free_vars, materialize,
                             materialize_all, parse_formula, parse_library,
                             relativize, tc_naive_encoding)
@@ -191,6 +191,59 @@ def test_evaluator_matches_reference_with_calls_and_free_variables():
             if ref_eval(G, App("p", ("a", "b")), {"a": a, "b": b}, lib)}
 
 
+# Where the row variable y of a table goes: into every argument position
+# of a table call, into two positions of one call, into E(y, y), y = y,
+# and into either end of TC.  {y} is the row variable, {x} the first
+# parameter (the same variable for unary definitions).
+ROW_SHAPES = (
+    "u({y})", "p({y}, {x})", "p({x}, {y})", "p({y}, {y})",
+    "r({y}, {x}, {x})", "r({x}, {y}, {x})", "r({x}, {x}, {y})",
+    "r({x}, {y}, {y})", "r({y}, {y}, {y})", "E({y}, {y})", "{y} = {y}",
+    "TC[a, b: p(a, b)]({y}, {x})", "TC[a, b: p(a, b)]({x}, {y})",
+    "TC[a, b: r(a, b, {x})]({y}, {x})", "TC[a, b: r(a, b, {x})]({x}, {y})",
+    "TC[a, b: E(a, b) & u(b)]({y}, {y})",
+)
+
+
+def _row_library(rng, k, used):
+    """Tabulated u, p and r with random bodies, and t of arity k whose
+    body joins a random formula with two of ROW_SHAPES."""
+    calls = [("u", "v"), ("p", "vv"), ("r", "vvv")]
+    lib = PredicateLibrary()
+    lib.define("u", ("x",), _random_formula(rng, rng.randrange(0, 3),
+                                            ["x"], []))
+    lib.define("p", ("x", "y"), _random_formula(
+        rng, rng.randrange(0, 3), ["x", "y"], [], calls[:1]))
+    lib.define("r", ("x", "x'", "y"), _random_formula(
+        rng, rng.randrange(0, 2), ["x", "x'", "y"], [], calls[:2]))
+    params = ("x", "x'", "y")[3 - k:]
+    shapes = rng.sample(ROW_SHAPES, 2)
+    used.update(shapes)
+    forced = [parse_formula(shape.format(x=params[0], y=params[-1]))
+              for shape in shapes]
+    ops = (And, Or, Implies, Iff)
+    body = rng.choice(ops)(forced[0], rng.choice(ops)(
+        _random_formula(rng, rng.randrange(0, 3), list(params), [], calls),
+        forced[1]))
+    lib.define("t", params, Not(body) if rng.random() < 0.3 else body)
+    return lib
+
+
+def test_rows_match_reference():
+    rng = random.Random(29)
+    used = set()
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        G = _random_graph(rng, n)
+        k = rng.randrange(1, 4)
+        lib = _row_library(rng, k, used)
+        names = tuple(f"a{i}" for i in range(k))
+        assert materialize(G, lib, "t") == {
+            t for t in itertools.product(range(n), repeat=k)
+            if ref_eval(G, App("t", names), dict(zip(names, t)), lib)}
+    assert used == set(ROW_SHAPES)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -302,6 +355,14 @@ def test_formulas_deeper_than_the_python_parser_allows():
     for _ in range(300):
         f = Not(f)
     assert evaluate(grid(1, 2), None, f, {"x": 0})
+    # each level's inner formula is taken once per row, not once per q:
+    # otherwise this takes 2^300 steps
+    g = EdgeAtom("x", "y")
+    for _ in range(300):
+        g = ExistsV("q", And(Eq("q", "y"), g))
+    lib = PredicateLibrary()
+    lib.define("p", ("x", "y"), g)
+    assert materialize(grid(1, 2), lib, "p") == {(0, 1), (1, 0)}
 
 
 def test_set_cap_enforced():
@@ -311,6 +372,50 @@ def test_set_cap_enforced():
     # raised where the quantifier is reached, not where it is compiled
     assert not evaluate(G, None, parse_formula("false & exists X. true"),
                         set_cap=10)
+
+
+def test_set_cap_is_reached_only_from_a_live_branch():
+    lib = parse_library("def p(x, y) := E(x, y) & exists X. true\n"
+                        "def q(x, y) := E(x, y) & exists X. X(y)")
+    edgeless = LabeledGraph.build(12, [])
+    assert materialize(edgeless, lib, "p", set_cap=10) == set()
+    path = LabeledGraph.build(12, [(i, i + 1) for i in range(11)])
+    with pytest.raises(SetQuantifierCapError):
+        materialize(path, lib, "q", set_cap=10)
+
+
+def test_table_keeps_the_set_contract():
+    lib = parse_library("def adj(x, y) := E(x, y)\n"
+                        "def mid(x, y, z) := E(x, y) & E(y, z) & x != z\n"
+                        "def end(x) := exists! y. E(x, y)\n"
+                        "def some() := exists x. end(x)")
+    P = LabeledGraph.build(4, [(0, 1), (1, 2), (2, 3)])
+    s = {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
+    t = materialize(P, lib, "adj")
+    assert isinstance(t, Table)
+    assert t == s and s == t and not t != s and t != s - {(0, 1)}
+    assert len(t) == 6 and sorted(t) == sorted(s) == list(t)
+    assert (1, 2) in t and (0, 2) not in t
+    assert (1,) not in t and (1, 9) not in t and "12" not in t
+    for other in ({(0, 0)}, frozenset({(0, 1)})):
+        for got in (t | other, other | t, t & other, other & t):
+            assert type(got) is frozenset
+        assert t | other == s | other and other & t == s & other
+    assert materialize(P, lib, "mid") == {(0, 1, 2), (2, 1, 0), (1, 2, 3),
+                                          (3, 2, 1)}
+    assert materialize(P, lib, "end") == {(0,), (3,)}
+    assert materialize(P, lib, "some") == {()}
+    assert Table.of(s, 2, 4) == t and Table.of(set(), 3, 4) == set()
+
+
+def test_tables_given_as_plain_sets():
+    lib = parse_library("def adj(x, y) := E(x, y)")
+    P = LabeledGraph.build(3, [(0, 1), (1, 2)])
+    tables = {"adj": {(0, 2), (2, 0)}}  # not the edges of P, on purpose
+    f = parse_formula("exists y. (adj(x, y) & adj(y, x))")
+    assert evaluate(P, lib, f, {"x": 0}, tables=tables)
+    assert not evaluate(P, lib, f, {"x": 1}, tables=tables)
+    assert materialize(P, lib, "adj", tables=tables) == {(0, 2), (2, 0)}
 
 
 # ---------------------------------------------------------------------------
