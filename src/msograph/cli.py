@@ -367,13 +367,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExhausted, SizeCapExceeded, SetQuantifierCapError,
-            InterpretationError) as exc:
-        if isinstance(exc, InterpretationError) and "cap" not in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
+    except (BudgetExhausted, SizeCapExceeded, SetQuantifierCapError) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InterpretationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (UsageError, FormulaSyntaxError, GraphError, WidthError, EvalError,
             wf.WordError, bf.BichainError, pf.PowerError, ValueError,
             OSError) as exc:

@@ -1,8 +1,13 @@
 """Backtracking search for induced-subgraph containment and isomorphism.
 
-The searches use bitset adjacency and a deterministic vertex order
-(descending degree, then index) so failing runs are reproducible.  An
-optional node-expansion budget turns long searches into an explicit
+One forward-checking core, ``_search``, maps a pattern into a host over
+bitset adjacency, in a deterministic vertex order (connected to the
+placed prefix, then descending degree, then index) so failing runs are
+reproducible.  Its callers differ only in the candidate domains they
+pass: ``is_induced_subgraph_of`` lets v go to any vertex of degree at
+least deg(v); ``is_isomorphic`` to vertices of equal degree and, with
+``respect_labels``, of the same label signature.  An optional budget of
+node expansions per call turns a long search into an explicit
 ``BudgetExhausted`` outcome, never a negative answer.
 """
 
@@ -39,32 +44,17 @@ def _pattern_order(H: LabeledGraph) -> list[int]:
     return order
 
 
-def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
-                           budget: Optional[int] = None) -> Optional[dict[int, int]]:
-    """An injective map V(H) -> V(G) preserving edges and non-edges, or None.
-
-    Labels are ignored (plain-graph containment).  Raises
-    ``BudgetExhausted`` if ``budget`` node expansions are exceeded.
-    """
-    if H.n > G.n:
+def _search(H: LabeledGraph, G: LabeledGraph, domains: list[int],
+            budget: Optional[int]) -> Optional[dict[int, int]]:
+    """An injective map V(H) -> V(G) preserving edges and non-edges that
+    sends each v into the bitmask ``domains[v]``, or None.  Raises
+    ``BudgetExhausted`` after ``budget`` node expansions."""
+    if not all(domains):  # fail before searching the vertices ahead of it
         return None
-    if H.n == 0:
-        return {}
     hadj = H.adjacency_masks()
     gadj = G.adjacency_masks()
-    hdeg = H.degree_sequence()
-    gdeg = G.degree_sequence()
     order = _pattern_order(H)
     gall = (1 << G.n) - 1
-    # initial candidate domains: degree monotonicity
-    init_dom = []
-    for v in order:
-        dom = 0
-        for w in range(G.n):
-            if gdeg[w] >= hdeg[v]:
-                dom |= 1 << w
-        init_dom.append(dom)
-
     expanded = 0
     mapping: dict[int, int] = {}
 
@@ -81,37 +71,43 @@ def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
             expanded += 1
             if budget is not None and expanded > budget:
                 raise BudgetExhausted(expanded)
-            # check edges/non-edges against already placed vertices
-            ok = True
-            for u in order[:pos]:
-                gu = mapping[u]
-                if ((hadj[v] >> u) & 1) != ((gadj[w] >> gu) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
             mapping[v] = w
             # forward restriction: future pattern neighbours of v must map
-            # into N(w); future non-neighbours must avoid N(w)
+            # into N(w); future non-neighbours must avoid N(w) and w.  So
+            # every candidate drawn from a domain agrees with all placed
+            # vertices, and none needs checking against them.
+            non_nbrs = gall & ~gadj[w] & ~w_bit
             new_doms = list(doms)
-            feasible = True
             for later_pos in range(pos + 1, len(order)):
-                u = order[later_pos]
-                if (hadj[v] >> u) & 1:
-                    new_doms[later_pos] &= gadj[w]
-                else:
-                    new_doms[later_pos] &= gall & ~gadj[w] & ~w_bit
+                new_doms[later_pos] &= (gadj[w] if (hadj[v] >> order[later_pos]) & 1
+                                        else non_nbrs)
                 if new_doms[later_pos] & ~used == 0:
-                    feasible = False
                     break
-            if feasible and backtrack(pos + 1, used | w_bit, new_doms):
-                return True
+            else:
+                if backtrack(pos + 1, used | w_bit, new_doms):
+                    return True
             del mapping[v]
         return False
 
-    if backtrack(0, 0, init_dom):
+    if backtrack(0, 0, [domains[v] for v in order]):
         return {v: mapping[v] for v in range(H.n)}
     return None
+
+
+def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
+                           budget: Optional[int] = None) -> Optional[dict[int, int]]:
+    """An injective map V(H) -> V(G) preserving edges and non-edges, or None.
+
+    Labels are ignored (plain-graph containment).  Raises
+    ``BudgetExhausted`` if ``budget`` node expansions are exceeded.
+    """
+    if H.n > G.n:
+        return None
+    gdeg = G.degree_sequence()
+    # degree monotonicity: v can only go where there is room for N(v)
+    domains = [sum(1 << w for w in range(G.n) if gdeg[w] >= d)
+               for d in H.degree_sequence()]
+    return _search(H, G, domains, budget)
 
 
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
@@ -120,60 +116,27 @@ def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
     """An edge-preserving bijection V(G) -> V(H), or None.
 
     With ``respect_labels`` the bijection must map every label set of G
-    onto the equally named label set of H.
+    onto the equally named label set of H.  Raises ``BudgetExhausted``
+    if ``budget`` node expansions are exceeded.
     """
     if G.n != H.n or len(G.edges) != len(H.edges):
         return None
-    if sorted(G.degree_sequence()) != sorted(H.degree_sequence()):
+    # a vertex maps only to one of equal key: its degree, and with
+    # respect_labels also the set of label names it lies in
+    gkey, hkey = G.degree_sequence(), H.degree_sequence()
+    if sorted(gkey) != sorted(hkey):
         return None
     if respect_labels:
-        if set(G.labels) != set(H.labels):
+        if (set(G.labels) != set(H.labels)
+                or any(len(G.labels[k]) != len(H.labels[k]) for k in G.labels)):
             return None
-        for k in G.labels:
-            if len(G.labels[k]) != len(H.labels[k]):
-                return None
-    emb = is_induced_subgraph_of(G, H, budget=budget)
-    if emb is None:
-        return None
-    if respect_labels:
-        # retry with label-compatible domains via a filtered search
-        emb = _label_isomorphism(G, H, budget)
-    return emb
-
-
-def _label_isomorphism(G: LabeledGraph, H: LabeledGraph,
-                       budget: Optional[int]) -> Optional[dict[int, int]]:
-    sig_g = [frozenset(k for k, vs in G.labels.items() if v in vs) for v in range(G.n)]
-    sig_h = [frozenset(k for k, vs in H.labels.items() if v in vs) for v in range(H.n)]
-    gadj = G.adjacency_masks()
-    hadj = H.adjacency_masks()
-    order = _pattern_order(G)
-    expanded = 0
-    mapping: dict[int, int] = {}
-
-    def backtrack(pos: int, used: int) -> bool:
-        nonlocal expanded
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for w in range(H.n):
-            if (used >> w) & 1 or sig_g[v] != sig_h[w]:
-                continue
-            expanded += 1
-            if budget is not None and expanded > budget:
-                raise BudgetExhausted(expanded)
-            if any(((gadj[v] >> u) & 1) != ((hadj[w] >> mapping[u]) & 1)
-                   for u in order[:pos]):
-                continue
-            mapping[v] = w
-            if backtrack(pos + 1, used | (1 << w)):
-                return True
-            del mapping[v]
-        return False
-
-    if backtrack(0, 0):
-        return {v: mapping[v] for v in range(G.n)}
-    return None
+        gkey, hkey = ([(d, frozenset(k for k, vs in X.labels.items() if v in vs))
+                       for v, d in enumerate(deg)]
+                      for X, deg in ((G, gkey), (H, hkey)))
+    classes: dict = {}
+    for w, key in enumerate(hkey):
+        classes[key] = classes.get(key, 0) | 1 << w
+    return _search(G, H, [classes.get(key, 0) for key in gkey], budget)
 
 
 def is_antichain(graphs: list[LabeledGraph],

@@ -32,6 +32,13 @@ class SizeCapExceeded(WidthError):
     """The input exceeds the oracle's vertex cap (distinct from a budget)."""
 
 
+def _load_certificate(text: str, kind: str) -> dict:
+    data = json.loads(text)
+    if not isinstance(data, dict) or data.get("type") != kind:
+        raise WidthError(f"not a {kind} certificate")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Tree decompositions
 # ---------------------------------------------------------------------------
@@ -66,11 +73,19 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json(text: str) -> "TreeDecomposition":
-        data = json.loads(text)
-        if data.get("type") != "tree-decomposition":
-            raise WidthError("not a tree-decomposition certificate")
-        return TreeDecomposition.build(data["bags"],
-                                       [tuple(e) for e in data["tree_edges"]])
+        data = _load_certificate(text, "tree-decomposition")
+        bags, tree_edges = data.get("bags"), data.get("tree_edges")
+        if not isinstance(bags, list) or not all(
+                isinstance(b, list) and all(type(v) is int for v in b)
+                for b in bags):
+            raise WidthError('tree-decomposition needs "bags", a list of '
+                             'vertex lists')
+        if not isinstance(tree_edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and
+                all(type(a) is int for a in e) for e in tree_edges):
+            raise WidthError('tree-decomposition needs "tree_edges", a list '
+                             'of node pairs')
+        return TreeDecomposition.build(bags, [tuple(e) for e in tree_edges])
 
 
 def decomposition_violation(G: LabeledGraph,
@@ -330,21 +345,21 @@ class KExpression:
 
     @staticmethod
     def from_json(text: str) -> "KExpression":
-        data = json.loads(text)
-        if data.get("type") != "k-expression":
-            raise WidthError("not a k-expression certificate")
+        data = _load_certificate(text, "k-expression")
+        k, root = data.get("k"), data.get("root")
+        if type(k) is not int or not isinstance(root, list):
+            raise WidthError('k-expression needs "k", an integer, and '
+                             '"root", a list')
 
         def dec(node):
             return tuple(dec(x) if isinstance(x, list) else x for x in node)
 
-        return KExpression(data["k"], dec(data["root"]))
+        return KExpression(k, dec(root))
 
 
 def verify_k_expression(G: LabeledGraph, e: KExpression) -> bool:
     """Evaluate e and test isomorphism with G (labels ignored)."""
     built, _ = e.evaluate()
-    if built.n != G.n or len(built.edges) != len(G.edges):
-        return False
     return is_isomorphic(built, G, respect_labels=False) is not None
 
 

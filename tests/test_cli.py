@@ -172,6 +172,33 @@ def test_eval_pred_prints_the_rows_of_the_table(tmp_path, capsys):
     assert err == "# cliquemin: 4 tuples\n"
 
 
+def test_malformed_certificates_are_usage_errors(tmp_path, capsys):
+    g = tmp_path / "c4.json"
+    g.write_text(grid(2, 2).to_json())
+    cert = tmp_path / "cert.json"
+    for measure, text in (("cwd", '{"type": "k-expression"}'),
+                          ("cwd", '[["leaf", 1]]'),
+                          ("twd", '{"type": "tree-decomposition", '
+                                  '"bags": [[0, 1, 2, 3]]}')):
+        cert.write_text(text)
+        code, _, err = run(capsys, "width", str(g), "--measure", measure,
+                           "--certify", str(cert))
+        assert code == 2 and err.startswith("error:"), text
+
+
+def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
+    # a vertex name containing "cap" must not turn the error into exit 3
+    interp = tmp_path / "refl.interp"
+    interp.write_text("domain(x) := x = x\nedge(x, y) := E(x, y) | x = y\n")
+    g = tmp_path / "g.json"
+    for name in ("capstone", "a"):
+        g.write_text(LabeledGraph.build(2, [(0, 1)],
+                                        names={0: name, 1: "b"}).to_json())
+        code, _, err = run(capsys, "apply", str(g), "--interp", str(interp))
+        assert code == 1, name
+        assert err == f"error: edge formula is reflexive at {name}\n"
+
+
 def test_width_cap_is_exit_3(tmp_path, capsys):
     g = tmp_path / "d12.json"
     run(capsys, "gen", "--family", "power", "--n", "12", "-o", str(g))

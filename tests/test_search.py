@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from msograph.bichain_family import build_Zn
 from msograph.graphs import LabeledGraph, grid, upper_tri_grid
 from msograph.search import (BudgetExhausted, is_antichain,
                              is_induced_subgraph_of, is_isomorphic)
@@ -12,6 +13,36 @@ def _random_graph(rng, n):
     return LabeledGraph.build(
         n, [e for e in itertools.combinations(range(n), 2)
             if rng.random() < 0.5])
+
+
+def _relabel(G, perm):
+    """G with vertex v renamed perm[v]; labels move with their vertices."""
+    return LabeledGraph.build(
+        G.n, [(perm[u], perm[v]) for (u, v) in G.edges],
+        {k: [perm[v] for v in vs] for k, vs in G.labels.items()})
+
+
+def _signature(G, v):
+    return frozenset(k for k, vs in G.labels.items() if v in vs)
+
+
+def _assert_embedding(H, G, m, respect_labels=False):
+    assert sorted(m) == list(range(H.n))
+    assert len(set(m.values())) == H.n
+    assert all(0 <= w < G.n for w in m.values())
+    for u, v in itertools.combinations(range(H.n), 2):
+        assert H.has_edge(u, v) == G.has_edge(m[u], m[v])
+    if respect_labels:
+        assert all(_signature(H, v) == _signature(G, m[v])
+                   for v in range(H.n))
+
+
+def _nx(G):
+    import networkx as nx
+    X = nx.Graph()
+    X.add_nodes_from((v, {"sig": _signature(G, v)}) for v in range(G.n))
+    X.add_edges_from(G.edges)
+    return X
 
 
 def test_induced_embedding_is_checked():
@@ -53,7 +84,7 @@ def test_respect_labels():
     H = LabeledGraph.build(2, [(0, 1)], labels={"m": [1]})
     assert is_isomorphic(G, H, respect_labels=False) is not None
     iso = is_isomorphic(G, H, respect_labels=True)
-    assert iso is None or iso[0] == 1
+    assert iso == {0: 1, 1: 0}
 
 
 def test_antichain_detects_comparable_pair():
@@ -67,3 +98,93 @@ def test_budget_raises():
         # an odd cycle never embeds in a bipartite grid; the search has
         # to do real work to find that out
         is_induced_subgraph_of(C7, grid(4, 4), budget=10)
+
+
+def _toggle_two_pairs(rng, G):
+    """G with one edge removed and one non-edge added, when it has both:
+    same vertex and edge counts, often the same degrees."""
+    non_edges = [e for e in itertools.combinations(range(G.n), 2)
+                 if e not in G.edges]
+    if not G.edges or not non_edges:
+        return G
+    drop = rng.choice(sorted(G.edges))
+    edges = (set(G.edges) - {drop}) | {rng.choice(non_edges)}
+    return LabeledGraph.build(G.n, edges, G.labels)
+
+
+def _random_labels(rng, G):
+    return LabeledGraph.build(
+        G.n, G.edges, {k: [v for v in range(G.n) if rng.random() < 0.4]
+                       for k in ("a", "b")})
+
+
+def test_isomorphism_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randint(0, 7)
+        G = _random_graph(rng, n)
+        respect_labels = trial % 2 == 1
+        if respect_labels:
+            G = _random_labels(rng, G)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        H = _relabel(G, perm)
+        if rng.random() < 0.5:
+            H = _toggle_two_pairs(rng, H)
+        if respect_labels and n and rng.random() < 0.3:
+            # move one vertex into or out of a label set
+            v = rng.randrange(n)
+            H = LabeledGraph.build(n, H.edges, {**H.labels,
+                                                "a": H.labels["a"] ^ {v}})
+        match = (lambda a, b: a["sig"] == b["sig"]) if respect_labels else None
+        want = nx.is_isomorphic(_nx(G), _nx(H), node_match=match)
+        iso = is_isomorphic(G, H, respect_labels=respect_labels)
+        assert (iso is not None) == want, (G, H, respect_labels)
+        if iso is not None:
+            _assert_embedding(G, H, iso, respect_labels)
+            assert sorted(iso.values()) == list(range(H.n))
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_induced_subgraph_agrees_with_networkx():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(12)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        G = _random_graph(rng, rng.randint(0, 7))
+        if trial % 2 and G.n:
+            # a relabeled induced subgraph of G, so the answer is often yes
+            keep = [v for v in range(G.n) if rng.random() < 0.6]
+            perm = list(range(len(keep)))
+            rng.shuffle(perm)
+            pos = {v: i for i, v in enumerate(keep)}
+            H = LabeledGraph.build(
+                len(keep), [(perm[pos[u]], perm[pos[v]])
+                            for (u, v) in G.edges if u in pos and v in pos])
+            H = _toggle_two_pairs(rng, H) if rng.random() < 0.3 else H
+        else:
+            H = _random_graph(rng, rng.randint(0, 5))
+        want = GraphMatcher(_nx(G), _nx(H)).subgraph_is_isomorphic()
+        m = is_induced_subgraph_of(H, G)
+        assert (m is not None) == want, (H, G)
+        if m is not None:
+            _assert_embedding(H, G, m)
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_labeled_isomorphism_is_one_search(n):
+    # the label signatures narrow the domains of the one search, so a
+    # relabeled Z_n needs about one expansion per vertex
+    Z = build_Zn(n, with_labels=True)
+    perm = list(range(Z.n))
+    random.Random(n).shuffle(perm)
+    Z2 = _relabel(Z, perm)
+    iso = is_isomorphic(Z, Z2, respect_labels=True, budget=1000)
+    assert iso is not None
+    _assert_embedding(Z, Z2, iso, respect_labels=True)
