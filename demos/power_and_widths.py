@@ -30,7 +30,7 @@ tw, td = treewidth_exact(G)
 assert verify_tree_decomposition(G, td) and td.width == tw
 print(f"\ntreewidth(3x3 grid) = {tw}, certificate checks out")
 
-cw, e = cliquewidth_exact(G, cap=10, budget=200_000_000)
+cw, e = cliquewidth_exact(G, cap=10)
 assert verify_k_expression(G, e)
 print(f"clique-width(3x3 grid) = {cw} (exhaustive at {cw - 1}), "
       f"certificate checks out")

@@ -304,7 +304,7 @@ def suite_power(max_n: int = 20) -> VerificationReport:
 
 def suite_widths(seed: int = 2026) -> VerificationReport:
     """Known widths, certificate validity, the subdivision construction,
-    and the exponential clique-width/treewidth inequality on a corpus."""
+    and Corneil & Rotics' cw <= 3 * 2^(tw-1) on a corpus."""
     rng = random.Random(seed)
     rep = VerificationReport("widths")
     rep.start()
@@ -336,7 +336,7 @@ def suite_widths(seed: int = 2026) -> VerificationReport:
             rep.check(f"subdiv-{i:02d}-t{t}", {"n": G.n, "t": t}, True, ok)
         cw, e = cliquewidth_exact(G)
         rep.check(f"bound-{i:02d}", {"n": G.n, "twd": tw, "cwd": cw},
-                  True, cw <= 4 * 2 ** (tw - 1) + 1 if tw >= 1 else True)
+                  True, cw <= 3 * 2 ** (tw - 1) if tw >= 1 else True)
     return rep
 
 

@@ -186,6 +186,24 @@ def test_malformed_certificates_are_usage_errors(tmp_path, capsys):
         assert code == 2 and err.startswith("error:"), text
 
 
+def test_deep_certificates_are_checked_or_rejected(tmp_path, capsys):
+    g = tmp_path / "k1.json"
+    g.write_text(LabeledGraph.build(1, []).to_json())
+    cert = tmp_path / "deep.json"
+    for depth, want in ((900, 0), (3000, 2)):
+        root = '["relabel", 1, 2, ' * depth + '["leaf", 1]' + "]" * depth
+        cert.write_text('{"type": "k-expression", "k": 2, "root": %s}' % root)
+        code, out, err = run(capsys, "width", str(g), "--measure", "cwd",
+                             "--certify", str(cert))
+        assert code == want, (depth, err)
+        assert "Traceback" not in err
+        if want == 0:
+            assert json.loads(out) == {"measure": "cwd",
+                                       "certificate": "valid", "k": 2}
+        else:
+            assert err.startswith("error:")
+
+
 def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
     # a vertex name containing "cap" must not turn the error into exit 3
     interp = tmp_path / "refl.interp"
@@ -204,6 +222,14 @@ def test_width_cap_is_exit_3(tmp_path, capsys):
     run(capsys, "gen", "--family", "power", "--n", "12", "-o", str(g))
     code, _, err = run(capsys, "width", str(g), "--measure", "cwd")
     assert code == 3 and "cap" in err
+
+
+def test_width_grid33_at_cap_10_fits_the_default_budget(tmp_path, capsys):
+    g = tmp_path / "g33.json"
+    g.write_text(grid(3, 3).to_json())
+    code, out, _ = run(capsys, "width", str(g), "--measure", "cwd",
+                       "--cap", "10")
+    assert code == 0 and json.loads(out) == {"measure": "cwd", "value": 4}
 
 
 def test_verify_suite_and_report(tmp_path, capsys):

@@ -116,8 +116,11 @@ def test_cliquewidth_known_values():
 def test_cliquewidth_cap_and_budget():
     with pytest.raises(SizeCapExceeded):
         cliquewidth_exact(grid(3, 3))  # 9 vertices over the default cap
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted) as exc:
         cliquewidth_exact(grid(2, 4), budget=50)
+    assert exc.value.expanded == 50 and type(exc.value.expanded) is int
+    msg = str(exc.value)
+    assert msg.count("budget") == 1 and msg.count("50") == 1, msg
 
 
 def test_monotone_under_induced_subgraphs():
@@ -142,3 +145,117 @@ def test_certificates_round_trip_json():
     assert TreeDecomposition.from_json(td.to_json()) == td
     cw, e = cliquewidth_exact(PATH4)
     assert KExpression.from_json(e.to_json()) == e
+
+
+# ---------------------------------------------------------------------------
+# Width oracles: independent facts the exact searches must agree with
+# ---------------------------------------------------------------------------
+
+# Clique-width of every networkx atlas graph with 1-6 vertices, in atlas
+# order, one string per vertex count.  Derived once from the search; the
+# single 4 is the triangular prism.
+CW_ATLAS = {
+    1: "1",
+    2: "12",
+    3: "1222",
+    4: "12222232222",
+    5: "1222223222233222333322323222322222",
+    6: ("1222223222223322322233332333323222232322333333332333322232233332"
+        "2333333333333322232333333332323333333322323323332333323334222323"
+        "3333323322223223232223222222"),
+}
+
+
+def _random_graph(rng, n, p):
+    return LabeledGraph.build(
+        n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def _has_induced_p4(G):
+    for a, b, c, d in itertools.permutations(G.vertices, 4):
+        if (G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(c, d) and
+                not (G.has_edge(a, c) or G.has_edge(b, d) or G.has_edge(a, d))):
+            return True
+    return False
+
+
+def _treewidth_brute(G):
+    """Least over all elimination orders of the largest neighbourhood
+    met when eliminating a vertex."""
+    best = G.n - 1
+    for order in itertools.permutations(G.vertices):
+        nbrs = G.adjacency()
+        width = 0
+        for v in order:
+            nb = nbrs[v]
+            width = max(width, len(nb))
+            for u in nb:
+                nbrs[u] |= nb
+                nbrs[u] -= {u, v}
+        best = min(best, width)
+    return best
+
+
+def _is_forest(G):
+    root = list(G.vertices)
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in G.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
+
+
+@pytest.fixture(scope="module")
+def atlas_widths():
+    nx = pytest.importorskip("networkx")
+    out = []
+    for g in nx.graph_atlas_g():
+        if 1 <= g.number_of_nodes() <= 6:
+            G = LabeledGraph.build(g.number_of_nodes(), list(g.edges()))
+            out.append((G, *cliquewidth_exact(G), treewidth_exact(G)[0]))
+    assert len(out) == 208
+    return out
+
+
+def test_atlas_cliquewidth_values(atlas_widths):
+    got: dict[int, str] = {}
+    for G, cw, _, _ in atlas_widths:
+        got[G.n] = got.get(G.n, "") + str(cw)
+    assert got == CW_ATLAS
+
+
+def test_atlas_cw_at_most_2_iff_p4_free(atlas_widths):
+    # Courcelle & Olariu (2000): the graphs of clique-width <= 2 are the
+    # cographs, which are the P4-free graphs.
+    for G, cw, _, _ in atlas_widths:
+        assert (cw <= 2) == (not _has_induced_p4(G)), sorted(G.edges)
+
+
+def test_atlas_certificates_verify(atlas_widths):
+    for G, cw, e, _ in atlas_widths:
+        assert e.k == cw and verify_k_expression(G, e), sorted(G.edges)
+
+
+def test_atlas_cw_within_corneil_rotics_bound(atlas_widths):
+    # Corneil & Rotics (2005): cw <= 3 * 2^(tw-1)
+    for G, cw, _, tw in atlas_widths:
+        assert tw < 1 or cw <= 3 * 2 ** (tw - 1), sorted(G.edges)
+
+
+def test_treewidth_matches_brute_force_and_forests():
+    rng = random.Random(2027)
+    forests = 0
+    for _ in range(24):
+        G = _random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.4, 0.6)))
+        tw, _ = treewidth_exact(G)
+        assert tw == _treewidth_brute(G), sorted(G.edges)
+        assert (tw <= 1) == _is_forest(G), sorted(G.edges)
+        forests += _is_forest(G)
+    assert 0 < forests < 24
