@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class FormulaSyntaxError(ValueError):
@@ -34,98 +34,138 @@ class FormulaSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Formula:
-    pass
+    """A node of the AST.  Nodes are immutable values: equality is
+    structural and the hash, computed once per node and kept on it, is
+    too, as formulas key the plan cache of ``plans``.  Both walk the tree
+    on a stack, so a deep formula needs no recursion."""
+
+    def __hash__(self) -> int:
+        stack = [self]
+        while not hasattr(self, "_hash"):
+            g = stack[-1]
+            todo = [s for s in subformulas(g) if not hasattr(s, "_hash")]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            object.__setattr__(g, "_hash", hash((type(g), *(
+                getattr(g, name) for name in g.__dataclass_fields__))))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for name in a.__dataclass_fields__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: a copy rehashes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeAtom(Formula):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetAtom(Formula):
     set_name: str
     x: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Formula):
     """Reference to a named unary label or library predicate."""
     name: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsV(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForallV(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsS(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForallS(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TC(Formula):
     """(a, b) lies in the reflexive-transitive closure of
     {(u, v) | body} computed under the ambient valuation."""
@@ -149,25 +189,54 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    """Free vertex- and set-variable names of f (App names excluded)."""
+def fold(f: Formula, rule, memo: dict):
+    """rule(g, [the values of g's immediate subformulas]) for f, computed
+    bottom-up without recursion.  memo maps id(g) to (g, value) for every
+    node g already folded, and is filled for every node visited; holding
+    g keeps its id from being reused."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in memo:
+            stack.pop()
+            continue
+        subs = subformulas(g)
+        todo = [s for s in subs if id(s) not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        memo[id(g)] = (g, rule(g, [memo[id(s)][1] for s in subs]))
+    return memo[id(f)][1]
+
+
+def free_vars(f: Formula, memo: Optional[dict] = None) -> frozenset[str]:
+    """Free vertex- and set-variable names of f (App names excluded).
+    A memo as for ``fold``, shared by the calls on the subformulas of one
+    formula, makes each node cost once."""
+    if memo is not None and id(f) in memo:
+        return memo[id(f)][1]
     if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, (EdgeAtom, Eq)):
-        return frozenset({f.x, f.y})
-    if isinstance(f, SetAtom):
-        return frozenset({f.set_name, f.x})
-    if isinstance(f, App):
-        return frozenset(f.args)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, TC):
-        return (free_vars(f.body) - {f.u, f.v}) | {f.a, f.b}
-    raise TypeError(f"unknown node {f!r}")
+        fv = frozenset()
+    elif isinstance(f, (EdgeAtom, Eq)):
+        fv = frozenset({f.x, f.y})
+    elif isinstance(f, SetAtom):
+        fv = frozenset({f.set_name, f.x})
+    elif isinstance(f, App):
+        fv = frozenset(f.args)
+    elif isinstance(f, Not):
+        fv = free_vars(f.body, memo)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        fv = free_vars(f.left, memo) | free_vars(f.right, memo)
+    elif isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+        fv = free_vars(f.body, memo) - {f.var}
+    elif isinstance(f, TC):
+        fv = (free_vars(f.body, memo) - {f.u, f.v}) | {f.a, f.b}
+    else:
+        raise TypeError(f"unknown node {f!r}")
+    if memo is not None:
+        memo[id(f)] = (f, fv)
+    return fv
 
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:

@@ -346,11 +346,27 @@ class KExpression:
             raise WidthError(f"label {lbl!r} outside 1..{self.k}")
 
     def to_json(self) -> str:
-        def enc(node):
-            return [node[0]] + [enc(x) if isinstance(x, tuple) else x
-                                for x in node[1:]]
-        return json.dumps({"type": "k-expression", "k": self.k,
-                           "root": enc(self.root)}, indent=2)
+        """The text of ``json.dumps`` with ``indent=2``, written from an
+        explicit stack, so a deep expression can be saved."""
+        out = ['{\n  "type": "k-expression",\n  "k": ', json.dumps(self.k),
+               ',\n  "root": ']
+        # (value, indent level) to write, or (text, None) to copy
+        todo: list[tuple[object, Optional[int]]] = [(self.root, 1)]
+        while todo:
+            x, level = todo.pop()
+            if level is None:
+                out.append(x)
+            elif isinstance(x, (list, tuple)) and x:
+                pad = "\n" + "  " * (level + 1)
+                out.append("[")
+                todo.append(("\n" + "  " * level + "]", None))
+                for i in reversed(range(len(x))):
+                    todo += [(x[i], level + 1), ("," + pad if i else pad, None)]
+            else:
+                out.append(json.dumps(x, indent=2).replace(
+                    "\n", "\n" + "  " * level))
+        out.append("\n}")
+        return "".join(out)
 
     @staticmethod
     def from_json(text: str) -> "KExpression":

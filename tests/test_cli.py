@@ -69,6 +69,21 @@ def test_eval_formula_and_pred(tmp_path, capsys):
     assert code == 0 and out.split() == []  # no degree-1 vertices in D_12
 
 
+def test_eval_rejects_values_outside_the_graph(tmp_path, capsys):
+    g = tmp_path / "c4.json"
+    g.write_text(grid(2, 2).to_json())
+    for formula, assign in (("E(x,y)", "x=99, y=0"), ("x = x", "x=5"),
+                            ("exists z. Y(z)", "Y={9}"),
+                            ("exists z. Y(z)", "Y={0, -1}")):
+        code, out, err = run(capsys, "eval", str(g), "--formula", formula,
+                             "--assign", assign)
+        assert code == 2 and out == "", assign
+        assert err.startswith("error:") and "Traceback" not in err, assign
+    code, out, _ = run(capsys, "eval", str(g), "--formula", "exists z. Y(z)",
+                       "--assign", "Y={3}")
+    assert code == 0 and out.strip() == "true"
+
+
 def test_eval_pred_with_primed_names(tmp_path, capsys):
     g = tmp_path / "p3.json"
     g.write_text(LabeledGraph.build(3, [(0, 1)]).to_json())

@@ -2,10 +2,15 @@
 parser, library, relativization, and TC-encoding behavior."""
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+from msograph import plans
 from msograph.graphs import LabeledGraph, grid, induced_subgraph
 from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             FalseF, ForallS, ForallV, Formula,
@@ -350,6 +355,19 @@ def test_unresolved_names_raise_before_evaluation():
             evaluate(G, None, parse_formula(text), {"x": 0})
 
 
+def test_valuations_outside_the_graph_raise():
+    G = grid(2, 2)
+    f = parse_formula("exists z. (Y(z) & E(x, z))")
+    assert evaluate(G, None, f, {"x": 0, "Y": 0b0010})
+    assert evaluate(G, None, f, {"x": 0, "Y": {1}})
+    for valuation in ({"x": 4, "Y": set()}, {"x": -1, "Y": set()},
+                      {"x": "0", "Y": set()}, {"x": 0, "Y": 1 << 4},
+                      {"x": 0, "Y": -1}, {"x": 0, "Y": {1, 9}},
+                      {"x": 0, "Y": {1, -2}}):
+        with pytest.raises(EvalError):
+            evaluate(G, None, f, valuation)
+
+
 def test_formulas_deeper_than_the_python_parser_allows():
     f = Eq("x", "x")
     for _ in range(300):
@@ -416,6 +434,101 @@ def test_tables_given_as_plain_sets():
     assert evaluate(P, lib, f, {"x": 0}, tables=tables)
     assert not evaluate(P, lib, f, {"x": 1}, tables=tables)
     assert materialize(P, lib, "adj", tables=tables) == {(0, 2), (2, 0)}
+
+
+# ---------------------------------------------------------------------------
+# The plan cache: one plan bound to many graphs
+# ---------------------------------------------------------------------------
+
+def _plan_hits():
+    return plans.plan.cache_info().hits
+
+
+def test_formula_hash_is_not_carried_between_processes():
+    # the hash is kept on each node; a pickle made where strings hash
+    # differently must not bring it along
+    text = "exists y. (E(x, y) & red(y))"
+    code = ("import pickle, sys; from msograph.logic import parse_formula; "
+            "f = parse_formula(%r); hash(f); "
+            "sys.stdout.buffer.write(pickle.dumps(f))" % text)
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True).stdout
+    f = pickle.loads(out)
+    assert f == parse_formula(text) and hash(f) == hash(parse_formula(text))
+    assert f in {parse_formula(text)}
+
+
+def test_cached_plans_match_reference_on_many_graphs():
+    rng = random.Random(31)
+    calls = [("p", "vv"), ("q", "vS")]
+    for _ in range(40):
+        lib = _random_library(rng)
+        f = _random_formula(rng, rng.randrange(1, 5), ["x", "x_1"], ["S"],
+                            calls)
+        hits = _plan_hits()
+        for _ in range(10):
+            n = rng.randrange(1, 5)
+            G = _random_graph(rng, n)  # "red" gets a new mask each time
+            valuation = {"x": rng.randrange(n), "x_1": rng.randrange(n),
+                         "S": frozenset(v for v in range(n)
+                                        if rng.random() < .5)}
+            assert evaluate(G, lib, f, valuation) == \
+                ref_eval(G, f, valuation, lib)
+        assert _plan_hits() >= hits + 9  # one plan, bound ten times
+
+
+def test_cached_plans_rebind_labels_tc_memos_and_the_set_cap():
+    f = parse_formula("exists y. (red(y) & TC[a, b: E(a, b)](x, y))")
+    path = LabeledGraph.build(4, [(0, 1), (1, 2)], labels={"red": [2]})
+    split = LabeledGraph.build(4, [(0, 1), (2, 3)], labels={"red": [2]})
+    moved = LabeledGraph.build(4, [(0, 1), (1, 2)], labels={"red": [3]})
+    unlabeled = LabeledGraph.build(4, [(0, 1), (1, 2)])
+    for _ in range(2):
+        hits = _plan_hits()
+        assert evaluate(path, None, f, {"x": 0})
+        assert not evaluate(split, None, f, {"x": 0})  # same n, new edges
+        assert not evaluate(moved, None, f, {"x": 0})  # same name, new mask
+        assert evaluate(moved, None, f, {"x": 3})
+        with pytest.raises(EvalError):  # red is no label here
+            evaluate(unlabeled, None, f, {"x": 0})
+        assert _plan_hits() >= hits + 3
+    lib = parse_library("def reach(x, y) := TC[a, b: E(a, b)](x, y)")
+    for G in (path, split, path):
+        assert materialize(G, lib, "reach") == {
+            (s, t) for s in range(4) for t in range(4)
+            if ref_eval(G, App("reach", ("s", "t")), {"s": s, "t": t}, lib)}
+    g = parse_formula("exists X. (X(x) & red(x))")
+    assert evaluate(path, None, g, {"x": 2}, set_cap=4)
+    with pytest.raises(SetQuantifierCapError):
+        evaluate(path, None, g, {"x": 2}, set_cap=3)
+    small = LabeledGraph.build(3, [], labels={"red": [2]})
+    assert evaluate(small, None, g, {"x": 2}, set_cap=3)
+
+
+def test_cached_plans_follow_the_library_and_the_tables():
+    P = LabeledGraph.build(3, [(0, 1), (1, 2)])
+    f = parse_formula("p(x, y)")
+    adjacent = parse_library("def p(x, y) := E(x, y)")
+    apart = parse_library("def p(x, y) := x != y & !E(x, y)")
+    for _ in range(2):
+        assert evaluate(P, adjacent, f, {"x": 0, "y": 1})
+        assert not evaluate(P, apart, f, {"x": 0, "y": 1})
+        assert evaluate(P, apart, f, {"x": 0, "y": 2})
+    lib = PredicateLibrary()
+    g = parse_formula("exists y. r(x, y)")
+    with pytest.raises(EvalError):
+        evaluate(P, lib, g, {"x": 0})
+    lib.define("r", ("x", "y"), parse_formula("E(x, y) & x = y"))
+    assert not evaluate(P, lib, g, {"x": 0})
+    h = parse_formula("exists y. adj(x, y)")
+    pair = {"adj": Table.of({(0, 1)}, 2, 3)}
+    assert evaluate(P, None, h, {"x": 0}, tables=pair)
+    hits = _plan_hits()
+    with pytest.raises(EvalError):  # arity 2 in h, 1 in the table
+        evaluate(P, None, h, {"x": 0}, tables={"adj": Table.of({(0,)}, 1, 3)})
+    assert _plan_hits() == hits + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -145,6 +146,23 @@ def test_certificates_round_trip_json():
     assert TreeDecomposition.from_json(td.to_json()) == td
     cw, e = cliquewidth_exact(PATH4)
     assert KExpression.from_json(e.to_json()) == e
+
+
+def test_k_expression_json_text_and_depth():
+    e = KExpression(2, ("join", 1, 2, ("union", ("leaf", 1), ("leaf", 2))))
+    assert e.to_json() == (
+        '{\n  "type": "k-expression",\n  "k": 2,\n  "root": [\n'
+        '    "join",\n    1,\n    2,\n    [\n      "union",\n'
+        '      [\n        "leaf",\n        1\n      ],\n'
+        '      [\n        "leaf",\n        2\n      ]\n    ]\n  ]\n}')
+    cw, e = cliquewidth_exact(grid(3, 3), cap=10)
+    assert e.to_json() == json.dumps(
+        {"type": "k-expression", "k": e.k, "root": e.root}, indent=2)
+    root = ("leaf", 1)
+    for _ in range(900):
+        root = ("relabel", 1, 2, root)
+    deep = KExpression(2, root)
+    assert KExpression.from_json(deep.to_json()) == deep
 
 
 # ---------------------------------------------------------------------------
