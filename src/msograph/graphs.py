@@ -37,9 +37,12 @@ class LabeledGraph:
             if not (0 <= u < v < self.n):
                 raise GraphError(f"edge ({u},{v}) out of range or not canonical")
         for name, verts in self.labels.items():
-            for v in verts:
-                if not (0 <= v < self.n):
-                    raise GraphError(f"label {name!r} contains out-of-range vertex {v}")
+            self._check_label(name, verts)
+
+    def _check_label(self, name: str, verts: frozenset[int]) -> None:
+        for v in verts:
+            if not (0 <= v < self.n):
+                raise GraphError(f"label {name!r} contains out-of-range vertex {v}")
 
     @staticmethod
     def build(n: int,
@@ -95,7 +98,14 @@ class LabeledGraph:
         labs = dict(self.labels)
         for k, vs in extra.items():
             labs[k] = frozenset(vs)
-        return LabeledGraph(self.n, self.edges, labs, self.names)
+            self._check_label(k, labs[k])
+        # the rest of self is valid already: set the fields as __init__
+        # does, without the checks of __post_init__
+        g = object.__new__(LabeledGraph)
+        for attr, value in (("n", self.n), ("edges", self.edges),
+                            ("labels", labs), ("names", self.names)):
+            object.__setattr__(g, attr, value)
+        return g
 
     # -- serialization ------------------------------------------------------
 

@@ -21,6 +21,7 @@ The syntax lives in ``syntax``; its names are re-exported here.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Set as AbstractSet
 from typing import Optional, Sequence
 
@@ -123,13 +124,16 @@ def _tabulatable(d: Definition) -> bool:
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
                 set_cap: int = DEFAULT_SET_CAP,
-                tables: Optional[Tables] = None) -> Table:
+                tables: Optional[Tables] = None,
+                binding: Optional[Binding] = None) -> Table:
     """Full extension of a library predicate over G, computed bottom-up,
     one row per tuple of its leading arguments.
 
     Tables for the predicate's dependencies are computed first (in library
-    order) and reused; pass a ``tables`` dict to keep them across calls.
-    A dependency that cannot be tabulated (arity above 3 or set
+    order) and reused; pass a ``tables`` dict to keep them across calls,
+    or a ``binding`` of G to share its tables and values as well (its set
+    cap and tables then stand for ``set_cap`` and ``tables``).  A
+    dependency that cannot be tabulated (arity above 3 or set
     parameters) is called through its compiled function instead.
     """
     if name not in lib:
@@ -138,10 +142,10 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
         raise EvalError(
             f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
             f"parameters and cannot be tabulated; evaluate it pointwise")
-    if tables is None:
-        tables = {}
-    binding = Binding(G, set_cap, tables)
-    for dep in _dependency_order(lib, name):
+    if binding is None:
+        binding = Binding(G, set_cap, tables)
+    tables = binding.tables
+    for dep in _dependency_orders(tuple(lib.defs))[name]:
         d = lib.by_name[dep]
         if dep not in tables and _tabulatable(d):
             tables[dep] = _tabulate(binding, lib, d, tables)
@@ -167,25 +171,37 @@ def _tabulate(binding: Binding, lib: PredicateLibrary, d: Definition,
     return Table(n, k, rows(()))
 
 
-def _dependency_order(lib: PredicateLibrary, name: str) -> list[str]:
-    """Dependencies of name (inclusive) in library order."""
-    wanted = {name}
-    for d in reversed(lib.defs):
-        if d.name in wanted:
-            for ref, _ in app_refs(d.body):
-                if ref in lib:
-                    wanted.add(ref)
-    return [d.name for d in lib.defs if d.name in wanted]
+@functools.lru_cache(maxsize=32)
+def _dependency_orders(defs: tuple[Definition, ...]
+                       ) -> dict[str, tuple[str, ...]]:
+    """For each definition, its dependencies (inclusive) in library order,
+    from one walk over the library.
+
+    The dependencies of d are d, the definitions it calls, and the
+    dependencies of each earlier definition it calls; a later one (a body
+    may name a definition added after it) is included but not expanded.
+    """
+    pos = {d.name: i for i, d in enumerate(defs)}
+    wanted: dict[str, set[str]] = {}
+    for i, d in enumerate(defs):
+        refs = {ref for ref, _ in app_refs(d.body) if ref in pos}
+        w = wanted[d.name] = {d.name} | refs
+        for ref in refs:
+            if pos[ref] < i:
+                w |= wanted[ref]
+    return {name: tuple(sorted(w, key=pos.__getitem__))
+            for name, w in wanted.items()}
 
 
 def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
                     set_cap: int = DEFAULT_SET_CAP) -> dict[str, Table]:
-    """Tables for every tabulatable definition in the library."""
-    tables: dict[str, Table] = {}
+    """Tables for every tabulatable definition in the library, all bound
+    in one binding of G."""
+    binding = Binding(G, set_cap, {})
     for d in lib.defs:
         if _tabulatable(d):
-            materialize(G, lib, d.name, set_cap=set_cap, tables=tables)
-    return tables
+            materialize(G, lib, d.name, binding=binding)
+    return binding.tables
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,17 @@ def test_json_round_trip():
     assert H == G
 
 
+def test_with_labels_checks_only_the_added_labels():
+    G = grid(2, 3).with_labels({"mark": [0, 5]})
+    H = G.with_labels({"more": [1], "mark": [2]})
+    assert H == LabeledGraph.build(
+        6, G.edges, {"mark": [2], "more": [1]}, G.names)
+    assert G.labels == {"mark": frozenset({0, 5})}
+    for bad in ([6], [-1]):
+        with pytest.raises(GraphError):
+            G.with_labels({"extra": bad})
+
+
 def test_dot_colours_labeled_vertices():
     G = grid(2, 2).with_labels({"mark": [0]})
     assert "fillcolor" in G.to_dot()

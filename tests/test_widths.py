@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from msograph import widths
 from msograph.graphs import LabeledGraph, grid, subdivide, upper_tri_grid
 from msograph.search import BudgetExhausted
 from msograph.widths import (KExpression, SizeCapExceeded, TreeDecomposition,
@@ -122,6 +123,75 @@ def test_cliquewidth_cap_and_budget():
     assert exc.value.expanded == 50 and type(exc.value.expanded) is int
     msg = str(exc.value)
     assert msg.count("budget") == 1 and msg.count("50") == 1, msg
+
+
+def test_cliquewidth_budget_counts_closed_groupings():
+    # grid(3,3) at cap 10 closes 21,901 groupings: 2,010 complete, 19,891 cut
+    assert cliquewidth_exact(grid(3, 3), cap=10, budget=21_901)[0] == 4
+    with pytest.raises(BudgetExhausted):
+        cliquewidth_exact(grid(3, 3), cap=10, budget=21_900)
+
+
+def _unions_brute(adj, blocksA, mA, blocksB, mB, outside, k):
+    """Every grouping of the blocks into at most k groups, in the order
+    ``_unions`` places them, kept when it leaves a live state and every
+    join it needs is complete: checked vertex by vertex, without cuts."""
+    blocks = blocksA + blocksB
+
+    def assignments(i, used):
+        if i == len(blocks):
+            yield ()
+            return
+        for g in range(min(used + 1, k)):
+            for rest in assignments(i + 1, max(used, g + 1)):
+                yield (g,) + rest
+
+    def verts(m):
+        return [v for v in range(len(adj)) if m >> v & 1]
+
+    def edge_between(P, R):
+        return any(adj[u] >> v & 1 for u in verts(P) for v in verts(R))
+
+    def complete(P, R):
+        return all(adj[u] >> v & 1 for u in verts(P) for v in verts(R))
+
+    out = []
+    for a in assignments(0, 0):
+        groups = [0] * (max(a) + 1)
+        for b, g in zip(blocks, a):
+            groups[g] |= b
+        live = all(len({adj[v] & outside for v in verts(P)}) == 1
+                   and not edge_between(P & mA, P & mB) for P in groups)
+        joins = [(g, h) for g, h in itertools.combinations(range(len(groups)), 2)
+                 if edge_between(groups[g] & mA, groups[h] & mB)
+                 or edge_between(groups[g] & mB, groups[h] & mA)]
+        if live and all(complete(groups[g], groups[h]) for g, h in joins):
+            out.append((tuple(groups), joins))
+    return out
+
+
+def test_unions_match_uncut_enumeration(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return unions(*args)
+
+    unions = widths._unions
+    monkeypatch.setattr(widths, "_unions", recording)
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(12):
+        calls.clear()
+        cliquewidth_exact(_random_graph(rng, rng.randrange(3, 8),
+                                        rng.choice((0.3, 0.5, 0.7))))
+        pairs += rng.sample(calls, min(len(calls), 25))
+    assert len(pairs) > 200
+    for adj, blocksA, mA, blocksB, mB, outside, _ in pairs:
+        for k in range(1, 5):
+            args = (adj, blocksA, mA, blocksB, mB, outside, k)
+            got = [u for u in unions(*args) if u is not None]
+            assert got == _unions_brute(*args), args
 
 
 def test_monotone_under_induced_subgraphs():
