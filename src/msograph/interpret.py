@@ -26,6 +26,7 @@ from .logic import (
     parse_formula,
     parse_library,
 )
+from .search import isomorphism_classes
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -78,14 +79,18 @@ def apply(I: Interpretation, G: LabeledGraph,
     dom = dom_row()
     domain = list(bits(dom))
     rows = {x: edge_row(x) & dom for x in domain}
+    # the transpose above the diagonal: y > x is in cols[x] iff x is in rows[y]
+    cols = [0] * work.n
+    for y in domain:
+        for x in bits(rows[y] & ((1 << y) - 1)):
+            cols[x] |= 1 << y
     edges = []
     for x in domain:
         if (rows[x] >> x) & 1:
             raise InterpretationError(
                 f"edge formula is reflexive at {work.name_of(x)}")
         above = dom & -(2 << x)  # the domain vertices after x
-        back = sum(1 << y for y in domain if (rows[y] >> x) & 1)
-        odd = (rows[x] ^ back) & above
+        odd = (rows[x] ^ cols[x]) & above
         if odd:
             y = (odd & -odd).bit_length() - 1
             raise InterpretationError(
@@ -132,17 +137,11 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
         raise InterpretationError(
             f"parameter enumeration needs 2^({G.n}*{p}) tuples; cap is "
             f"n*p <= {enum_cap}")
-    from .search import is_isomorphic
-    seen: list[LabeledGraph] = []
     subsets = list(itertools.chain.from_iterable(
         itertools.combinations(range(G.n), r) for r in range(G.n + 1)))
-    for choice in itertools.product(subsets, repeat=p):
-        H = apply(I, G, [frozenset(c) for c in choice], set_cap=set_cap)
-        if dedupe:
-            if any(is_isomorphic(H, K) is not None for K in seen):
-                continue
-            seen.append(H)
-        yield H
+    outputs = (apply(I, G, [frozenset(c) for c in choice], set_cap=set_cap)
+               for choice in itertools.product(subsets, repeat=p))
+    yield from isomorphism_classes(outputs) if dedupe else outputs
 
 
 @dataclass

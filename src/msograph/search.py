@@ -1,19 +1,26 @@
 """Backtracking search for induced-subgraph containment and isomorphism.
 
-One forward-checking core, ``_search``, maps a pattern into a host over
-bitset adjacency, in a deterministic vertex order (connected to the
-placed prefix, then descending degree, then index) so failing runs are
-reproducible.  Its callers differ only in the candidate domains they
-pass: ``is_induced_subgraph_of`` lets v go to any vertex of degree at
-least deg(v); ``is_isomorphic`` to vertices of equal degree and, with
-``respect_labels``, of the same label signature.  An optional budget of
-node expansions per call turns a long search into an explicit
-``BudgetExhausted`` outcome, never a negative answer.
+A graph is read once into a private ``_Graph`` record: its adjacency as
+bitmasks, a key per vertex (its degree, and with ``respect_labels`` also
+the names of the labels it lies in), the isomorphism invariant (vertex
+count, edge count, sorted keys, and with ``respect_labels`` the label
+names) and the order in which the search places its vertices as a
+pattern: connected to the placed prefix, then descending degree, then
+index, so failing runs are reproducible.  One forward-checking
+core, ``_search``, maps a pattern record into a host record.  Its
+callers differ only in the candidate domains they pass:
+``is_induced_subgraph_of`` and ``is_antichain`` let v go to any vertex
+of degree at least deg(v); ``is_isomorphic`` to vertices of equal key.
+``isomorphism_classes`` keeps the record of each class it has yielded,
+bucketed by invariant, and searches a new graph only against the kept
+graphs that share its invariant.  An optional budget of node expansions
+per call turns a long search into an explicit ``BudgetExhausted``
+outcome, never a negative answer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import LabeledGraph
 
@@ -26,35 +33,57 @@ class BudgetExhausted(Exception):
         self.expanded = expanded
 
 
-def _pattern_order(H: LabeledGraph) -> list[int]:
+def _pattern_order(adj: list[int]) -> list[int]:
     """Descending degree, ties by index, but preferring connectivity to
     already-placed vertices so pruning bites early."""
-    deg = H.degree_sequence()
-    adj = H.adjacency()
+    neg_deg = [-a.bit_count() for a in adj]
+    # a stable sort keeps vertices of equal degree in index order
+    by_rank = sorted(range(len(adj)), key=neg_deg.__getitem__)
     order: list[int] = []
-    placed: set[int] = set()
-    remaining = set(range(H.n))
+    remaining = (1 << len(adj)) - 1
+    reach = 0  # the neighbours of the placed prefix
     while remaining:
-        # candidates adjacent to the placed prefix, if any
-        frontier = {v for v in remaining if adj[v] & placed} or remaining
-        v = max(frontier, key=lambda v: (deg[v], -v))
+        frontier = remaining & reach or remaining
+        for v in by_rank:
+            if (frontier >> v) & 1:
+                break
         order.append(v)
-        placed.add(v)
-        remaining.remove(v)
+        remaining ^= 1 << v
+        reach |= adj[v]
     return order
 
 
-def _search(H: LabeledGraph, G: LabeledGraph, domains: list[int],
+class _Graph:
+    """What the searches need of one graph, computed once."""
+
+    __slots__ = ("n", "adj", "key", "invariant", "order")
+
+    def __init__(self, G: LabeledGraph, respect_labels: bool = False):
+        self.n = G.n
+        self.adj = G.adjacency_masks()
+        key: list = [a.bit_count() for a in self.adj]
+        if respect_labels:
+            names: list[list[str]] = [[] for _ in range(G.n)]
+            for name in sorted(G.labels):
+                for v in G.labels[name]:
+                    names[v].append(name)
+            key = [(d, tuple(ns)) for d, ns in zip(key, names)]
+        self.key = key
+        self.invariant = (G.n, len(G.edges), tuple(sorted(key)))
+        if respect_labels:  # an empty label set still has to match
+            self.invariant += (tuple(sorted(G.labels)),)
+        self.order = _pattern_order(self.adj)
+
+
+def _search(P: _Graph, T: _Graph, domains: list[int],
             budget: Optional[int]) -> Optional[dict[int, int]]:
-    """An injective map V(H) -> V(G) preserving edges and non-edges that
+    """An injective map V(P) -> V(T) preserving edges and non-edges that
     sends each v into the bitmask ``domains[v]``, or None.  Raises
     ``BudgetExhausted`` after ``budget`` node expansions."""
     if not all(domains):  # fail before searching the vertices ahead of it
         return None
-    hadj = H.adjacency_masks()
-    gadj = G.adjacency_masks()
-    order = _pattern_order(H)
-    gall = (1 << G.n) - 1
+    hadj, gadj, order = P.adj, T.adj, P.order
+    gall = (1 << T.n) - 1
     expanded = 0
     mapping: dict[int, int] = {}
 
@@ -90,8 +119,31 @@ def _search(H: LabeledGraph, G: LabeledGraph, domains: list[int],
         return False
 
     if backtrack(0, 0, [domains[v] for v in order]):
-        return {v: mapping[v] for v in range(H.n)}
+        return {v: mapping[v] for v in range(P.n)}
     return None
+
+
+def _embedding(P: _Graph, T: _Graph,
+               budget: Optional[int]) -> Optional[dict[int, int]]:
+    """Induced embedding of unlabeled records; the key is the degree."""
+    if P.n > T.n:
+        return None
+    # degree monotonicity: v can only go where there is room for N(v)
+    return _search(P, T, [sum(1 << w for w, e in enumerate(T.key) if e >= d)
+                          for d in P.key], budget)
+
+
+def _isomorphism(A: _Graph, B: _Graph,
+                 budget: Optional[int]) -> Optional[dict[int, int]]:
+    """Isomorphism of records built alike: a vertex maps only to one of
+    equal key."""
+    if A.invariant != B.invariant:
+        return None
+    classes: dict = {}
+    for w, key in enumerate(B.key):
+        classes[key] = classes.get(key, 0) | 1 << w
+    # equal invariants hold equal key multisets, so no domain is empty
+    return _search(A, B, [classes[key] for key in A.key], budget)
 
 
 def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
@@ -101,13 +153,7 @@ def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
     Labels are ignored (plain-graph containment).  Raises
     ``BudgetExhausted`` if ``budget`` node expansions are exceeded.
     """
-    if H.n > G.n:
-        return None
-    gdeg = G.degree_sequence()
-    # degree monotonicity: v can only go where there is room for N(v)
-    domains = [sum(1 << w for w in range(G.n) if gdeg[w] >= d)
-               for d in H.degree_sequence()]
-    return _search(H, G, domains, budget)
+    return _embedding(_Graph(H), _Graph(G), budget)
 
 
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
@@ -119,24 +165,26 @@ def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
     onto the equally named label set of H.  Raises ``BudgetExhausted``
     if ``budget`` node expansions are exceeded.
     """
-    if G.n != H.n or len(G.edges) != len(H.edges):
-        return None
-    # a vertex maps only to one of equal key: its degree, and with
-    # respect_labels also the set of label names it lies in
-    gkey, hkey = G.degree_sequence(), H.degree_sequence()
-    if sorted(gkey) != sorted(hkey):
-        return None
-    if respect_labels:
-        if (set(G.labels) != set(H.labels)
-                or any(len(G.labels[k]) != len(H.labels[k]) for k in G.labels)):
-            return None
-        gkey, hkey = ([(d, frozenset(k for k, vs in X.labels.items() if v in vs))
-                       for v, d in enumerate(deg)]
-                      for X, deg in ((G, gkey), (H, hkey)))
-    classes: dict = {}
-    for w, key in enumerate(hkey):
-        classes[key] = classes.get(key, 0) | 1 << w
-    return _search(G, H, [classes.get(key, 0) for key in gkey], budget)
+    return _isomorphism(_Graph(G, respect_labels), _Graph(H, respect_labels),
+                        budget)
+
+
+def isomorphism_classes(graphs: Iterable[LabeledGraph]
+                        ) -> Iterator[LabeledGraph]:
+    """The first graph of each isomorphism class (labels ignored), in
+    input order.
+
+    A graph is searched only against the yielded graphs with its
+    invariant, and a match is always confirmed by the search.
+    """
+    kept: dict[tuple, list[_Graph]] = {}
+    for G in graphs:
+        g = _Graph(G)
+        bucket = kept.setdefault(g.invariant, [])
+        if any(_isomorphism(g, K, None) is not None for K in bucket):
+            continue
+        bucket.append(g)
+        yield G
 
 
 def is_antichain(graphs: list[LabeledGraph],
@@ -146,10 +194,9 @@ def is_antichain(graphs: list[LabeledGraph],
 
     On failure returns the violating (pattern_index, host_index) pair.
     """
-    for i, Gi in enumerate(graphs):
-        for j, Gj in enumerate(graphs):
-            if i == j:
-                continue
-            if is_induced_subgraph_of(Gi, Gj, budget=budget) is not None:
+    records = [_Graph(G) for G in graphs]
+    for i, Gi in enumerate(records):
+        for j, Gj in enumerate(records):
+            if i != j and _embedding(Gi, Gj, budget) is not None:
                 return False, (i, j)
     return True, None

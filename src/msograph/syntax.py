@@ -513,20 +513,29 @@ class LibraryError(ValueError):
 
 @dataclass
 class PredicateLibrary:
-    """Ordered named definitions; a body may only reference earlier names."""
+    """Ordered named definitions.  A body may call a name defined later,
+    but no definition may reach itself through calls."""
 
     defs: list[Definition] = field(default_factory=list)
 
     def __post_init__(self):
         self.by_name: dict[str, Definition] = {}
+        self._calls: dict[str, set[str]] = {}  # the names each body calls
+        self._called: set[str] = set()  # the names any body calls
         for d in self.defs:
-            self._check(d)
-            self.by_name[d.name] = d
+            self._add(d)
 
-    def _check(self, d: Definition):
+    def _add(self, d: Definition):
+        refs = app_refs(d.body)
+        self._check(d, refs)
+        self.by_name[d.name] = d
+        self._calls[d.name] = {ref for ref, _ in refs}
+        self._called |= self._calls[d.name]
+
+    def _check(self, d: Definition, refs: set[tuple[str, int]]):
         if d.name in self.by_name:
             raise LibraryError(f"duplicate definition of {d.name!r}")
-        for ref, arity in app_refs(d.body):
+        for ref, arity in refs:
             if ref in self.by_name:
                 if arity != len(self.by_name[ref].params):
                     raise LibraryError(
@@ -541,12 +550,36 @@ class PredicateLibrary:
             raise LibraryError(
                 f"{d.name!r} has free vertex variables {sorted(extra)} "
                 f"outside its parameters")
+        cycle = self._cycle(d.name, refs)
+        if cycle:
+            raise LibraryError(
+                f"{d.name!r} closes a cycle of calls: {' -> '.join(cycle)}")
+
+    def _cycle(self, name: str, refs: set[tuple[str, int]]
+               ) -> Optional[list[str]]:
+        """The names on a path of calls from ``name`` back to itself, if
+        ``name`` made the calls ``refs``, or None."""
+        if name not in self._called:  # a new cycle needs an earlier call
+            return None
+        parent = {c: name for c, _ in refs if c in self.by_name}
+        stack = sorted(parent)
+        while stack:
+            u = stack.pop()
+            for c in sorted(self._calls[u]):
+                if c == name:
+                    path = [u]
+                    while parent[path[-1]] != name:
+                        path.append(parent[path[-1]])
+                    return [name, *reversed(path), name]
+                if c in self.by_name and c not in parent:
+                    parent[c] = u
+                    stack.append(c)
+        return None
 
     def define(self, name: str, params: Iterable[str], body: Formula):
         d = Definition(name, tuple(params), body)
-        self._check(d)
+        self._add(d)
         self.defs.append(d)
-        self.by_name[name] = d
 
     def extended(self, other: "PredicateLibrary") -> "PredicateLibrary":
         return PredicateLibrary(self.defs + other.defs)

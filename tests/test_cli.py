@@ -84,6 +84,18 @@ def test_eval_rejects_values_outside_the_graph(tmp_path, capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_library_cycle_is_usage_error(tmp_path, capsys):
+    g = tmp_path / "c4.json"
+    g.write_text(grid(2, 2).to_json())
+    lib = tmp_path / "cyc.mso"
+    lib.write_text("def a(x) := b(x)\ndef b(x) := a(x)\n")
+    code, out, err = run(capsys, "eval", str(g), "--library", str(lib),
+                         "--pred", "a")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cycle" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pred_with_primed_names(tmp_path, capsys):
     g = tmp_path / "p3.json"
     g.write_text(LabeledGraph.build(3, [(0, 1)]).to_json())

@@ -1,13 +1,16 @@
+import itertools
+import random
 import re
 
 import pytest
 
-from msograph.graphs import LabeledGraph, grid
+from msograph.bichain_family import build_Pn
+from msograph.graphs import LabeledGraph, grid, make_Tn
 from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
                                 apply, apply_all_params, builtin_complement,
                                 builtin_induced, compose_pipeline,
                                 parse_interpretation)
-from msograph.logic import parse_formula, parse_library
+from msograph.logic import evaluate, parse_formula, parse_library
 from msograph.search import is_isomorphic
 
 
@@ -67,6 +70,49 @@ def test_edge_formula_errors_name_the_first_bad_pair():
             apply(bad, G)
 
 
+def _first_bad_pair(G, edge):
+    """The error apply must raise for the edge formula on all of G, found
+    pair by pair with the formula evaluator, or None."""
+    def rel(x, y):
+        return evaluate(G, None, edge, {"x": x, "y": y})
+    for x in range(G.n):
+        if rel(x, x):
+            return f"reflexive at {x}"
+        for y in range(x + 1, G.n):
+            if rel(x, y) != rel(y, x):
+                return f"asymmetric on ({x}, {y})"
+    return None
+
+
+def test_edge_checks_agree_with_pairwise_evaluation():
+    rng = random.Random(21)
+    formulas = [parse_formula(text) for text in (
+        "E(x, y) & red(x)", "x != y & (red(x) | blue(y))",
+        "(E(x, y) & red(x) & red(y)) | (blue(x) & x = y)",
+        "E(x, y) | (red(x) & blue(y) & !E(x, y))", "x != y & !E(x, y)")]
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        G = LabeledGraph.build(
+            n, [e for e in itertools.combinations(range(n), 2)
+                if rng.random() < 0.5],
+            {k: [v for v in range(n) if rng.random() < 0.4]
+             for k in ("red", "blue")})
+        for edge in formulas:
+            want = _first_bad_pair(G, edge)
+            I = Interpretation((), parse_formula("x = x"), edge)
+            if want is None:
+                H = apply(I, G)
+                assert H.edges == {(x, y) for x, y in itertools.combinations(
+                    range(n), 2) if evaluate(G, None, edge, {"x": x, "y": y})}
+            else:
+                with pytest.raises(InterpretationError,
+                                   match=re.escape(want)):
+                    apply(I, G)
+            outcomes.add(want and want.split()[0])
+    assert outcomes == {None, "reflexive", "asymmetric"}
+
+
 def test_asymmetric_edge_formula_rejected():
     G = LabeledGraph.build(2, [], labels={"red": [0]})
     bad = Interpretation((), parse_formula("x = x"),
@@ -96,6 +142,55 @@ def test_apply_all_params_yields_all_induced_subgraphs():
     assert len(outs) == 8
     sizes = sorted(H.n for H in outs)
     assert sizes == [0, 1, 1, 1, 2, 2, 2, 3]
+
+
+def _quadratic_dedupe(graphs):
+    """Each graph not isomorphic to one kept before it, in order."""
+    seen = []
+    for H in graphs:
+        if any(is_isomorphic(H, K) is not None for K in seen):
+            continue
+        seen.append(H)
+    return seen
+
+
+def _dedupe_hosts():
+    rng = random.Random(8)
+    hosts = [grid(3, 3), make_Tn(3), build_Pn(3)]
+    for trial in range(100):
+        n = rng.randint(0, 7)
+        G = LabeledGraph.build(
+            n, [e for e in itertools.combinations(range(n), 2)
+                if rng.random() < rng.random()])
+        if trial % 2:  # labels ride along but do not count for isomorphism
+            G = G.with_labels({"a": [v for v in range(n)
+                                     if rng.random() < 0.5]})
+        hosts.append(G)
+    return hosts
+
+
+def test_dedupe_stream_equals_the_quadratic_scan():
+    induced = builtin_induced()
+    for G in _dedupe_hosts():
+        got = list(apply_all_params(induced, G, dedupe=True))
+        want = _quadratic_dedupe(apply_all_params(induced, G))
+        # the same graphs, names and labels included, in the same order
+        assert got == want, G
+
+
+def test_dedupe_class_counts_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    induced = builtin_induced()
+    for G in _dedupe_hosts()[3:]:
+        classes = []
+        for H in apply_all_params(induced, G):
+            X = nx.Graph()
+            X.add_nodes_from(range(H.n))
+            X.add_edges_from(H.edges)
+            if not any(nx.is_isomorphic(X, Y) for Y in classes):
+                classes.append(X)
+        assert sum(1 for _ in apply_all_params(induced, G, dedupe=True)) \
+            == len(classes), G
 
 
 def test_parse_interpretation_file():

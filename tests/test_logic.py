@@ -320,6 +320,31 @@ def test_library_rejects_self_reference_and_duplicates():
         parse_library("def a(x) := true\ndef a(x) := false")
 
 
+def test_library_rejects_cycles_through_forward_references():
+    from msograph.logic import LibraryError
+    with pytest.raises(LibraryError, match="'b' closes a cycle of calls: "
+                                           "b -> a -> b"):
+        parse_library("def a(x) := b(x)\ndef b(x) := a(x)")
+    with pytest.raises(LibraryError, match="c -> a -> b -> c"):
+        parse_library("def a(x) := b(x)\n"
+                      "def b(x) := c(x) | E(x, x)\n"
+                      "def c(x) := exists y. (E(x, y) & a(y))")
+    lib = parse_library("def a(x) := b(x)")
+    with pytest.raises(LibraryError, match="b -> a -> b"):
+        lib.define("b", ("x",), parse_formula("a(x)"))
+    assert "b" not in lib and [d.name for d in lib.defs] == ["a"]
+
+
+def test_library_accepts_acyclic_forward_references():
+    lib = parse_library("def a(x) := b(x) & c(x)\n"
+                        "def b(x) := c(x)\n"
+                        "def c(x) := exists y. E(x, y)")
+    P = LabeledGraph.build(3, [(0, 1)])
+    assert materialize(P, lib, "a") == {(0,), (1,)}
+    lib.define("d", ("x",), parse_formula("a(x) | c(x)"))
+    assert materialize(P, lib, "d") == {(0,), (1,)}
+
+
 def test_materialize_all_skips_set_parameters():
     lib = parse_library("def inset(x, Y) := Y(x)\ndef self(x) := x = x")
     tables = materialize_all(grid(2, 2), lib)

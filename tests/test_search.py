@@ -5,8 +5,9 @@ import pytest
 
 from msograph.bichain_family import build_Zn
 from msograph.graphs import LabeledGraph, grid, upper_tri_grid
-from msograph.search import (BudgetExhausted, is_antichain,
-                             is_induced_subgraph_of, is_isomorphic)
+from msograph.search import (BudgetExhausted, _pattern_order, is_antichain,
+                             is_induced_subgraph_of, is_isomorphic,
+                             isomorphism_classes)
 
 
 def _random_graph(rng, n):
@@ -85,6 +86,10 @@ def test_respect_labels():
     assert is_isomorphic(G, H, respect_labels=False) is not None
     iso = is_isomorphic(G, H, respect_labels=True)
     assert iso == {0: 1, 1: 0}
+    # an empty label set of one graph has no match in the other
+    G2 = LabeledGraph.build(2, [(0, 1)], labels={"m": [0], "e": []})
+    assert is_isomorphic(G2, H, respect_labels=True) is None
+    assert is_isomorphic(G2, H) is not None
 
 
 def test_antichain_detects_comparable_pair():
@@ -188,3 +193,48 @@ def test_labeled_isomorphism_is_one_search(n):
     iso = is_isomorphic(Z, Z2, respect_labels=True, budget=1000)
     assert iso is not None
     _assert_embedding(Z, Z2, iso, respect_labels=True)
+
+
+def _set_pattern_order(H):
+    """The pattern order as it was computed over adjacency sets: the
+    oracle for the bitmask version."""
+    deg = H.degree_sequence()
+    adj = H.adjacency()
+    order = []
+    placed = set()
+    remaining = set(range(H.n))
+    while remaining:
+        frontier = {v for v in remaining if adj[v] & placed} or remaining
+        v = max(frontier, key=lambda v: (deg[v], -v))
+        order.append(v)
+        placed.add(v)
+        remaining.remove(v)
+    return order
+
+
+def test_pattern_order_equals_the_set_based_order():
+    rng = random.Random(13)
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        p = rng.random()
+        G = LabeledGraph.build(
+            n, [e for e in itertools.combinations(range(n), 2)
+                if rng.random() < p])
+        assert _pattern_order(G.adjacency_masks()) == _set_pattern_order(G), G
+
+
+def test_isomorphism_classes_keep_the_first_of_each_class():
+    rng = random.Random(14)
+    graphs = []
+    for _ in range(60):
+        G = _random_graph(rng, rng.randint(0, 5))
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        graphs += [G, _relabel(G, perm)]
+    rng.shuffle(graphs)
+    kept = list(isomorphism_classes(graphs))
+    firsts = []
+    for G in graphs:
+        if all(is_isomorphic(G, K) is None for K in firsts):
+            firsts.append(G)
+    assert [id(G) for G in kept] == [id(G) for G in firsts]
