@@ -252,12 +252,15 @@ def cmd_width(args) -> int:
             print(json.dumps({"measure": "cwd", "certificate": "valid" if ok
                               else "invalid", "k": e.k}))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
+    # only the options given: the defaults are those of widths
+    opts = {} if args.cap is None else {"cap": args.cap}
     if args.measure == "twd":
-        w, td = treewidth_exact(G, cap=args.cap or 12)
+        w, td = treewidth_exact(G, **opts)
         cert = td.to_json()
     else:
-        w, e = cliquewidth_exact(G, cap=args.cap or 8,
-                                 budget=args.budget or 2_000_000)
+        if args.budget is not None:
+            opts["budget"] = args.budget
+        w, e = cliquewidth_exact(G, **opts)
         cert = e.to_json()
     if args.cert_out:
         Path(args.cert_out).write_text(cert)

@@ -29,6 +29,10 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]]
     labels: Mapping[str, frozenset[int]] = field(default_factory=dict)
     names: Mapping[int, str] = field(default_factory=dict)
+    # The adjacency rows, made once per graph on first use and handed on
+    # by with_labels; an attribute outside the fields, set only through
+    # object.__setattr__, so the instance dict is never materialized.
+    _adj = None
 
     def __post_init__(self):
         for (u, v) in self.edges:
@@ -77,12 +81,18 @@ class LabeledGraph:
         return adj
 
     def adjacency_masks(self) -> list[int]:
-        """Neighbourhoods as bitmasks, for the search cores."""
-        adj = [0] * self.n
-        for (u, v) in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
+        """Neighbourhoods as bitmasks, for the search cores: a fresh list
+        of rows computed once per graph."""
+        return list(self._adjacency_rows())
+
+    def _adjacency_rows(self) -> tuple[int, ...]:
+        if self._adj is None:
+            adj = [0] * self.n
+            for (u, v) in self.edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            object.__setattr__(self, "_adj", tuple(adj))
+        return self._adj
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * self.n
@@ -100,10 +110,11 @@ class LabeledGraph:
             labs[k] = frozenset(vs)
             self._check_label(k, labs[k])
         # the rest of self is valid already: set the fields as __init__
-        # does, without the checks of __post_init__
+        # does, without the checks of __post_init__, and share the rows
         g = object.__new__(LabeledGraph)
         for attr, value in (("n", self.n), ("edges", self.edges),
-                            ("labels", labs), ("names", self.names)):
+                            ("labels", labs), ("names", self.names),
+                            ("_adj", self._adjacency_rows())):
             object.__setattr__(g, attr, value)
         return g
 

@@ -17,12 +17,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .graphs import LabeledGraph
 from .logic import (
     DEFAULT_SET_CAP,
+    Binding,
     Formula,
     PredicateLibrary,
-    compile_rows,
+    _plan,
+    _tabulatable,
+    app_refs,
     free_vars,
     is_set_var,
-    materialize_all,
+    materialize,
     parse_formula,
     parse_library,
 )
@@ -55,7 +58,9 @@ def apply(I: Interpretation, G: LabeledGraph,
     Parameter values are vertex subsets, positionally matching
     ``I.params``; if omitted, every parameter name must be present as a
     label of G and is bound from it.  The output carries provenance
-    names and the input labels restricted to the output domain.
+    names and the input labels restricted to the output domain.  Only
+    the library definitions that the two formulas reach are tabulated,
+    in one binding that both formulas share.
     """
     if params is None:
         missing = [p for p in I.params if p not in G.labels]
@@ -69,13 +74,19 @@ def apply(I: Interpretation, G: LabeledGraph,
                 f"expected {len(I.params)} parameter values, got {len(params)}")
         bound = {name: frozenset(vals) for name, vals in zip(I.params, params)}
     work = G.with_labels(bound) if bound else G
-    tables = materialize_all(work, I.library, set_cap=set_cap)
-    dom_row = compile_rows(work, I.library, I.domain,
-                           (_single_var(I.domain, "domain"),),
-                           set_cap=set_cap, tables=tables)
-    edge_row = compile_rows(work, I.library, I.edge,
-                            _pair_vars(I.edge, "edge"),
-                            set_cap=set_cap, tables=tables)
+    lib = I.library
+    binding = Binding(work, set_cap, {})
+    if lib.defs:  # a census applies a library-free one thousands of times
+        called = {name for f in (I.domain, I.edge) for name, _ in app_refs(f)}
+        for d in lib.reach(called):
+            if _tabulatable(d):
+                materialize(work, lib, d.name, binding=binding)
+    dom_row = binding.function(_plan(work, lib, I.domain, (),
+                                     _single_var(I.domain, "domain"),
+                                     binding.tables))
+    x, y = _pair_vars(I.edge, "edge")
+    edge_row = binding.function(_plan(work, lib, I.edge, (x,), y,
+                                      binding.tables))
     dom = dom_row()
     domain = list(bits(dom))
     rows = {x: edge_row(x) & dom for x in domain}
@@ -118,8 +129,7 @@ def _pair_vars(f: Formula, what: str) -> tuple[str, str]:
     fv = sorted(v for v in free_vars(f) if not is_set_var(v))
     if len(fv) > 2:
         raise InterpretationError(f"{what} formula has free variables {fv}")
-    while len(fv) < 2:
-        fv.append("xy"[len(fv)])
+    fv += [v for v in "xy" if v not in fv][:2 - len(fv)]
     return fv[0], fv[1]
 
 

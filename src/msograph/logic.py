@@ -21,7 +21,6 @@ The syntax lives in ``syntax``; its names are re-exported here.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Set as AbstractSet
 from typing import Optional, Sequence
 
@@ -63,18 +62,6 @@ def compile_formula(G: LabeledGraph, lib: Optional[PredicateLibrary],
     raised here, before anything is evaluated.
     """
     plan = _plan(G, lib, f, params, None, tables)
-    return Binding(G, set_cap, tables).function(plan)
-
-
-def compile_rows(G: LabeledGraph, lib: Optional[PredicateLibrary],
-                 f: Formula, params: Sequence[str], *,
-                 set_cap: int = DEFAULT_SET_CAP,
-                 tables: Optional[Tables] = None):
-    """The function of params[:-1] that returns the row of f over the
-    vertex variable params[-1]: the bitmask of the vertices at which f
-    holds.  Arguments and errors as for ``compile_formula``."""
-    *outer, row = params
-    plan = _plan(G, lib, f, outer, row, tables)
     return Binding(G, set_cap, tables).function(plan)
 
 
@@ -145,10 +132,9 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
     if binding is None:
         binding = Binding(G, set_cap, tables)
     tables = binding.tables
-    for dep in _dependency_orders(tuple(lib.defs))[name]:
-        d = lib.by_name[dep]
-        if dep not in tables and _tabulatable(d):
-            tables[dep] = _tabulate(binding, lib, d, tables)
+    for d in lib.reach([name]):
+        if d.name not in tables and _tabulatable(d):
+            tables[d.name] = _tabulate(binding, lib, d, tables)
     return tables[name]
 
 
@@ -169,28 +155,6 @@ def _tabulate(binding: Binding, lib: PredicateLibrary, d: Definition,
             return fn(*prefix)
         return [rows(prefix + (v,)) for v in range(n)]
     return Table(n, k, rows(()))
-
-
-@functools.lru_cache(maxsize=32)
-def _dependency_orders(defs: tuple[Definition, ...]
-                       ) -> dict[str, tuple[str, ...]]:
-    """For each definition, its dependencies (inclusive) in library order,
-    from one walk over the library.
-
-    The dependencies of d are d, the definitions it calls, and the
-    dependencies of each earlier definition it calls; a later one (a body
-    may name a definition added after it) is included but not expanded.
-    """
-    pos = {d.name: i for i, d in enumerate(defs)}
-    wanted: dict[str, set[str]] = {}
-    for i, d in enumerate(defs):
-        refs = {ref for ref, _ in app_refs(d.body) if ref in pos}
-        w = wanted[d.name] = {d.name} | refs
-        for ref in refs:
-            if pos[ref] < i:
-                w |= wanted[ref]
-    return {name: tuple(sorted(w, key=pos.__getitem__))
-            for name, w in wanted.items()}
 
 
 def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,

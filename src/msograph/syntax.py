@@ -561,20 +561,37 @@ class PredicateLibrary:
         ``name`` made the calls ``refs``, or None."""
         if name not in self._called:  # a new cycle needs an earlier call
             return None
-        parent = {c: name for c, _ in refs if c in self.by_name}
-        stack = sorted(parent)
+        parent = self._walk(ref for ref, _ in refs)
+        if name not in parent:
+            return None
+        path, u = [], parent[name]
+        while u is not None:
+            path.append(u)
+            u = parent[u]
+        return [name, *reversed(path), name]
+
+    def _walk(self, names: Iterable[str]) -> dict[str, Optional[str]]:
+        """Every name that calls from the definitions ``names`` reach,
+        mapped to the definition whose call reached it first in a
+        depth-first walk; the defined names in ``names`` map to None.
+        The walk keeps its own stack, so a long chain of calls cannot
+        exhaust Python's."""
+        parent = dict.fromkeys(sorted(n for n in names if n in self.by_name))
+        stack = list(parent)
         while stack:
             u = stack.pop()
             for c in sorted(self._calls[u]):
-                if c == name:
-                    path = [u]
-                    while parent[path[-1]] != name:
-                        path.append(parent[path[-1]])
-                    return [name, *reversed(path), name]
-                if c in self.by_name and c not in parent:
+                if c not in parent:
                     parent[c] = u
-                    stack.append(c)
-        return None
+                    if c in self.by_name:
+                        stack.append(c)
+        return parent
+
+    def reach(self, names: Iterable[str]) -> list[Definition]:
+        """The definitions named in ``names`` and those they reach through
+        calls, in library order."""
+        reached = self._walk(names)
+        return [d for d in self.defs if d.name in reached]
 
     def define(self, name: str, params: Iterable[str], body: Formula):
         d = Definition(name, tuple(params), body)

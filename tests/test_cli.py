@@ -251,6 +251,30 @@ def test_width_cap_is_exit_3(tmp_path, capsys):
     assert code == 3 and "cap" in err
 
 
+def test_width_zero_cap_or_budget_is_exit_3(tmp_path, capsys):
+    g = tmp_path / "c4.json"
+    g.write_text(grid(2, 2).to_json())
+    for opts in (("cwd", "--budget", "0"), ("twd", "--cap", "0"),
+                 ("cwd", "--cap", "0")):
+        code, out, err = run(capsys, "width", str(g), "--measure", *opts)
+        assert code == 3 and out == "" and err.startswith("budget:"), opts
+
+
+def test_apply_ignores_an_unreached_set_quantified_definition(tmp_path,
+                                                              capsys):
+    interp = tmp_path / "adj.interp"
+    interp.write_text("def big(x) := exists X. X(x)\n"
+                      "def adj(x, y) := E(x, y)\n"
+                      "domain(x) := x = x\nedge(x, y) := adj(x, y)\n")
+    g = tmp_path / "g55.json"
+    g.write_text(grid(5, 5).to_json())
+    out = tmp_path / "h.json"
+    code, _, _ = run(capsys, "apply", str(g), "--interp", str(interp),
+                     "--set-cap", "10", "-o", str(out))
+    H = LabeledGraph.from_json(out.read_text())
+    assert code == 0 and H.n == 25 and len(H.edges) == 40
+
+
 def test_width_grid33_at_cap_10_fits_the_default_budget(tmp_path, capsys):
     g = tmp_path / "g33.json"
     g.write_text(grid(3, 3).to_json())

@@ -37,6 +37,15 @@ def test_with_labels_checks_only_the_added_labels():
             G.with_labels({"extra": bad})
 
 
+def test_adjacency_masks_pass_to_copies_and_stay_unchanged():
+    G = grid(2, 3)
+    masks = G.adjacency_masks()
+    masks[0] = 0
+    H = G.with_labels({"mark": [0]})
+    assert H.adjacency_masks() == G.adjacency_masks() == \
+        [0b1010, 0b10101, 0b100010, 0b10001, 0b101010, 0b10100]
+
+
 def test_dot_colours_labeled_vertices():
     G = grid(2, 2).with_labels({"mark": [0]})
     assert "fillcolor" in G.to_dot()

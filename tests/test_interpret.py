@@ -10,7 +10,8 @@ from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
                                 apply, apply_all_params, builtin_complement,
                                 builtin_induced, compose_pipeline,
                                 parse_interpretation)
-from msograph.logic import evaluate, parse_formula, parse_library
+from msograph.logic import (SetQuantifierCapError, evaluate, materialize,
+                            materialize_all, parse_formula, parse_library)
 from msograph.search import is_isomorphic
 
 
@@ -30,6 +31,39 @@ def test_params_bound_from_labels():
     G = grid(2, 2).with_labels({"Z": [0, 1]})
     H = apply(builtin_induced(), G)
     assert H.n == 2
+
+
+def test_edge_formula_in_one_variable_is_reflexive_whatever_its_name():
+    for v in ("x", "y", "b"):
+        I = Interpretation((), parse_formula("x = x"),
+                           parse_formula(f"exists z. E({v}, z)"))
+        with pytest.raises(InterpretationError, match="reflexive"):
+            apply(I, grid(2, 2))
+
+
+def test_apply_tabulates_only_the_definitions_it_reaches():
+    lib = parse_library("def big(x) := exists X. (X(x) & !adj(x, x))\n"
+                        "def adj(x, y) := E(x, y)")
+    I = Interpretation((), parse_formula("x = x"),
+                       parse_formula("adj(x, y)"), lib)
+    H = apply(I, grid(5, 5), set_cap=10)
+    assert H.n == 25 and len(H.edges) == 40
+    reached = Interpretation((), parse_formula("big(x)"),
+                             parse_formula("adj(x, y)"), lib)
+    with pytest.raises(SetQuantifierCapError):
+        apply(reached, grid(5, 5), set_cap=10)
+
+
+def test_a_long_chain_of_calls():
+    lib = parse_library("def p0(x, y) := E(x, y)\n" + "".join(
+        f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 1000)))
+    G = grid(1, 3)
+    both_ways = {(0, 1), (1, 0), (1, 2), (2, 1)}
+    assert materialize(G, lib, "p999") == both_ways
+    assert materialize_all(G, lib)["p999"] == both_ways
+    I = Interpretation((), parse_formula("x = x"),
+                       parse_formula("p999(x, y)"), lib)
+    assert apply(I, G).edges == G.edges
 
 
 def test_primed_names():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from msograph import plans
+from msograph.bichain_family import bichain_predicates, build_Zn
 from msograph.graphs import LabeledGraph, grid, induced_subgraph
 from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             FalseF, ForallS, ForallV, Formula,
@@ -20,6 +21,8 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             evaluate, free_vars, materialize,
                             materialize_all, parse_formula, parse_library,
                             relativize, tc_naive_encoding)
+from msograph.power_family import build_Dn, power_predicates
+from msograph.word_family import build_Hn, word_predicates
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,15 @@ def test_materialize_all_calls_untabulatable_callees():
     assert tables == {"both": {(0, 1), (1, 0)}, "inred": {(2,)}}
     with pytest.raises(EvalError):
         materialize(G, lib, "r1")
+
+
+def test_materialize_alone_equals_materialize_all():
+    for G, lib in ((build_Hn("121212", 1), word_predicates()),
+                   (build_Zn(6), bichain_predicates()),
+                   (build_Dn(12), power_predicates())):
+        tables = materialize_all(G, lib)
+        for name, table in tables.items():
+            assert materialize(G, lib, name) == table, name
 
 
 def test_primed_names():
