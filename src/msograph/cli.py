@@ -238,6 +238,11 @@ def cmd_apply(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_width(args) -> int:
+    if args.budget is not None and args.measure != "cwd":
+        raise UsageError("--budget applies only to --measure cwd")
+    for opt in ("cap", "budget"):
+        if (getattr(args, opt) or 0) < 0:
+            raise UsageError(f"--{opt} must not be negative")
     G = _load_graph(args.graph)
     if args.certify:
         text = Path(args.certify).read_text()

@@ -33,6 +33,7 @@ from .syntax import (  # re-exported: the dialect's public names
     LibraryError, Not, Or, PredicateLibrary, SetAtom, TrueF, all_vars,
     app_refs, free_vars, fresh_var, is_set_var, parse_formula,
     parse_library, subformulas, substitute)
+from .syntax import NO_DEFINITIONS
 from .table import Table
 
 DEFAULT_SET_CAP = 22
@@ -47,7 +48,8 @@ def _plan(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     """The cached plan of f for G's label names, the names that have
     tables now and the library's definitions."""
     return plans.plan(f, tuple(params), row, frozenset(G.labels),
-                      frozenset(tables or ()), tuple(lib.defs) if lib else ())
+                      frozenset(tables or ()),
+                      lib.key if lib else NO_DEFINITIONS)
 
 
 def compile_formula(G: LabeledGraph, lib: Optional[PredicateLibrary],

@@ -23,7 +23,7 @@ from types import CodeType, FunctionType
 from typing import Iterable, Optional, Sequence
 
 from .graphs import LabeledGraph
-from .syntax import (TC, And, App, Definition, EdgeAtom, Eq, ExistsS,
+from .syntax import (TC, And, App, Definitions, EdgeAtom, Eq, ExistsS,
                      ExistsV, FalseF, ForallS, ForallV, Formula, Iff,
                      Implies, Not, Or, SetAtom, TrueF, fold, free_vars,
                      is_set_var)
@@ -183,7 +183,7 @@ PLAN_CACHE_SIZE = 128
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
          labels: frozenset, tables: frozenset,
-         defs: tuple[Definition, ...]) -> Plan:
+         defs: Definitions) -> Plan:
     """The plan of f as a function of params (returning the row over row,
     if given) where the names in labels are labels, those in tables have
     tables and defs are the library's definitions."""
@@ -198,11 +198,11 @@ class _Planner:
     bodies are plans of their own, looked up in the plan cache."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
-                 defs: tuple[Definition, ...]):
+                 defs: Definitions):
         self.labels = labels
         self.tables = tables
         self.defs = defs
-        self.lib = {d.name: d for d in defs}
+        self.lib = defs.by_name
         self.recipes: list[tuple[str, tuple]] = []
         self.names: dict[tuple, str] = {}
         self.pending: list[tuple] = []

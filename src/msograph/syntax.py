@@ -18,6 +18,7 @@ what this module parses and re-exports its names.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -507,6 +508,30 @@ class Definition:
     body: Formula
 
 
+class Definitions(tuple):
+    """A library's definitions in order, as a plan-cache key: a tuple
+    whose hash and index by name are computed once, when first needed,
+    so a library that is never planned never hashes its formulas."""
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def by_name(self) -> dict[str, Definition]:
+        return {d.name: d for d in self}
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy rehashes
+        return Definitions, (tuple(self),)
+
+
+NO_DEFINITIONS = Definitions()
+
+
 class LibraryError(ValueError):
     pass
 
@@ -520,6 +545,7 @@ class PredicateLibrary:
 
     def __post_init__(self):
         self.by_name: dict[str, Definition] = {}
+        self.key = NO_DEFINITIONS  # the plan-cache key of defs
         self._calls: dict[str, set[str]] = {}  # the names each body calls
         self._called: set[str] = set()  # the names any body calls
         for d in self.defs:
@@ -529,6 +555,7 @@ class PredicateLibrary:
         refs = app_refs(d.body)
         self._check(d, refs)
         self.by_name[d.name] = d
+        self.key = Definitions((*self.key, d))
         self._calls[d.name] = {ref for ref, _ in refs}
         self._called |= self._calls[d.name]
 

@@ -1,7 +1,8 @@
 """Exact treewidth and clique-width oracles with verifiable certificates.
 
 Both oracles are exhaustive and intended for small graphs: treewidth by
-dynamic programming over elimination orderings (cap 12 vertices),
+dynamic programming over elimination orderings (cap 12 vertices), pruned
+by the width of a greedy least-degree elimination and still exact,
 clique-width by breadth-first search over canonical labeled partial
 constructions (cap 8 by default; grid(3,3) at cap 10 and grid(3,4) at
 cap 12 fit the default budget).  The clique-width budget counts the
@@ -25,6 +26,7 @@ from typing import Iterable, Optional
 
 from .graphs import GraphError, LabeledGraph, subdivide
 from .search import BudgetExhausted, is_isomorphic
+from .table import bits
 
 
 class WidthError(ValueError):
@@ -170,6 +172,43 @@ def _reach(adj: list[int], v: int, through: int) -> int:
     return out
 
 
+def _elimination_bound(adj: list[int]) -> int:
+    """The width of the greedy elimination order that always eliminates a
+    vertex of least degree (the lowest on ties): an upper bound on the
+    treewidth."""
+    adj = list(adj)
+    left = (1 << len(adj)) - 1
+    bound = 0
+    while left:
+        v = min(bits(left), key=lambda u: (adj[u] & left).bit_count())
+        left &= ~(1 << v)
+        nb = adj[v] & left
+        bound = max(bound, nb.bit_count())
+        for w in bits(nb):
+            adj[w] |= nb & ~(1 << w)
+    return bound
+
+
+def _order_decomposition(adj: list[int], order: list[int]
+                         ) -> TreeDecomposition:
+    """The decomposition of an elimination order: bag i holds order[i]
+    and its neighbours once the earlier vertices are eliminated, and is
+    joined to the bag of the first of those neighbours in the order, or
+    to bag i + 1 when it has none."""
+    pos = {v: i for i, v in enumerate(order)}
+    bags, tree_edges = [], []
+    prefix = 0
+    for i, v in enumerate(order):
+        r = _reach(adj, v, prefix)
+        prefix |= 1 << v
+        bags.append(frozenset({v, *bits(r)}))
+        if r:
+            tree_edges.append((i, min(pos[w] for w in bits(r))))
+        elif i + 1 < len(order):
+            tree_edges.append((i, i + 1))
+    return TreeDecomposition.build(bags, tree_edges)
+
+
 def treewidth_exact(G: LabeledGraph, cap: int = 12
                     ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witnessing decomposition.
@@ -177,6 +216,12 @@ def treewidth_exact(G: LabeledGraph, cap: int = 12
     Dynamic programming over elimination prefixes: eliminating a vertex
     costs the size of its neighborhood in the graph with the prefix
     contracted away, and the treewidth is the min-max cost over orders.
+    A greedy least-degree elimination bounds it from above (Bodlaender et
+    al., "On exact algorithms for treewidth", 2012): a prefix costs at
+    most one more than the bound, and a vertex whose prefix costs as much
+    as the best choice so far is not tried.  No subset is wider than the
+    whole graph, so the prefixes of a best order keep their exact values
+    and choices: the lowest of the cheapest vertices, as unpruned.
     """
     if G.n > cap:
         raise SizeCapExceeded(f"treewidth cap is {cap} vertices, got {G.n}")
@@ -185,28 +230,26 @@ def treewidth_exact(G: LabeledGraph, cap: int = 12
         return -1, TreeDecomposition((), frozenset())
     adj = G.adjacency_masks()
     full = (1 << n) - 1
-    INF = n + 1
-    tw = [INF] * (full + 1)
+    over = _elimination_bound(adj) + 1
+    tw = [over] * (full + 1)
     tw[0] = -1
     pick = [0] * (full + 1)
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            best = INF
-            best_v = -1
-            rest_all = mask
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                rest = rest_all & ~(1 << v)
-                cost = max(tw[rest], _reach(adj, v, rest).bit_count())
-                if cost < best:
-                    best, best_v = cost, v
-            tw[mask] = best
-            pick[mask] = best_v
+    # every subset of a mask is a smaller number, so it comes first
+    for mask in range(1, full + 1):
+        best = over
+        best_v = -1
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            rest = mask & ~(1 << v)
+            if tw[rest] >= best:
+                continue
+            cost = max(tw[rest], _reach(adj, v, rest).bit_count())
+            if cost < best:
+                best, best_v = cost, v
+        tw[mask] = best
+        pick[mask] = best_v
     width = tw[full]
     # recover the elimination order (pick[mask] is eliminated last in mask)
     order: list[int] = []
@@ -216,26 +259,7 @@ def treewidth_exact(G: LabeledGraph, cap: int = 12
         order.append(v)
         mask &= ~(1 << v)
     order.reverse()
-    # bags from the order: bag_i = {v_i} + reach over the earlier prefix
-    pos = {v: i for i, v in enumerate(order)}
-    bags = []
-    reaches = []
-    for i, v in enumerate(order):
-        prefix = 0
-        for w in order[:i]:
-            prefix |= 1 << w
-        r = _reach(adj, v, prefix)
-        reaches.append(r)
-        bags.append(frozenset({v} | {w for w in range(n) if (r >> w) & 1}))
-    tree_edges = []
-    for i, v in enumerate(order):
-        r = reaches[i]
-        if r:
-            j = min(pos[w] for w in range(n) if (r >> w) & 1)
-            tree_edges.append((i, j))
-        elif i + 1 < n:
-            tree_edges.append((i, i + 1))
-    td = TreeDecomposition.build(bags, tree_edges)
+    td = _order_decomposition(adj, order)
     bad = decomposition_violation(G, td)
     if bad is not None:
         raise WidthError(f"internal: witness decomposition invalid: {bad}")

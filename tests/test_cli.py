@@ -260,6 +260,16 @@ def test_width_zero_cap_or_budget_is_exit_3(tmp_path, capsys):
         assert code == 3 and out == "" and err.startswith("budget:"), opts
 
 
+def test_width_budget_for_treewidth_or_negative_limits_are_usage_errors(
+        tmp_path, capsys):
+    g = tmp_path / "c4.json"
+    g.write_text(grid(2, 2).to_json())
+    for opts in (("twd", "--budget", "5"), ("twd", "--cap", "-1"),
+                 ("cwd", "--cap", "-1"), ("cwd", "--budget", "-1")):
+        code, out, err = run(capsys, "width", str(g), "--measure", *opts)
+        assert code == 2 and out == "" and err.startswith("error:"), opts
+
+
 def test_apply_ignores_an_unreached_set_quantified_definition(tmp_path,
                                                               capsys):
     interp = tmp_path / "adj.interp"

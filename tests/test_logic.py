@@ -482,19 +482,22 @@ def _plan_hits():
 
 
 def test_formula_hash_is_not_carried_between_processes():
-    # the hash is kept on each node; a pickle made where strings hash
-    # differently must not bring it along
+    # the hash is kept on each node and on a library's key; a pickle made
+    # where strings hash differently must not bring it along
     text = "exists y. (E(x, y) & red(y))"
-    code = ("import pickle, sys; from msograph.logic import parse_formula; "
-            "f = parse_formula(%r); hash(f); "
-            "sys.stdout.buffer.write(pickle.dumps(f))" % text)
+    defs = "def p(x, y) := E(x, y) | x = y"
+    code = ("import pickle, sys; from msograph.logic import parse_formula, "
+            "parse_library; f = parse_formula(%r); hash(f); "
+            "lib = parse_library(%r); hash(lib.key); "
+            "sys.stdout.buffer.write(pickle.dumps((f, lib)))" % (text, defs))
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, check=True).stdout
-    f = pickle.loads(out)
+    f, lib = pickle.loads(out)
     assert f == parse_formula(text) and hash(f) == hash(parse_formula(text))
     assert f in {parse_formula(text)}
+    assert lib.key in {parse_library(defs).key}
 
 
 def test_cached_plans_match_reference_on_many_graphs():
@@ -565,6 +568,22 @@ def test_cached_plans_follow_the_library_and_the_tables():
     hits = _plan_hits()
     with pytest.raises(EvalError):  # arity 2 in h, 1 in the table
         evaluate(P, None, h, {"x": 0}, tables={"adj": Table.of({(0,)}, 1, 3)})
+    assert _plan_hits() == hits + 1
+
+
+def test_equal_libraries_built_apart_share_their_plans():
+    text = "def p(x, y) := E(x, y)\ndef q(x, y) := p(y, x) | x = y\n"
+    grown = PredicateLibrary()
+    for d in parse_library(text).defs:
+        grown.define(d.name, d.params, d.body)
+    parsed = parse_library(text)
+    assert grown.key == parsed.key and hash(grown.key) == hash(parsed.key)
+    assert parsed.key != parse_library("def p(x, y) := E(x, y)").key
+    P = LabeledGraph.build(3, [(0, 1), (1, 2)])
+    f = parse_formula("exists y. q(x, y) & !p(x, y)")
+    assert evaluate(P, grown, f, {"x": 1})
+    hits = _plan_hits()
+    assert evaluate(P, parsed, f, {"x": 1})
     assert _plan_hits() == hits + 1
 
 

@@ -347,3 +347,71 @@ def test_treewidth_matches_brute_force_and_forests():
         assert (tw <= 1) == _is_forest(G), sorted(G.edges)
         forests += _is_forest(G)
     assert 0 < forests < 24
+
+
+def _unpruned_treewidth(G):
+    """The treewidth recurrence with no bound, every vertex of every
+    prefix tried: the width and the decomposition of the order it
+    picks, the lowest vertex among the cheapest at each step."""
+    n = G.n
+    adj = G.adjacency_masks()
+    full = (1 << n) - 1
+    INF = n + 1
+    tw = [INF] * (full + 1)
+    tw[0] = -1
+    pick = [0] * (full + 1)
+    masks_by_size = [[] for _ in range(n + 1)]
+    for mask in range(full + 1):
+        masks_by_size[mask.bit_count()].append(mask)
+    for size in range(1, n + 1):
+        for mask in masks_by_size[size]:
+            best, best_v = INF, -1
+            m = mask
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                rest = mask & ~(1 << v)
+                cost = max(tw[rest], widths._reach(adj, v, rest).bit_count())
+                if cost < best:
+                    best, best_v = cost, v
+            tw[mask] = best
+            pick[mask] = best_v
+    order, mask = [], full
+    while mask:
+        order.append(pick[mask])
+        mask &= ~(1 << pick[mask])
+    return tw[full], widths._order_decomposition(adj, order[::-1])
+
+
+def _pruning_corpus():
+    rng = random.Random(1012)
+    graphs = [_random_graph(rng, rng.randrange(1, 11),
+                            rng.choice((0.15, 0.3, 0.5, 0.7)))
+              for _ in range(200)]
+    return graphs + [grid(3, 4), grid(2, 6)]
+
+
+def test_pruned_treewidth_matches_the_unpruned_recurrence():
+    for G in _pruning_corpus():
+        assert treewidth_exact(G) == _unpruned_treewidth(G), sorted(G.edges)
+
+
+def test_elimination_bound_is_an_upper_bound():
+    for G in _pruning_corpus():
+        bound = widths._elimination_bound(G.adjacency_masks())
+        assert bound >= treewidth_exact(G)[0], sorted(G.edges)
+
+
+def test_elimination_bound_is_exact_on_paths_cycles_and_trees():
+    rng = random.Random(5)
+    for n in range(1, 13):
+        path = LabeledGraph.build(n, [(i, i + 1) for i in range(n - 1)])
+        tree = LabeledGraph.build(n, [(rng.randrange(i), i)
+                                      for i in range(1, n)])
+        graphs = [path, tree]
+        if n >= 3:
+            graphs.append(LabeledGraph.build(
+                n, [(i, (i + 1) % n) for i in range(n)]))
+        for G in graphs:
+            bound = widths._elimination_bound(G.adjacency_masks())
+            assert bound == treewidth_exact(G)[0], sorted(G.edges)
