@@ -21,15 +21,14 @@ from .logic import (
     Formula,
     PredicateLibrary,
     _plan,
-    _tabulatable,
+    _tabulate_reached,
     app_refs,
     free_vars,
     is_set_var,
-    materialize,
     parse_formula,
     parse_library,
 )
-from .search import isomorphism_classes
+from .search import _automorphisms, isomorphism_classes
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -58,40 +57,83 @@ def apply(I: Interpretation, G: LabeledGraph,
     Parameter values are vertex subsets, positionally matching
     ``I.params``; if omitted, every parameter name must be present as a
     label of G and is bound from it.  The output carries provenance
-    names and the input labels restricted to the output domain.  Only
-    the library definitions that the two formulas reach are tabulated,
-    in one binding that both formulas share.
+    names and the input labels, the parameters among them, restricted
+    to the output domain.  This is the sweep of ``apply_all_params``
+    over one tuple: only the library definitions that the two formulas
+    reach are tabulated, in one binding that both formulas share.
     """
     if params is None:
         missing = [p for p in I.params if p not in G.labels]
         if missing:
             raise InterpretationError(
                 f"parameters {missing} not given and not labels of the graph")
-        bound = {}
+        params = [G.labels[p] for p in I.params]
+    elif len(params) != len(I.params):
+        raise InterpretationError(
+            f"expected {len(I.params)} parameter values, got {len(params)}")
+    masks = []
+    for name, vals in zip(I.params, params):
+        vals = frozenset(vals)
+        G._check_label(name, vals)
+        masks.append(sum(1 << v for v in vals))
+    return next(_sweep(I, G, [tuple(masks)], set_cap))
+
+
+def _sweep(I: Interpretation, G: LabeledGraph,
+           tuples: Iterable[tuple[int, ...]],
+           set_cap: int) -> Iterator[LabeledGraph]:
+    """The output of I on G under each tuple of parameter masks, in order.
+
+    G is bound once, and the parameters are set-variable arguments of
+    the two formulas.  Where a parameter is not a set variable, or a
+    reached definition mentions one, each tuple binds the parameters as
+    labels of its own copy of G instead.
+    """
+    called = {name for f in (I.domain, I.edge) for name, _ in app_refs(f)}
+    reached = I.library.reach(called)
+    params = I.params
+    if len(set(params)) == len(params) and all(map(is_set_var, params)) \
+            and not any(set(params) & (free_vars(d.body) - set(d.params))
+                        for d in reached):
+        binding, dom_row, edge_row = _bind(I, G, called, params, set_cap)
+        for masks in tuples:
+            binding.forget()  # memos keyed by the last tuple's masks
+            labels = dict(G.labels)
+            labels.update((p, frozenset(bits(m)))
+                          for p, m in zip(params, masks))
+            yield _output(G, labels, dom_row(*masks), edge_row, masks)
     else:
-        if len(params) != len(I.params):
-            raise InterpretationError(
-                f"expected {len(I.params)} parameter values, got {len(params)}")
-        bound = {name: frozenset(vals) for name, vals in zip(I.params, params)}
-    work = G.with_labels(bound) if bound else G
+        for masks in tuples:
+            work = G.with_labels({p: bits(m) for p, m in zip(params, masks)})
+            _, dom_row, edge_row = _bind(I, work, called, (), set_cap)
+            yield _output(work, work.labels, dom_row(), edge_row, ())
+
+
+def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
+          params: tuple[str, ...], set_cap: int):
+    """A binding of G with the definitions that the called names reach
+    tabulated, and in it the domain row and the edge row function, both
+    taking params first."""
     lib = I.library
-    binding = Binding(work, set_cap, {})
-    if lib.defs:  # a census applies a library-free one thousands of times
-        called = {name for f in (I.domain, I.edge) for name, _ in app_refs(f)}
-        for d in lib.reach(called):
-            if _tabulatable(d):
-                materialize(work, lib, d.name, binding=binding)
-    dom_row = binding.function(_plan(work, lib, I.domain, (),
+    binding = Binding(G, set_cap, {})
+    _tabulate_reached(binding, lib, called)
+    dom_row = binding.function(_plan(G, lib, I.domain, params,
                                      _single_var(I.domain, "domain"),
                                      binding.tables))
     x, y = _pair_vars(I.edge, "edge")
-    edge_row = binding.function(_plan(work, lib, I.edge, (x,), y,
+    edge_row = binding.function(_plan(G, lib, I.edge, (*params, x), y,
                                       binding.tables))
-    dom = dom_row()
+    return binding, dom_row, edge_row
+
+
+def _output(G: LabeledGraph, labels: dict, dom: int, edge_row,
+            masks: tuple[int, ...]) -> LabeledGraph:
+    """The graph on the domain dom whose edges are the rows
+    edge_row(*masks, x), checked for symmetry and irreflexivity."""
     domain = list(bits(dom))
-    rows = {x: edge_row(x) & dom for x in domain}
+    rows = {x: edge_row(*masks, x) & dom for x in domain}
     # the transpose above the diagonal: y > x is in cols[x] iff x is in rows[y]
-    cols = [0] * work.n
+    cols = [0] * G.n
     for y in domain:
         for x in bits(rows[y] & ((1 << y) - 1)):
             cols[x] |= 1 << y
@@ -99,20 +141,20 @@ def apply(I: Interpretation, G: LabeledGraph,
     for x in domain:
         if (rows[x] >> x) & 1:
             raise InterpretationError(
-                f"edge formula is reflexive at {work.name_of(x)}")
+                f"edge formula is reflexive at {G.name_of(x)}")
         above = dom & -(2 << x)  # the domain vertices after x
         odd = (rows[x] ^ cols[x]) & above
         if odd:
             y = (odd & -odd).bit_length() - 1
             raise InterpretationError(
                 f"edge formula asymmetric on "
-                f"({work.name_of(x)}, {work.name_of(y)})")
+                f"({G.name_of(x)}, {G.name_of(y)})")
         edges += [(x, y) for y in bits(rows[x] & above)]
     dom_set = set(domain)
     newid = {v: i for i, v in enumerate(domain)}
-    names = {newid[v]: work.name_of(v) for v in domain}
+    names = {newid[v]: G.name_of(v) for v in domain}
     labels = {k: frozenset(newid[v] for v in vs if v in dom_set)
-              for k, vs in work.labels.items()}
+              for k, vs in labels.items()}
     return LabeledGraph.build(len(domain),
                               [(newid[u], newid[v]) for (u, v) in edges],
                               labels=labels, names=names)
@@ -138,20 +180,76 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
                      enum_cap: int = DEFAULT_ENUM_CAP,
                      set_cap: int = DEFAULT_SET_CAP
                      ) -> Iterator[LabeledGraph]:
-    """One output per parameter tuple (all subsets of V(G) per parameter).
+    """One output per parameter tuple (all subsets of V(G) per parameter),
+    the tuples in product order of the subsets listed by size, then
+    lexicographically; one sweep of ``apply`` over them.
 
-    With ``dedupe`` the stream is filtered up to isomorphism.
+    With ``dedupe`` the stream is filtered up to isomorphism, and a tuple
+    that a label-keeping automorphism of G maps onto an earlier tuple is
+    skipped unapplied: its output is isomorphic to that earlier tuple's,
+    so the filtered stream is the same.
     """
     p = len(I.params)
     if G.n * p > enum_cap:
         raise InterpretationError(
             f"parameter enumeration needs 2^({G.n}*{p}) tuples; cap is "
             f"n*p <= {enum_cap}")
-    subsets = list(itertools.chain.from_iterable(
-        itertools.combinations(range(G.n), r) for r in range(G.n + 1)))
-    outputs = (apply(I, G, [frozenset(c) for c in choice], set_cap=set_cap)
-               for choice in itertools.product(subsets, repeat=p))
-    yield from isomorphism_classes(outputs) if dedupe else outputs
+    subsets = [sum(1 << v for v in c) for r in range(G.n + 1)
+               for c in itertools.combinations(range(G.n), r)]
+    tuples = itertools.product(subsets, repeat=p)
+    if not dedupe:
+        yield from _sweep(I, G, tuples, set_cap)
+        return
+    # above the set cap, whether a set quantifier is reached (and raises)
+    # may hang on the order of the vertices, which automorphisms do not keep
+    if p and G.n <= set_cap:
+        tuples = _orbit_leaders(tuples, _automorphisms(G))
+    yield from isomorphism_classes(_sweep(I, G, tuples, set_cap))
+
+
+def _orbit_leaders(tuples: Iterable[tuple[int, ...]],
+                   automorphisms: list[list[int]]
+                   ) -> Iterator[tuple[int, ...]]:
+    """The tuples of masks that no automorphism maps onto an earlier one.
+
+    An automorphism keeps the size of a subset, and of two subsets of
+    one size the one holding the least vertex of their symmetric
+    difference comes first; so at the first mask S of a tuple that an
+    automorphism moves, the image of S comes first iff it holds the
+    least vertex of S ^ image.
+    """
+    images = [_byte_images(s) for s in automorphisms
+              if s != sorted(s)]  # the identity moves nothing
+    for masks in tuples:
+        if not any(_moves_earlier(tabs, masks) for tabs in images):
+            yield masks
+
+
+def _byte_images(perm: list[int]) -> list[list[int]]:
+    """The image of a mask under the vertex map perm, by lookup: table k
+    sends byte b to the image of the mask b << 8k."""
+    n = len(perm)
+    tabs = []
+    for lo in range(0, n, 8):
+        t = [0]
+        for b in range(1, 1 << min(8, n - lo)):
+            low = b & -b
+            t.append(t[b ^ low] | 1 << perm[lo + low.bit_length() - 1])
+        tabs.append(t)
+    return tabs
+
+
+def _moves_earlier(tabs: list[list[int]], masks: tuple[int, ...]) -> bool:
+    """Whether the automorphism of the image tables maps the tuple onto
+    an earlier one."""
+    for S in masks:
+        image = 0
+        for k, t in enumerate(tabs):
+            image |= t[S >> 8 * k & 255]
+        if image != S:
+            d = image ^ S
+            return image & d & -d != 0
+    return False
 
 
 @dataclass

@@ -22,7 +22,7 @@ The syntax lives in ``syntax``; its names are re-exported here.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import plans
 from .graphs import LabeledGraph
@@ -133,11 +133,19 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
             f"parameters and cannot be tabulated; evaluate it pointwise")
     if binding is None:
         binding = Binding(G, set_cap, tables)
+    return _tabulate_reached(binding, lib, [name])[name]
+
+
+def _tabulate_reached(binding: Binding, lib: PredicateLibrary,
+                      names: Iterable[str]) -> Tables:
+    """The binding's tables, extended by every tabulatable definition
+    that the definitions ``names`` reach, tabulated in library order
+    after one walk of the call graph."""
     tables = binding.tables
-    for d in lib.reach([name]):
+    for d in lib.reach(names):
         if d.name not in tables and _tabulatable(d):
             tables[d.name] = _tabulate(binding, lib, d, tables)
-    return tables[name]
+    return tables
 
 
 def _tabulate(binding: Binding, lib: PredicateLibrary, d: Definition,
@@ -163,11 +171,8 @@ def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
                     set_cap: int = DEFAULT_SET_CAP) -> dict[str, Table]:
     """Tables for every tabulatable definition in the library, all bound
     in one binding of G."""
-    binding = Binding(G, set_cap, {})
-    for d in lib.defs:
-        if _tabulatable(d):
-            materialize(G, lib, d.name, binding=binding)
-    return binding.tables
+    return _tabulate_reached(Binding(G, set_cap, {}), lib,
+                            [d.name for d in lib.defs])
 
 
 # ---------------------------------------------------------------------------

@@ -540,7 +540,8 @@ class _Planner:
 class Binding:
     """Plans bound to one graph.  Every plan bound here shares the values
     of its recipes: label masks, table rows, and one memo per callee and
-    per TC body, all fresh for this binding."""
+    per TC body, all fresh for this binding until ``forget`` empties the
+    memos."""
 
     def __init__(self, G: LabeledGraph, set_cap: int,
                  tables: Optional[dict]):
@@ -556,6 +557,7 @@ class Binding:
         self.base = {"_F": (1 << n) - 1, "_S": subsets, "_E": _exists,
                      "_ES": _exists_set, "_P": _pointwise}
         self.made: dict[tuple, object] = {}
+        self.memos: list = []
 
     def function(self, plan: Plan):
         g = dict(self.base)
@@ -592,7 +594,15 @@ class Binding:
         else:  # "K"
             rows = self.make(("C", args[0]))
             value = functools.cache(lambda *val: _transpose(rows(*val)))
+        if kind in "DCK":
+            self.memos.append(value)
         self.made[recipe] = value
         return value
+
+    def forget(self):
+        """Empty the memos, which a caller that passes ever new set masks
+        to the same functions would otherwise fill without end."""
+        for memo in self.memos:
+            memo.cache_clear()
 
 

@@ -13,14 +13,18 @@ callers differ only in the candidate domains they pass:
 of degree at least deg(v); ``is_isomorphic`` to vertices of equal key.
 ``isomorphism_classes`` keeps the record of each class it has yielded,
 bucketed by invariant, and searches a new graph only against the kept
-graphs that share its invariant.  An optional budget of node expansions
-per call turns a long search into an explicit ``BudgetExhausted``
-outcome, never a negative answer.
+graphs that share its invariant.  The core stops at the first map or,
+given a visit callback, passes it every map: ``_automorphisms`` lists
+the label-keeping automorphisms of a graph that way, under a fixed
+expansion budget, and falls back to the identity alone when the budget
+runs out (a subset of the group is all its callers need).  An optional
+budget of node expansions per call turns a long search into an explicit
+``BudgetExhausted`` outcome, never a negative answer.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import LabeledGraph
 
@@ -76,9 +80,12 @@ class _Graph:
 
 
 def _search(P: _Graph, T: _Graph, domains: list[int],
-            budget: Optional[int]) -> Optional[dict[int, int]]:
+            budget: Optional[int],
+            visit: Optional[Callable[[dict[int, int]], None]] = None
+            ) -> Optional[dict[int, int]]:
     """An injective map V(P) -> V(T) preserving edges and non-edges that
-    sends each v into the bitmask ``domains[v]``, or None.  Raises
+    sends each v into the bitmask ``domains[v]``, or None.  Given visit,
+    every such map is passed to it instead and None is returned.  Raises
     ``BudgetExhausted`` after ``budget`` node expansions."""
     if not all(domains):  # fail before searching the vertices ahead of it
         return None
@@ -90,7 +97,10 @@ def _search(P: _Graph, T: _Graph, domains: list[int],
     def backtrack(pos: int, used: int, doms: list[int]) -> bool:
         nonlocal expanded
         if pos == len(order):
-            return True
+            if visit is None:
+                return True
+            visit({v: mapping[v] for v in range(P.n)})
+            return False
         v = order[pos]
         cand = doms[pos] & ~used
         while cand:
@@ -133,8 +143,8 @@ def _embedding(P: _Graph, T: _Graph,
                           for d in P.key], budget)
 
 
-def _isomorphism(A: _Graph, B: _Graph,
-                 budget: Optional[int]) -> Optional[dict[int, int]]:
+def _isomorphism(A: _Graph, B: _Graph, budget: Optional[int],
+                 visit=None) -> Optional[dict[int, int]]:
     """Isomorphism of records built alike: a vertex maps only to one of
     equal key."""
     if A.invariant != B.invariant:
@@ -143,7 +153,26 @@ def _isomorphism(A: _Graph, B: _Graph,
     for w, key in enumerate(B.key):
         classes[key] = classes.get(key, 0) | 1 << w
     # equal invariants hold equal key multisets, so no domain is empty
-    return _search(A, B, [classes[key] for key in A.key], budget)
+    return _search(A, B, [classes[key] for key in A.key], budget, visit)
+
+
+# node expansions allowed to list a group; an edgeless 10-vertex graph
+# (10! automorphisms) needs about 10 million
+_AUTOMORPHISM_BUDGET = 10_000
+
+
+def _automorphisms(G: LabeledGraph) -> list[list[int]]:
+    """The automorphisms of G that keep every label set, each as its
+    list of vertex images, in search order; only the identity if listing
+    them takes more than ``_AUTOMORPHISM_BUDGET`` expansions."""
+    g = _Graph(G, respect_labels=True)
+    found: list[list[int]] = []
+    try:
+        _isomorphism(g, g, _AUTOMORPHISM_BUDGET,
+                     lambda m: found.append([m[v] for v in range(G.n)]))
+    except BudgetExhausted:
+        return [list(range(G.n))]
+    return found
 
 
 def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,

@@ -4,15 +4,19 @@ import re
 
 import pytest
 
-from msograph.bichain_family import build_Pn
-from msograph.graphs import LabeledGraph, grid, make_Tn
+from msograph import interpret
+from msograph.bichain_family import build_Pn, build_Zn
+from msograph.graphs import LabeledGraph, grid, make_Tn, upper_tri_grid
 from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
                                 apply, apply_all_params, builtin_complement,
                                 builtin_induced, compose_pipeline,
                                 parse_interpretation)
-from msograph.logic import (SetQuantifierCapError, evaluate, materialize,
-                            materialize_all, parse_formula, parse_library)
-from msograph.search import is_isomorphic
+from msograph.logic import (PredicateLibrary, SetQuantifierCapError, evaluate,
+                            materialize, materialize_all, parse_formula,
+                            parse_library)
+from msograph.search import (_automorphisms, is_isomorphic,
+                             isomorphism_classes)
+from msograph.word_family import gamma_contract_interp
 
 
 def test_complement_twice_is_identity():
@@ -64,6 +68,21 @@ def test_a_long_chain_of_calls():
     I = Interpretation((), parse_formula("x = x"),
                        parse_formula("p999(x, y)"), lib)
     assert apply(I, G).edges == G.edges
+
+
+def test_tabulating_a_chain_walks_the_library_once(monkeypatch):
+    lib = parse_library("def p0(x, y) := E(x, y)\n" + "".join(
+        f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 1000)))
+    G = grid(1, 3)
+    walks = []
+    walk = PredicateLibrary._walk
+    monkeypatch.setattr(PredicateLibrary, "_walk",
+                        lambda self, names: walks.append(1) or
+                        walk(self, names))
+    tables = materialize_all(G, lib)
+    assert len(walks) == 1
+    for name in ("p0", "p500", "p999"):
+        assert tables[name] == materialize(G, lib, name)
 
 
 def test_primed_names():
@@ -225,6 +244,144 @@ def test_dedupe_class_counts_agree_with_networkx():
                 classes.append(X)
         assert sum(1 for _ in apply_all_params(induced, G, dedupe=True)) \
             == len(classes), G
+
+
+def _per_tuple(I, G):
+    """The oracle of the sweep: one ``apply``, with a binding of its own,
+    per parameter tuple, in the order of ``apply_all_params``."""
+    subsets = list(itertools.chain.from_iterable(
+        itertools.combinations(range(G.n), r) for r in range(G.n + 1)))
+    for choice in itertools.product(subsets, repeat=len(I.params)):
+        yield apply(I, G, [frozenset(c) for c in choice])
+
+
+def _stream(outputs):
+    """The graphs of a stream up to its first InterpretationError, and the
+    error's message."""
+    got = []
+    try:
+        for H in outputs:
+            got.append(H)
+    except InterpretationError as e:
+        return got, str(e)
+    return got, None
+
+
+def _assert_sweep_equals_the_oracle(I, G):
+    # the same graphs, names and labels included, in the same order
+    outputs, error = _stream(_per_tuple(I, G))
+    assert _stream(apply_all_params(I, G)) == (outputs, error), G
+    assert _stream(apply_all_params(I, G, dedupe=True)) == \
+        (list(isomorphism_classes(outputs)), error), G
+
+
+def _shuffled(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return LabeledGraph.build(
+        G.n, [(perm[u], perm[v]) for (u, v) in G.edges],
+        {k: [perm[v] for v in vs] for k, vs in G.labels.items()},
+        {perm[v]: G.name_of(v) for v in range(G.n)})
+
+
+CENSUS_HOSTS = (grid(3, 4), grid(2, 6), grid(3, 3), upper_tri_grid(4),
+                make_Tn(3), build_Pn(3), build_Zn(3, with_labels=False))
+
+
+@pytest.mark.parametrize("host", range(len(CENSUS_HOSTS)))
+def test_census_sweep_equals_the_per_tuple_oracle(host):
+    G = CENSUS_HOSTS[host]
+    for H in (G, _shuffled(G, host)):
+        _assert_sweep_equals_the_oracle(builtin_induced(), H)
+
+
+def test_sweep_keeps_labels_and_their_automorphisms():
+    # a label on one corner leaves grid(3,3) only its diagonal flip
+    G = grid(3, 3).with_labels({"c": [0], "Z": [4]})
+    for I in (builtin_induced(), Interpretation(
+            ("Z",), parse_formula("Z(x) | c(x)"),
+            parse_formula("E(x, y) & !(c(x) & c(y))"))):
+        _assert_sweep_equals_the_oracle(I, G)
+        _assert_sweep_equals_the_oracle(I, _shuffled(G, 3))
+    _assert_sweep_equals_the_oracle(builtin_induced(), build_Zn(3))
+
+
+def test_sweep_with_two_parameters():
+    I = Interpretation(("A", "B"), parse_formula("A(x) | B(x)"),
+                       parse_formula("E(x, y) & (A(x) <-> A(y)) | "
+                                     "(B(x) & B(y) & x != y)"))
+    C5 = LabeledGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for G in (_shuffled(grid(2, 3), 1), C5):
+        _assert_sweep_equals_the_oracle(I, G)
+
+
+def test_sweep_binds_per_tuple_when_a_definition_mentions_a_parameter():
+    I = parse_interpretation("""
+        params: [Z]
+        def inz(x) := Z(x)
+        domain(x) := inz(x)
+        edge(x, y) := E(x, y) & inz(x) & inz(y)
+    """)
+    for G in (grid(3, 3), _shuffled(grid(2, 4), 2)):
+        _assert_sweep_equals_the_oracle(I, G)
+
+
+def test_sweep_forgets_the_memos_of_each_tuple(monkeypatch):
+    # the TC body mentions the parameter O, so its closures are memoized
+    # under O's mask, a new one per tuple
+    bindings = []
+
+    class Kept(interpret.Binding):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bindings.append(self)
+
+    monkeypatch.setattr(interpret, "Binding", Kept)
+    I = gamma_contract_interp()
+    G = LabeledGraph.build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                               (5, 6), (6, 7), (7, 0), (0, 4)])
+    _assert_sweep_equals_the_oracle(I, G)
+    _assert_sweep_equals_the_oracle(I, _shuffled(grid(2, 4), 4))
+    assert sum(1 for _ in apply_all_params(I, G)) == 256
+    swept = bindings[-1]
+    assert swept.memos and all(m.cache_info().currsize <= 1
+                               for m in swept.memos)
+
+
+def test_sweep_raises_where_the_oracle_does():
+    I = Interpretation(("Z",), parse_formula("x = x"),
+                       parse_formula("E(x, y) & (Z(x) -> Z(y))"))
+    for G in (grid(2, 3), _shuffled(make_Tn(3), 5),
+              LabeledGraph.build(3, [(0, 1)])):
+        _assert_sweep_equals_the_oracle(I, G)
+        got, error = _stream(apply_all_params(I, G, dedupe=True))
+        assert got and error.startswith("edge formula asymmetric on")
+
+
+def test_orbit_leaders_are_the_least_tuples_of_their_orbits():
+    def key(S):  # the place of a subset in the order of apply_all_params
+        return S.bit_count(), [v for v in range(S.bit_length()) if S >> v & 1]
+
+    def image(perm, S):
+        return sum(1 << perm[v] for v in range(len(perm)) if S >> v & 1)
+
+    for G, p, leaders in ((grid(3, 3), 1, 102), (make_Tn(3), 1, 30),
+                          (grid(2, 2), 2, 55)):
+        auts = _automorphisms(G)
+        subsets = sorted(range(1 << G.n), key=key)
+        tuples = list(itertools.product(subsets, repeat=p))
+        got = list(interpret._orbit_leaders(iter(tuples), auts))
+        assert got == [t for t in tuples if all(
+            [key(image(a, S)) for S in t] >= [key(S) for S in t]
+            for a in auts)]
+        assert len(got) == leaders
+
+
+def test_census_stream_past_the_automorphism_budget():
+    G = LabeledGraph.build(10, [])
+    _assert_sweep_equals_the_oracle(builtin_induced(), G)
+    assert sum(1 for _ in apply_all_params(builtin_induced(), G,
+                                           dedupe=True)) == 11
 
 
 def test_parse_interpretation_file():

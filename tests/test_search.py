@@ -4,10 +4,10 @@ import random
 import pytest
 
 from msograph.bichain_family import build_Zn
-from msograph.graphs import LabeledGraph, grid, upper_tri_grid
-from msograph.search import (BudgetExhausted, _pattern_order, is_antichain,
-                             is_induced_subgraph_of, is_isomorphic,
-                             isomorphism_classes)
+from msograph.graphs import LabeledGraph, grid, make_Tn, upper_tri_grid
+from msograph.search import (BudgetExhausted, _automorphisms, _pattern_order,
+                             is_antichain, is_induced_subgraph_of,
+                             is_isomorphic, isomorphism_classes)
 
 
 def _random_graph(rng, n):
@@ -238,3 +238,43 @@ def test_isomorphism_classes_keep_the_first_of_each_class():
         if all(is_isomorphic(G, K) is None for K in firsts):
             firsts.append(G)
     assert [id(G) for G in kept] == [id(G) for G in firsts]
+
+
+def _brute_automorphisms(G):
+    """Every permutation of V(G) that keeps the edges and each label set."""
+    return sorted(
+        list(perm) for perm in itertools.permutations(range(G.n))
+        if {tuple(sorted((perm[u], perm[v]))) for u, v in G.edges} == G.edges
+        and all(frozenset(perm[v] for v in vs) == vs
+                for vs in G.labels.values()))
+
+
+def test_automorphisms_agree_with_all_permutations():
+    rng = random.Random(15)
+    orders = set()
+    for trial in range(150):
+        n = rng.randint(0, 6)
+        p = rng.random()
+        G = LabeledGraph.build(
+            n, [e for e in itertools.combinations(range(n), 2)
+                if rng.random() < p])
+        if trial % 2:
+            G = G.with_labels({k: [v for v in range(n) if rng.random() < 0.3]
+                               for k in ("a", "b")})
+        auts = _automorphisms(G)
+        assert sorted(auts) == _brute_automorphisms(G), G
+        orders.add(len(auts))
+    assert max(orders) >= 48  # some complete or edgeless graphs came up
+
+
+def test_automorphism_group_orders():
+    assert len(_automorphisms(grid(3, 3))) == 8
+    assert len(_automorphisms(make_Tn(3))) == 16
+    corner = grid(3, 3).with_labels({"c": [0]})  # only the diagonal flip
+    assert sorted(_automorphisms(corner)) == [
+        list(range(9)), [0, 3, 6, 1, 4, 7, 2, 5, 8]]
+
+
+def test_automorphisms_fall_back_to_the_identity_past_the_budget():
+    # 10! automorphisms take millions of expansions to list
+    assert _automorphisms(LabeledGraph.build(10, [])) == [list(range(10))]
