@@ -5,11 +5,15 @@ dynamic programming over elimination orderings (cap 12 vertices), pruned
 by the width of a greedy least-degree elimination and still exact,
 clique-width by breadth-first search over canonical labeled partial
 constructions (cap 8 by default; grid(3,3) at cap 10 and grid(3,4) at
-cap 12 fit the default budget).  The clique-width budget counts the
-groupings of union steps the search closes: each one it completes and
-each one it cuts short.  Each returns a certificate — a tree
-decomposition or a k-expression — that the companion verifier checks
-independently.
+cap 12 fit the default budget).  Each state of that search keeps one
+summary per block (the OR and the AND of its vertices' adjacency rows),
+so a union step reads blocks, never vertices, and returns all its
+groupings in one call.  The clique-width budget counts the groupings of
+union steps the search closes: each one it completes and each one it
+cuts short.  Each returns a certificate — a tree decomposition or a
+k-expression — that the companion verifier checks independently; the
+verifiers reject bag vertices outside the graph, expression nodes with
+the wrong number of fields, and labels that are not ints.
 
 A constructive decomposition extension is included: subdividing every
 edge into a path of length t raises treewidth to at most max(k, 3),
@@ -20,6 +24,7 @@ path off a bag containing both original endpoints.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
@@ -65,6 +70,8 @@ class TreeDecomposition:
         bs = tuple(frozenset(b) for b in bags)
         te = frozenset((min(a, b), max(a, b)) for (a, b) in tree_edges)
         for (a, b) in te:
+            if a == b:
+                raise WidthError(f"tree edge ({a},{b}) is a loop")
             if not (0 <= a < b < len(bs)):
                 raise WidthError(f"tree edge ({a},{b}) out of node range")
         return TreeDecomposition(bs, te)
@@ -120,6 +127,10 @@ def decomposition_violation(G: LabeledGraph,
                 stack.append(y)
     if len(seen) != m:
         return "tree edges do not connect all bag nodes"
+    for i, b in enumerate(td.bags):
+        for v in sorted(b):
+            if not 0 <= v < G.n:
+                return f"bag {i} holds {v}, which is not a vertex of G"
     # vertex coverage
     covered: set[int] = set()
     for b in td.bags:
@@ -307,6 +318,10 @@ def extend_decomposition_for_subdivision(G: LabeledGraph,
 # k-expressions
 # ---------------------------------------------------------------------------
 
+# the fields after the op of each kind of expression node
+_FIELDS = {"leaf": 1, "union": 2, "join": 3, "relabel": 3}
+
+
 @dataclass(frozen=True)
 class KExpression:
     """An expression over: ("leaf", label), ("union", a, b),
@@ -347,6 +362,13 @@ class KExpression:
             if not (isinstance(node, tuple) and node):
                 raise WidthError(f"malformed expression node: {node!r}")
             op = node[0]
+            if not isinstance(op, str) or op not in _FIELDS:
+                raise WidthError(
+                    f"unknown expression op {reprlib.repr(op)}")
+            if len(node) != 1 + _FIELDS[op]:
+                raise WidthError(
+                    f"malformed expression node {reprlib.repr(node)}: "
+                    f"a {op} node has {1 + _FIELDS[op]} entries")
             if op == "leaf":
                 _, lbl = node
                 self._check_label(lbl)
@@ -362,12 +384,10 @@ class KExpression:
                 if op == "join" and i == j:
                     raise WidthError("join requires two distinct labels")
                 todo += [(node, True), (sub, False)]
-            else:
-                raise WidthError(f"unknown expression op {op!r}")
         return LabeledGraph.build(len(labels), edges), labels
 
     def _check_label(self, lbl) -> None:
-        if not (isinstance(lbl, int) and 1 <= lbl <= self.k):
+        if not (type(lbl) is int and 1 <= lbl <= self.k):
             raise WidthError(f"label {lbl!r} outside 1..{self.k}")
 
     def to_json(self) -> str:
@@ -438,52 +458,60 @@ def verify_k_expression(G: LabeledGraph, e: KExpression) -> bool:
 # States are canonical up to label renaming (a partition, not a
 # labeling), which is the orbit quotient that keeps 8-12 vertices
 # tractable; correctness does not depend on it, only the state count.
-# A union step places the blocks of two states into groups and cuts a
-# placement at its first incomplete join; the budget counts every
-# grouping so closed, complete or cut: grid(3,3) at cap 10 closes
-# 21,901 (19,891 of them cut), grid(3,4) at cap 12 closes 1,031,073.
+# Each state keeps one summary per block, computed once when the state
+# is first reached: the block, the OR of its vertices' adjacency rows
+# and their AND.  By the second fact the OR, cut to any set outside S,
+# is the neighbourhood there of every vertex of the block, so a union
+# step reads blocks, never vertices.  It places the blocks of two states
+# into groups and cuts a placement at its first incomplete join; the
+# budget counts every grouping so closed, complete or cut: grid(3,3) at
+# cap 10 closes 21,901 (19,891 of them cut), grid(3,4) at cap 12 closes
+# 1,031,073.
 
-def _unions(adj: list[int], blocksA: tuple[int, ...], mA: int,
-            blocksB: tuple[int, ...], mB: int, outside: int, k: int):
-    """Every grouping of the blocks of two disjoint states into at most k
-    classes that leaves a live state, with the joins the union needs.
-
-    Blocks are placed one at a time.  A block joins a group only if it
-    has the group's neighbourhood outside the union (class-mates agree
-    there, so each block has one such signature) and no edge to the
-    group's part from the other state (an edge inside a class can never
-    be added).  Each group keeps its neighbours in the other state and
-    its common neighbourhood, and a placement is cut as soon as two
-    groups have a crossing edge but are not complete to each other: the
-    join they need would add non-edges, and adding blocks only adds
-    crossing edges and removes common neighbours.  Each complete
-    grouping yields (groups, joins), the group index pairs whose join
-    adds the crossing edges, in depth-first order; each cut yields None,
-    so that the caller can count every grouping the search closes.
-    """
-    # (block, signature, neighbours in the other state, common neighbours)
-    blocks = []
-    for b, other in [(b, mB) for b in blocksA] + [(b, mA) for b in blocksB]:
+def _summaries(adj: list[int], blocks: tuple[int, ...]
+               ) -> tuple[tuple[int, int, int], ...]:
+    """(block, OR of its vertices' adjacency rows, AND of them) for each
+    block."""
+    out = []
+    for b in blocks:
         near, common, m = 0, -1, b
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             near |= adj[v]
             common &= adj[v]
-        blocks.append((b, adj[v] & outside, near & other, common))
+        out.append((b, near, common))
+    return tuple(out)
+
+
+def _unions(summA: tuple, mA: int, summB: tuple, mB: int, outside: int,
+            k: int) -> tuple[list[tuple[tuple[int, ...], list]], int]:
+    """Every grouping of the blocks of two disjoint states into at most k
+    classes that leaves a live state, with the joins the union needs,
+    and the number of placements cut on the way.
+
+    The states come as their block summaries.  Blocks are placed one at
+    a time.  A block joins a group only if it has the group's
+    neighbourhood outside the union (its signature, the OR cut to
+    ``outside``) and no edge to the group's part from the other state
+    (an edge inside a class can never be added).  Each group keeps its
+    neighbours in the other state and its common neighbourhood, and a
+    placement is cut as soon as two groups have a crossing edge but are
+    not complete to each other: the join they need would add non-edges,
+    and adding blocks only adds crossing edges and removes common
+    neighbours.  The complete groupings come as (groups, joins), the
+    group index pairs whose join adds the crossing edges, in depth-first
+    order.
+    """
+    # (block, signature, neighbours in the other state, common neighbours)
+    blocks = [(b, near & outside, near & mB, com) for b, near, com in summA]
+    blocks += [(b, near & outside, near & mA, com) for b, near, com in summB]
     groups: list[int] = []
-    sigs: list[int] = []
-    cross: list[int] = []  # each group's neighbours in the other state
-    common: list[int] = []  # each group's common neighbourhood
-
-    def incomplete(g: int) -> bool:
-        # some join with group g is needed but would add a non-edge
-        cg, kg = cross[g], common[g]
-        for h, gh in enumerate(groups):
-            if h != g and cg & gh and kg & gh != gh:
-                return True
-        return False
-
+    # per group index below len(groups): its signature, its neighbours in
+    # the other state and its common neighbourhood
+    sigs, cross, common = [0] * k, [0] * k, [0] * k
+    done = []
+    cuts = 0
     # Depth-first without recursion: at[i] is the group block i is in (-1
     # before its first try) and undo[i] what that group held before it,
     # None when block i opened the group.
@@ -493,42 +521,48 @@ def _unions(adj: list[int], blocksA: tuple[int, ...], mA: int,
     i = 0
     while i >= 0:
         if i == last:
-            yield tuple(groups), [(ia, ib) for ia, ib
-                                  in combinations(range(len(groups)), 2)
-                                  if cross[ia] & groups[ib]]
+            done.append((tuple(groups),
+                         [(ia, ib) for ia, ib
+                          in combinations(range(len(groups)), 2)
+                          if cross[ia] & groups[ib]]))
             i -= 1
             continue
         b, sig, near, com = blocks[i]
         g = at[i]
         if g >= 0:  # take block i out of its group
             if undo[i] is None:
-                for stack in (groups, sigs, cross, common):
-                    stack.pop()
+                groups.pop()
             else:
                 groups[g], cross[g], common[g] = undo[i]
         g += 1  # the next group block i may join, else a new one
-        while g < len(groups) and (sigs[g] != sig or near & groups[g]):
+        ng = len(groups)
+        while g < ng and (sigs[g] != sig or near & groups[g]):
             g += 1
-        if g < len(groups):
+        if g < ng:
             undo[i] = groups[g], cross[g], common[g]
             groups[g] |= b
-            cross[g] |= near
-            common[g] &= com
-        elif g == len(groups) < k:
+            cg = cross[g] = cross[g] | near
+            kg = common[g] = common[g] & com
+        elif g == ng < k:
             undo[i] = None
             groups.append(b)
-            sigs.append(sig)
-            cross.append(near)
-            common.append(com)
+            sigs[g] = sig
+            cg = cross[g] = near
+            kg = common[g] = com
         else:  # no placement left: back to block i - 1
             at[i] = -1
             i -= 1
             continue
         at[i] = g
-        if incomplete(g):
-            yield None
+        # cut when a join with group g is needed but would add a non-edge;
+        # g itself never meets its own cross neighbours
+        for gh in groups:
+            if cg & gh and kg & gh != gh:
+                cuts += 1
+                break
         else:
             i += 1
+    return done, cuts
 
 
 def cliquewidth_exact(G: LabeledGraph, cap: int = 8,
@@ -555,38 +589,38 @@ def cliquewidth_exact(G: LabeledGraph, cap: int = 8,
     for k in range(1, n + 1):
         # state: (mask, tuple-sorted block masks) -> provenance
         prov: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        frontier_by_size: list[list[tuple[int, tuple[int, ...]]]] = \
-            [[] for _ in range(n + 1)]
+        # the states of each size, in the order found, with their summaries
+        frontier_by_size: list[list[tuple[tuple[int, tuple[int, ...]],
+                                          tuple]]] = [[] for _ in range(n + 1)]
         goal = None
         for v in range(n):
             st = (1 << v, (1 << v,))
             prov[st] = ("leaf", v)
-            frontier_by_size[1].append(st)
+            frontier_by_size[1].append((st, _summaries(adj, st[1])))
             if st[0] == full:
                 goal = st
         for size in range(2, n + 1):
             for s1 in range(1, size // 2 + 1):
                 s2 = size - s1
-                for stA in frontier_by_size[s1]:
-                    for stB in frontier_by_size[s2]:
-                        mA, blocksA = stA
-                        mB, blocksB = stB
+                for stA, summA in frontier_by_size[s1]:
+                    mA = stA[0]
+                    for stB, summB in frontier_by_size[s2]:
+                        mB = stB[0]
                         if mA & mB or (s1 == s2 and mA > mB):
                             continue
                         mask = mA | mB
-                        for union in _unions(adj, blocksA, mA, blocksB, mB,
-                                             full & ~mask, k):
-                            spent += 1
-                            if spent > budget:
-                                raise BudgetExhausted(budget)
-                            if union is None:
-                                continue
-                            Q, joins = union
+                        done, cuts = _unions(summA, mA, summB, mB,
+                                             full & ~mask, k)
+                        spent += len(done) + cuts
+                        if spent > budget:
+                            raise BudgetExhausted(budget)
+                        for Q, joins in done:
                             st = (mask, tuple(sorted(Q)))
                             if st in prov:
                                 continue
                             prov[st] = ("union", stA, stB, Q, joins)
-                            frontier_by_size[size].append(st)
+                            frontier_by_size[size].append(
+                                (st, _summaries(adj, st[1])))
                             if mask == full and goal is None:
                                 goal = st
             if goal is not None:

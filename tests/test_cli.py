@@ -213,6 +213,40 @@ def test_malformed_certificates_are_usage_errors(tmp_path, capsys):
         assert code == 2 and err.startswith("error:"), text
 
 
+def test_certificates_with_bad_nodes_or_labels_are_usage_errors(tmp_path,
+                                                                 capsys):
+    g = tmp_path / "k1.json"
+    g.write_text(LabeledGraph.build(1, []).to_json())
+    cert = tmp_path / "cert.json"
+    for root, want in (('["union", ["leaf", 1]]', "('union', ('leaf', 1))"),
+                       ('["join", 1, 2]', "('join', 1, 2)"),
+                       ('["leaf", true]', "label True")):
+        cert.write_text('{"type": "k-expression", "k": 2, "root": %s}' % root)
+        code, out, err = run(capsys, "width", str(g), "--measure", "cwd",
+                             "--certify", str(cert))
+        assert code == 2 and out == "" and err.startswith("error:"), root
+        assert want in err and "unpack" not in err, err
+
+
+def test_decomposition_with_a_vertex_outside_the_graph_is_invalid(tmp_path,
+                                                                  capsys):
+    g = tmp_path / "p2.json"
+    g.write_text(grid(1, 2).to_json())
+    cert = tmp_path / "td.json"
+    cert.write_text('{"type": "tree-decomposition", "bags": [[0, 1, 7, -3]], '
+                    '"tree_edges": []}')
+    code, out, _ = run(capsys, "width", str(g), "--measure", "twd",
+                       "--certify", str(cert))
+    assert code == 1
+    assert json.loads(out) == {"measure": "twd", "certificate": "invalid",
+                               "width": 3}
+    cert.write_text('{"type": "tree-decomposition", "bags": [[0, 1]], '
+                    '"tree_edges": [[0, 0]]}')
+    code, out, err = run(capsys, "width", str(g), "--measure", "twd",
+                         "--certify", str(cert))
+    assert code == 2 and out == "" and "is a loop" in err
+
+
 def test_deep_certificates_are_checked_or_rejected(tmp_path, capsys):
     g = tmp_path / "k1.json"
     g.write_text(LabeledGraph.build(1, []).to_json())

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -39,6 +40,23 @@ def test_violations_are_reported():
     td2 = TreeDecomposition.build([{0, 1}, {2}, {1, 2, 3}],
                                   [(0, 1), (1, 2)])
     assert "disconnected" in (decomposition_violation(PATH4, td2) or "")
+
+
+def test_bag_vertices_outside_the_graph_are_violations():
+    td = TreeDecomposition.build([[0, 1, 7, -3]], [])
+    assert decomposition_violation(grid(1, 2), td) == (
+        "bag 0 holds -3, which is not a vertex of G")
+    td = TreeDecomposition.build([{0, 1}, {1, 2}], [(0, 1)])
+    assert decomposition_violation(grid(1, 2), td) == (
+        "bag 1 holds 2, which is not a vertex of G")
+    assert not verify_tree_decomposition(grid(1, 2), td)
+
+
+def test_loop_tree_edges_are_called_loops():
+    with pytest.raises(WidthError, match=r"tree edge \(0,0\) is a loop"):
+        TreeDecomposition.build([{0, 1}], [(0, 0)])
+    with pytest.raises(WidthError, match="out of node range"):
+        TreeDecomposition.build([{0, 1}], [(0, 1)])
 
 
 def test_treewidth_known_values():
@@ -96,6 +114,33 @@ def test_kexpression_malformed():
         KExpression(2, ("join", 1, 1, ("leaf", 1))).evaluate()
     with pytest.raises(WidthError):
         KExpression(2, ("leaf", 3)).evaluate()
+
+
+def test_kexpression_nodes_need_their_number_of_fields():
+    for root, node in ((["union", ["leaf", 1]], "('union', ('leaf', 1))"),
+                       (["join", 1, 2], "('join', 1, 2)"),
+                       (["leaf"], "('leaf',)"),
+                       (["relabel", 1, 2, ["leaf", 1], 3],
+                        "('relabel', 1, 2, ('leaf', 1), 3)")):
+        e = KExpression.from_json(json.dumps(
+            {"type": "k-expression", "k": 2, "root": root}))
+        with pytest.raises(WidthError) as exc:
+            e.evaluate()
+        assert node in str(exc.value), str(exc.value)
+
+
+def test_kexpression_labels_are_ints():
+    for label in (True, 1.0, "1"):
+        with pytest.raises(WidthError, match="label"):
+            KExpression(2, ("leaf", label)).evaluate()
+        with pytest.raises(WidthError, match="label"):
+            KExpression(2, ("relabel", label, 2, ("leaf", 1))).evaluate()
+    K1 = LabeledGraph.build(1, [])
+    assert verify_k_expression(K1, KExpression(2, ("leaf", 1)))
+    e = KExpression.from_json('{"type": "k-expression", "k": 1, '
+                              '"root": ["leaf", true]}')
+    with pytest.raises(WidthError, match="label True"):
+        verify_k_expression(K1, e)
 
 
 def test_cliquewidth_known_values():
@@ -170,11 +215,83 @@ def _unions_brute(adj, blocksA, mA, blocksB, mB, outside, k):
     return out
 
 
-def test_unions_match_uncut_enumeration(monkeypatch):
+def _unions_generator(adj, blocksA, mA, blocksB, mB, outside, k):
+    """The union step as a generator that reads the blocks vertex by
+    vertex: each complete grouping yields (groups, joins) and each cut
+    yields None.  The oracle for ``widths._unions``."""
+    blocks = []
+    for b, other in [(b, mB) for b in blocksA] + [(b, mA) for b in blocksB]:
+        near, common, m = 0, -1, b
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            near |= adj[v]
+            common &= adj[v]
+        blocks.append((b, adj[v] & outside, near & other, common))
+    groups: list[int] = []
+    sigs: list[int] = []
+    cross: list[int] = []
+    common: list[int] = []
+
+    def incomplete(g: int) -> bool:
+        cg, kg = cross[g], common[g]
+        for h, gh in enumerate(groups):
+            if h != g and cg & gh and kg & gh != gh:
+                return True
+        return False
+
+    last = len(blocks)
+    at = [-1] * last
+    undo: list = [None] * last
+    i = 0
+    while i >= 0:
+        if i == last:
+            yield tuple(groups), [(ia, ib) for ia, ib
+                                  in itertools.combinations(
+                                      range(len(groups)), 2)
+                                  if cross[ia] & groups[ib]]
+            i -= 1
+            continue
+        b, sig, near, com = blocks[i]
+        g = at[i]
+        if g >= 0:
+            if undo[i] is None:
+                for stack in (groups, sigs, cross, common):
+                    stack.pop()
+            else:
+                groups[g], cross[g], common[g] = undo[i]
+        g += 1
+        while g < len(groups) and (sigs[g] != sig or near & groups[g]):
+            g += 1
+        if g < len(groups):
+            undo[i] = groups[g], cross[g], common[g]
+            groups[g] |= b
+            cross[g] |= near
+            common[g] &= com
+        elif g == len(groups) < k:
+            undo[i] = None
+            groups.append(b)
+            sigs.append(sig)
+            cross.append(near)
+            common.append(com)
+        else:
+            at[i] = -1
+            i -= 1
+            continue
+        at[i] = g
+        if incomplete(g):
+            yield None
+        else:
+            i += 1
+
+
+def _recorded_unions(monkeypatch):
+    """A sample of the union steps of seeded searches, each as (adj,
+    summA, mA, summB, mB, outside)."""
     calls = []
 
     def recording(*args):
-        calls.append(args)
+        calls.append(args[:-1])
         return unions(*args)
 
     unions = widths._unions
@@ -183,15 +300,66 @@ def test_unions_match_uncut_enumeration(monkeypatch):
     pairs = []
     for _ in range(12):
         calls.clear()
-        cliquewidth_exact(_random_graph(rng, rng.randrange(3, 8),
-                                        rng.choice((0.3, 0.5, 0.7))))
-        pairs += rng.sample(calls, min(len(calls), 25))
+        G = _random_graph(rng, rng.randrange(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        cliquewidth_exact(G)
+        adj = G.adjacency_masks()
+        pairs += [(adj, *c) for c in rng.sample(calls, min(len(calls), 25))]
+    monkeypatch.undo()
     assert len(pairs) > 200
-    for adj, blocksA, mA, blocksB, mB, outside, _ in pairs:
+    return pairs
+
+
+def _blocks(summaries):
+    return tuple(b for b, _, _ in summaries)
+
+
+def test_unions_match_uncut_enumeration(monkeypatch):
+    for adj, summA, mA, summB, mB, outside in _recorded_unions(monkeypatch):
+        blocksA, blocksB = _blocks(summA), _blocks(summB)
         for k in range(1, 5):
             args = (adj, blocksA, mA, blocksB, mB, outside, k)
-            got = [u for u in unions(*args) if u is not None]
+            got = widths._unions(summA, mA, summB, mB, outside, k)[0]
             assert got == _unions_brute(*args), args
+
+
+def test_unions_match_the_generator(monkeypatch):
+    for adj, summA, mA, summB, mB, outside in _recorded_unions(monkeypatch):
+        blocksA, blocksB = _blocks(summA), _blocks(summB)
+        for k in range(1, 5):
+            old = list(_unions_generator(adj, blocksA, mA, blocksB, mB,
+                                         outside, k))
+            done, cuts = widths._unions(summA, mA, summB, mB, outside, k)
+            assert done == [u for u in old if u is not None]
+            assert cuts == old.count(None)
+
+
+def test_block_summaries_hold_for_every_vertex(monkeypatch):
+    # class-mates agree outside their state, so the OR of a block's rows,
+    # cut to the vertices outside the state, is every vertex's row there
+    for adj, summA, mA, summB, mB, outside in _recorded_unions(monkeypatch):
+        for summ, m in ((summA, mA), (summB, mB)):
+            assert summ == widths._summaries(adj, _blocks(summ))
+            for b, near, _ in summ:
+                for v in range(len(adj)):
+                    if b >> v & 1:
+                        assert adj[v] & ~m == near & ~m
+    assert widths._summaries([0b10, 0b101, 0b10], (0b1, 0b101)) == (
+        (0b1, 0b10, 0b10), (0b101, 0b10, 0b10))
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for t in texts:
+        h.update(t.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_cliquewidth_expressions_are_pinned():
+    # sha256 of to_json(), as the search with per-vertex union steps wrote it
+    assert _digest([cliquewidth_exact(grid(2, 4))[1].to_json()]) == (
+        "8d6a1eccf92cfe02902e2f30b64d4ef759b18f095f93f47aa1339a99f802ab19")
+    assert _digest([cliquewidth_exact(grid(3, 3), cap=10)[1].to_json()]) == (
+        "a7a700abfeede42cd521ef48eb9e9dc70b9cd628540ee02a7ecb6eaa261d70fd")
 
 
 def test_monotone_under_induced_subgraphs():
@@ -329,6 +497,20 @@ def test_atlas_cw_at_most_2_iff_p4_free(atlas_widths):
 def test_atlas_certificates_verify(atlas_widths):
     for G, cw, e, _ in atlas_widths:
         assert e.k == cw and verify_k_expression(G, e), sorted(G.edges)
+
+
+def test_atlas_expressions_are_pinned(atlas_widths):
+    # sha256 of to_json() for every atlas graph with 1-7 vertices, in
+    # atlas order, as the search with per-vertex union steps wrote them
+    nx = pytest.importorskip("networkx")
+    texts = [e.to_json() for _, _, e, _ in atlas_widths]
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() == 7:
+            G = LabeledGraph.build(7, list(g.edges()))
+            texts.append(cliquewidth_exact(G)[1].to_json())
+    assert len(texts) == 1252
+    assert _digest(texts) == (
+        "f4c93a594b6f0ae1ac8fab9e032271463dec3f12af7723db0e83b14451a9fa51")
 
 
 def test_atlas_cw_within_corneil_rotics_bound(atlas_widths):
