@@ -9,6 +9,7 @@ search budget was hit (the answer is unknown, not wrong).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -309,6 +310,11 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _default(fn, name: str):
+    """The default of a keyword of fn, for help texts."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="msograph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -356,8 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--exact", action="store_true", default=True)
     w.add_argument("--certify", help="verify this certificate file instead")
     w.add_argument("--cert-out", help="write the witness certificate here")
-    w.add_argument("--cap", type=int)
-    w.add_argument("--budget", type=int)
+    w.add_argument("--cap", type=int,
+                   help=f"vertex cap (default: twd "
+                        f"{_default(treewidth_exact, 'cap')}, cwd "
+                        f"{_default(cliquewidth_exact, 'cap')})")
+    w.add_argument("--budget", type=int,
+                   help=f"cwd only: union groupings the search may close "
+                        f"(default: "
+                        f"{_default(cliquewidth_exact, 'budget'):,})")
     w.set_defaults(fn=cmd_width)
 
     v = sub.add_parser("verify", help="run a named verification suite")

@@ -314,8 +314,9 @@ def suite_widths(seed: int = 2026) -> VerificationReport:
     K1 = LabeledGraph.build(1, [])
     K3 = LabeledGraph.build(3, [(0, 1), (0, 2), (1, 2)])
     C5 = LabeledGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    for G, w, nm in [(tree7, 1, "tree"), (K4, 3, "K4"), (grid(3, 3), 3,
-                                                         "grid33")]:
+    for G, w, nm in [(tree7, 1, "tree"), (K4, 3, "K4"),
+                     (grid(3, 3), 3, "grid33"), (grid(4, 4), 4, "grid44"),
+                     (grid(4, 5), 4, "grid45")]:
         got, td = treewidth_exact(G)
         rep.check(f"twd-{nm}", {}, w, got)
         rep.check(f"twd-cert-{nm}", {}, True,

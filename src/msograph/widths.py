@@ -1,8 +1,8 @@
 """Exact treewidth and clique-width oracles with verifiable certificates.
 
 Both oracles are exhaustive and intended for small graphs: treewidth by
-dynamic programming over elimination orderings (cap 12 vertices), pruned
-by the width of a greedy least-degree elimination and still exact,
+a search over elimination prefixes for each width k, from the degeneracy
+up to the width of a greedy least-degree elimination (cap 20 vertices),
 clique-width by breadth-first search over canonical labeled partial
 constructions (cap 8 by default; grid(3,3) at cap 10 and grid(3,4) at
 cap 12 fit the default budget).  Each state of that search keeps one
@@ -163,113 +163,112 @@ def verify_tree_decomposition(G: LabeledGraph, td: TreeDecomposition) -> bool:
     return decomposition_violation(G, td) is None
 
 
-def _reach(adj: list[int], v: int, through: int) -> int:
-    """Bitmask of vertices outside ``through`` reachable from v by paths
-    whose interior lies inside ``through`` (v excluded from the result)."""
-    seen = (1 << v)
-    frontier = adj[v]
-    out = 0
-    while frontier:
-        w = (frontier & -frontier).bit_length() - 1
-        bit = 1 << w
-        frontier &= ~bit
-        if seen & bit:
-            continue
-        seen |= bit
-        if through & bit:
-            frontier |= adj[w] & ~seen
-        else:
-            out |= bit
-    return out
+def _eliminate(elim: list[int], v: int) -> None:
+    """Eliminate v from the elimination graph ``elim`` in place: its
+    neighbours become a clique and lose v.  Each row then holds what its
+    vertex reaches through the vertices eliminated so far."""
+    nb = elim[v]
+    for w in bits(nb):
+        elim[w] = (elim[w] | nb) & ~(1 << v | 1 << w)
 
 
-def _elimination_bound(adj: list[int]) -> int:
-    """The width of the greedy elimination order that always eliminates a
-    vertex of least degree (the lowest on ties): an upper bound on the
-    treewidth."""
+def _elimination_bound(adj: list[int], fill: bool = True
+                       ) -> tuple[int, list[int]]:
+    """Remove a vertex of least degree, the lowest on ties, until none is
+    left, and return the largest degree met with the order.  With
+    ``fill`` each removal is an elimination, and the largest degree is
+    the width of a greedy elimination, an upper bound on the treewidth.
+    Without, it is the degeneracy, a lower bound (Bodlaender & Koster,
+    "Treewidth computations II. Lower bounds", 2011)."""
     adj = list(adj)
     left = (1 << len(adj)) - 1
-    bound = 0
+    width, order = 0, []
     while left:
         v = min(bits(left), key=lambda u: (adj[u] & left).bit_count())
         left &= ~(1 << v)
-        nb = adj[v] & left
-        bound = max(bound, nb.bit_count())
-        for w in bits(nb):
-            adj[w] |= nb & ~(1 << w)
-    return bound
+        width = max(width, (adj[v] & left).bit_count())
+        order.append(v)
+        if fill:
+            _eliminate(adj, v)
+    return width, order
+
+
+def _prefixes_within(adj: list[int], k: int) -> dict[int, int]:
+    """The elimination prefixes reached by eliminating only vertices with
+    at most k neighbours, each with the vertex eliminated last in it (-1
+    for the empty prefix).  Depth-first, each prefix reached once, as a
+    vertex's neighbours depend on the set eliminated before it, not on
+    its order.  The search stops at the full mask, so a result without
+    it is exhaustive."""
+    full = (1 << len(adj)) - 1
+    last = {0: -1}
+    # a prefix, the elimination graph before its last vertex u, and u
+    stack = [(0, adj, -1)]
+    while stack:
+        prefix, elim, u = stack.pop()
+        if prefix == full:
+            break
+        if u >= 0:
+            elim = list(elim)
+            _eliminate(elim, u)
+        for v in bits(full & ~prefix):
+            nxt = prefix | 1 << v
+            if nxt not in last and elim[v].bit_count() <= k:
+                last[nxt] = v
+                stack.append((nxt, elim, v))
+    return last
 
 
 def _order_decomposition(adj: list[int], order: list[int]
                          ) -> TreeDecomposition:
     """The decomposition of an elimination order: bag i holds order[i]
-    and its neighbours once the earlier vertices are eliminated, and is
-    joined to the bag of the first of those neighbours in the order, or
-    to bag i + 1 when it has none."""
+    and its neighbours when it is eliminated, and is joined to the bag
+    of the first of those neighbours in the order, or to bag i + 1 when
+    it has none."""
     pos = {v: i for i, v in enumerate(order)}
     bags, tree_edges = [], []
-    prefix = 0
+    elim = list(adj)
     for i, v in enumerate(order):
-        r = _reach(adj, v, prefix)
-        prefix |= 1 << v
-        bags.append(frozenset({v, *bits(r)}))
-        if r:
-            tree_edges.append((i, min(pos[w] for w in bits(r))))
+        nb = elim[v]
+        _eliminate(elim, v)
+        bags.append(frozenset({v, *bits(nb)}))
+        if nb:
+            tree_edges.append((i, min(pos[w] for w in bits(nb))))
         elif i + 1 < len(order):
             tree_edges.append((i, i + 1))
     return TreeDecomposition.build(bags, tree_edges)
 
 
-def treewidth_exact(G: LabeledGraph, cap: int = 12
+def treewidth_exact(G: LabeledGraph, cap: int = 20
                     ) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witnessing decomposition.
 
-    Dynamic programming over elimination prefixes: eliminating a vertex
-    costs the size of its neighborhood in the graph with the prefix
-    contracted away, and the treewidth is the min-max cost over orders.
-    A greedy least-degree elimination bounds it from above (Bodlaender et
-    al., "On exact algorithms for treewidth", 2012): a prefix costs at
-    most one more than the bound, and a vertex whose prefix costs as much
-    as the best choice so far is not tried.  No subset is wider than the
-    whole graph, so the prefixes of a best order keep their exact values
-    and choices: the lowest of the cheapest vertices, as unpruned.
+    The treewidth is the least over elimination orders of the most
+    neighbours a vertex has when it is eliminated.  It is at least the
+    degeneracy, as a subgraph's treewidth is at least its least degree,
+    and at most the width of a greedy elimination.  For each k from the
+    degeneracy up, a search over elimination prefixes looks for an order
+    within k; the first k that has one is the treewidth, the search at
+    k - 1 having failed exhaustively.  Else the greedy order is the
+    witness.  The decomposition is that of the order found.  The cap is
+    the only limit; at 20 vertices the slowest graphs measured are
+    sparse, such as random 3-regular ones.
     """
     if G.n > cap:
         raise SizeCapExceeded(f"treewidth cap is {cap} vertices, got {G.n}")
-    n = G.n
-    if n == 0:
+    if G.n == 0:
         return -1, TreeDecomposition((), frozenset())
     adj = G.adjacency_masks()
-    full = (1 << n) - 1
-    over = _elimination_bound(adj) + 1
-    tw = [over] * (full + 1)
-    tw[0] = -1
-    pick = [0] * (full + 1)
-    # every subset of a mask is a smaller number, so it comes first
-    for mask in range(1, full + 1):
-        best = over
-        best_v = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = mask & ~(1 << v)
-            if tw[rest] >= best:
-                continue
-            cost = max(tw[rest], _reach(adj, v, rest).bit_count())
-            if cost < best:
-                best, best_v = cost, v
-        tw[mask] = best
-        pick[mask] = best_v
-    width = tw[full]
-    # recover the elimination order (pick[mask] is eliminated last in mask)
-    order: list[int] = []
-    mask = full
-    while mask:
-        v = pick[mask]
-        order.append(v)
-        mask &= ~(1 << v)
-    order.reverse()
+    width, order = _elimination_bound(adj)
+    for k in range(_elimination_bound(adj, fill=False)[0], width):
+        last = _prefixes_within(adj, k)
+        mask = (1 << G.n) - 1
+        if mask in last:
+            width, order = k, []
+            while mask:
+                order.insert(0, last[mask])
+                mask &= ~(1 << order[0])
+            break
     td = _order_decomposition(adj, order)
     bad = decomposition_violation(G, td)
     if bad is not None:

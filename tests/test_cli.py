@@ -283,6 +283,32 @@ def test_width_cap_is_exit_3(tmp_path, capsys):
     run(capsys, "gen", "--family", "power", "--n", "12", "-o", str(g))
     code, _, err = run(capsys, "width", str(g), "--measure", "cwd")
     assert code == 3 and "cap" in err
+    g.write_text(grid(3, 7).to_json())
+    code, _, err = run(capsys, "width", str(g), "--measure", "twd")
+    assert code == 3 and "cap is 20 vertices, got 21" in err
+
+
+def test_width_grid45_treewidth_at_the_default_cap(tmp_path, capsys):
+    g = tmp_path / "g45.json"
+    g.write_text(grid(4, 5).to_json())
+    cert = tmp_path / "td.json"
+    code, out, _ = run(capsys, "width", str(g), "--measure", "twd",
+                       "--cert-out", str(cert))
+    assert code == 0 and json.loads(out) == {"measure": "twd", "value": 4}
+    code, out, _ = run(capsys, "width", str(g), "--measure", "twd",
+                       "--certify", str(cert))
+    assert code == 0 and json.loads(out) == {"measure": "twd",
+                                             "certificate": "valid",
+                                             "width": 4}
+
+
+def test_width_help_states_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["width", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "vertex cap (default: twd 20, cwd 8)" in out
+    assert "cwd only: union groupings the search may close " \
+        "(default: 2,000,000)" in out
 
 
 def test_width_zero_cap_or_budget_is_exit_3(tmp_path, capsys):

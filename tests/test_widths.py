@@ -75,7 +75,7 @@ def test_treewidth_witness_matches():
 
 def test_treewidth_cap():
     with pytest.raises(SizeCapExceeded):
-        treewidth_exact(grid(4, 4))
+        treewidth_exact(grid(3, 7))
 
 
 def test_subdivision_extension():
@@ -531,56 +531,106 @@ def test_treewidth_matches_brute_force_and_forests():
     assert 0 < forests < 24
 
 
-def _unpruned_treewidth(G):
+def _reach(adj, v, through):
+    """The vertices outside ``through`` that v reaches by paths whose
+    interior lies inside ``through``: its neighbours once ``through`` is
+    eliminated, found without an elimination graph."""
+    seen, frontier, out = 1 << v, adj[v], 0
+    while frontier:
+        w = (frontier & -frontier).bit_length() - 1
+        bit = 1 << w
+        frontier &= ~bit
+        if seen & bit:
+            continue
+        seen |= bit
+        if through & bit:
+            frontier |= adj[w] & ~seen
+        else:
+            out |= bit
+    return out
+
+
+def _unpruned_table(G):
     """The treewidth recurrence with no bound, every vertex of every
-    prefix tried: the width and the decomposition of the order it
-    picks, the lowest vertex among the cheapest at each step."""
+    prefix tried: for each prefix, the least over its orders of the
+    most neighbours a vertex has when it is eliminated (-1 when empty)."""
     n = G.n
     adj = G.adjacency_masks()
     full = (1 << n) - 1
-    INF = n + 1
-    tw = [INF] * (full + 1)
+    tw = [n + 1] * (full + 1)
     tw[0] = -1
-    pick = [0] * (full + 1)
-    masks_by_size = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-    for size in range(1, n + 1):
-        for mask in masks_by_size[size]:
-            best, best_v = INF, -1
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                rest = mask & ~(1 << v)
-                cost = max(tw[rest], widths._reach(adj, v, rest).bit_count())
-                if cost < best:
-                    best, best_v = cost, v
-            tw[mask] = best
-            pick[mask] = best_v
-    order, mask = [], full
-    while mask:
-        order.append(pick[mask])
-        mask &= ~(1 << pick[mask])
-    return tw[full], widths._order_decomposition(adj, order[::-1])
+    # every subset of a mask is a smaller number, so it comes first
+    for mask in range(1, full + 1):
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            rest = mask & ~(1 << v)
+            tw[mask] = min(tw[mask],
+                           max(tw[rest], _reach(adj, v, rest).bit_count()))
+    return tw
 
 
 def _pruning_corpus():
     rng = random.Random(1012)
-    graphs = [_random_graph(rng, rng.randrange(1, 11),
+    graphs = [_random_graph(rng, rng.randrange(1, 13),
                             rng.choice((0.15, 0.3, 0.5, 0.7)))
-              for _ in range(200)]
+              for _ in range(300)]
     return graphs + [grid(3, 4), grid(2, 6)]
 
 
-def test_pruned_treewidth_matches_the_unpruned_recurrence():
-    for G in _pruning_corpus():
-        assert treewidth_exact(G) == _unpruned_treewidth(G), sorted(G.edges)
+@pytest.fixture(scope="module")
+def unpruned_tables():
+    return [(G, _unpruned_table(G)) for G in _pruning_corpus()]
+
+
+def test_pruned_treewidth_matches_the_unpruned_recurrence(unpruned_tables):
+    # the decomposition is that of the first order the search finds, so
+    # only the widths are compared; each decomposition must verify
+    for G, table in unpruned_tables:
+        tw, td = treewidth_exact(G)
+        assert tw == table[-1], sorted(G.edges)
+        assert verify_tree_decomposition(G, td) and td.width == tw
+
+
+def test_the_search_below_the_treewidth_is_exhaustive(unpruned_tables):
+    # at k = tw - 1 the search reaches exactly the prefixes the
+    # recurrence gives at most k, never the full mask; at k = tw it
+    # reaches the full mask
+    for G, table in unpruned_tables:
+        tw, adj, full = table[-1], G.adjacency_masks(), len(table) - 1
+        assert full in widths._prefixes_within(adj, tw)
+        reached = widths._prefixes_within(adj, tw - 1)
+        assert sorted(reached) == [
+            p for p in range(full + 1) if table[p] <= tw - 1]
+        assert full not in reached
+
+
+def test_treewidth_of_grids():
+    for n in range(1, 21):
+        for m in range(1, 20 // n + 1):
+            if n * m >= 2:
+                tw, td = treewidth_exact(grid(n, m))
+                assert tw == min(n, m), (n, m)
+                assert verify_tree_decomposition(grid(n, m), td)
+                assert td.width == tw
+
+
+def test_treewidth_lies_between_degeneracy_and_greedy_bound():
+    rng = random.Random(2020)
+    for _ in range(30):
+        G = _random_graph(rng, rng.randrange(13, 21),
+                          rng.choice((0.1, 0.2, 0.3, 0.5, 0.8)))
+        adj = G.adjacency_masks()
+        tw, td = treewidth_exact(G)
+        assert widths._elimination_bound(adj, fill=False)[0] <= tw
+        assert tw <= widths._elimination_bound(adj)[0]
+        assert verify_tree_decomposition(G, td) and td.width == tw
 
 
 def test_elimination_bound_is_an_upper_bound():
     for G in _pruning_corpus():
-        bound = widths._elimination_bound(G.adjacency_masks())
+        bound = widths._elimination_bound(G.adjacency_masks())[0]
         assert bound >= treewidth_exact(G)[0], sorted(G.edges)
 
 
@@ -595,5 +645,5 @@ def test_elimination_bound_is_exact_on_paths_cycles_and_trees():
             graphs.append(LabeledGraph.build(
                 n, [(i, (i + 1) % n) for i in range(n)]))
         for G in graphs:
-            bound = widths._elimination_bound(G.adjacency_masks())
+            bound = widths._elimination_bound(G.adjacency_masks())[0]
             assert bound == treewidth_exact(G)[0], sorted(G.edges)
