@@ -24,9 +24,9 @@ from .graphs import (GraphError, LabeledGraph, SubdivisionPlan,
 from .interpret import (Interpretation, InterpretationError, Pipeline, apply,
                         builtin_complement, builtin_induced, compose_pipeline,
                         parse_interpretation)
-from .logic import (EvalError, FormulaSyntaxError, SetQuantifierCapError,
-                    is_set_var, materialize, parse_formula, parse_library,
-                    PredicateLibrary, evaluate)
+from .logic import (DEFAULT_SET_CAP, EvalError, FormulaSyntaxError,
+                    SetQuantifierCapError, is_set_var, materialize,
+                    parse_formula, parse_library, PredicateLibrary, evaluate)
 from .search import BudgetExhausted
 from .verify import SUITES, run_suite
 from .widths import (KExpression, SizeCapExceeded, TreeDecomposition,
@@ -286,7 +286,6 @@ def cmd_verify(args) -> int:
         knobs["max_n"] = args.max_n
     if args.trials is not None:
         knobs["trials"] = args.trials
-    import inspect
     fn = SUITES[args.suite]
     accepted = set(inspect.signature(fn).parameters)
     dropped = {k for k in knobs if k not in accepted}
@@ -318,6 +317,8 @@ def _default(fn, name: str):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="msograph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    set_cap_help = ("largest graph, in vertices, whose subsets a set "
+                    f"quantifier may range over (default: {DEFAULT_SET_CAP})")
 
     g = sub.add_parser("gen", help="generate a family member")
     g.add_argument("--family", required=True,
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--formula")
     e.add_argument("--pred", help="library predicate name")
     e.add_argument("--assign", help="valuation, e.g. 'x=3, Y={1,2}'")
-    e.add_argument("--set-cap", type=int, default=22)
+    e.add_argument("--set-cap", type=int, default=DEFAULT_SET_CAP,
+                   help=set_cap_help)
     e.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("apply", help="apply an interpretation")
@@ -351,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"file or builtin: {', '.join(_BUILTIN_INTERPS)}")
     a.add_argument("--pipeline", help="comma-separated interp names/files")
     a.add_argument("--params", help="set parameter values, e.g. 'O={0,1,2}'")
-    a.add_argument("--set-cap", type=int, default=22)
+    a.add_argument("--set-cap", type=int, default=DEFAULT_SET_CAP,
+                   help=set_cap_help)
     a.add_argument("-o", "--output", default="-")
     a.add_argument("--dot")
     a.set_defaults(fn=cmd_apply)
@@ -359,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("width", help="exact width oracles and certificates")
     w.add_argument("graph")
     w.add_argument("--measure", required=True, choices=["twd", "cwd"])
-    w.add_argument("--exact", action="store_true", default=True)
     w.add_argument("--certify", help="verify this certificate file instead")
     w.add_argument("--cert-out", help="write the witness certificate here")
     w.add_argument("--cap", type=int,

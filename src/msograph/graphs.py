@@ -472,9 +472,3 @@ def induced_subgraph(G: LabeledGraph, S: Iterable[int]) -> LabeledGraph:
               for k, vs in G.labels.items()}
     names = {newid[v]: G.name_of(v) for v in sub}
     return LabeledGraph.build(len(sub), edges, labels=labels, names=names)
-
-
-def complement(G: LabeledGraph) -> LabeledGraph:
-    all_edges = {(u, v) for u in range(G.n) for v in range(u + 1, G.n)}
-    return LabeledGraph.build(G.n, all_edges - set(G.edges),
-                              labels=G.labels, names=G.names)

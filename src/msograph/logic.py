@@ -113,16 +113,13 @@ def _tabulatable(d: Definition) -> bool:
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
                 set_cap: int = DEFAULT_SET_CAP,
-                tables: Optional[Tables] = None,
-                binding: Optional[Binding] = None) -> Table:
+                tables: Optional[Tables] = None) -> Table:
     """Full extension of a library predicate over G, computed bottom-up,
     one row per tuple of its leading arguments.
 
     Tables for the predicate's dependencies are computed first (in library
-    order) and reused; pass a ``tables`` dict to keep them across calls,
-    or a ``binding`` of G to share its tables and values as well (its set
-    cap and tables then stand for ``set_cap`` and ``tables``).  A
-    dependency that cannot be tabulated (arity above 3 or set
+    order) and reused; pass a ``tables`` dict to keep them across calls.
+    A dependency that cannot be tabulated (arity above 3 or set
     parameters) is called through its compiled function instead.
     """
     if name not in lib:
@@ -131,9 +128,7 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
         raise EvalError(
             f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
             f"parameters and cannot be tabulated; evaluate it pointwise")
-    if binding is None:
-        binding = Binding(G, set_cap, tables)
-    return _tabulate_reached(binding, lib, [name])[name]
+    return _tabulate_reached(Binding(G, set_cap, tables), lib, [name])[name]
 
 
 def _tabulate_reached(binding: Binding, lib: PredicateLibrary,

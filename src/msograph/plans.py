@@ -25,8 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .graphs import LabeledGraph
 from .syntax import (TC, And, App, Definitions, EdgeAtom, Eq, ExistsS,
                      ExistsV, FalseF, ForallS, ForallV, Formula, Iff,
-                     Implies, Not, Or, SetAtom, TrueF, fold, free_vars,
-                     is_set_var)
+                     Implies, Not, Or, SetAtom, TrueF, is_set_var)
 from .table import Table, bits
 
 
@@ -207,8 +206,6 @@ class _Planner:
         self.names: dict[tuple, str] = {}
         self.pending: list[tuple] = []
         self.temps = 0
-        self.free_memo: dict = {}
-        self.pure_memo: dict = {}
 
     def subplan(self, f: Formula, params: Sequence[str],
                 row: Optional[str]) -> Plan:
@@ -250,19 +247,11 @@ class _Planner:
             self.recipes.append((g, recipe))
         return g
 
-    def free(self, f: Formula) -> frozenset[str]:
-        return free_vars(f, self.free_memo)
-
     def pure(self, f: Formula) -> bool:
         """f reaches no set quantifier: it has none and calls no
         definition without a table."""
-        return fold(f, self._pure_node, self.pure_memo)
-
-    def _pure_node(self, g: Formula, inner: list) -> bool:
-        return all(inner) and not (
-            isinstance(g, (ExistsS, ForallS)) or (
-                isinstance(g, App) and g.name not in self.tables
-                and g.name in self.lib))
+        return not f.sets and all(name in self.tables or name not in self.lib
+                                  for name, _ in f.calls)
 
     def adjacency(self) -> str:
         return self._global(("A",))
@@ -289,7 +278,7 @@ class _Planner:
     def _split(self, f: Formula, scope: frozenset, row: Optional[str]) -> str:
         """A call of f compiled as a function of its own, once the current
         one is done, so that deep formulas do not deepen the stack."""
-        params = sorted(self.free(f) & scope)
+        params = sorted(f.free & scope)
         g = self._new_global("F")
         self.pending.append((g, f, params, row))
         return f"{g}({', '.join(map(_ident, params))})"
@@ -363,7 +352,7 @@ class _Planner:
         of the values of y at which f holds.  Every other free variable
         of f is in scope; a binding of y in scope is shadowed."""
         scope = scope - {y}
-        if y not in self.free(f):
+        if y not in f.free:
             return f"(_F if {self.test(f, scope, depth)} else 0)"
         if depth == _MAX_NESTING:
             return self._split(f, scope, y)
@@ -425,13 +414,13 @@ class _Planner:
         in order, and the first whose row is 0 skips the rest."""
         tests, rest = [], []
         for g, neg in lits:
-            ok = y not in self.free(g) and self.pure(g)
+            ok = y not in g.free and self.pure(g)
             (tests if ok else rest).append((g, neg))
         self.temps += 1
         t = f"_t{self.temps}"
         terms, masks = [], 0
         for g, neg in rest:
-            if y in self.free(g):
+            if y in g.free:
                 m = self._literal_row(g, neg, scope, y, depth)
                 terms.append(f"({t} := {t} & {m})" if masks else
                              f"({t} := {m})")
@@ -443,7 +432,7 @@ class _Planner:
         elif len(terms) == 1:
             expr = m
         else:
-            if y not in self.free(rest[-1][0]):
+            if y not in rest[-1][0].free:
                 terms.append(t)
             expr = f"(({' and '.join(terms)}) or 0)"
         if tests:
@@ -460,10 +449,9 @@ class _Planner:
         takes the rows of the others."""
         guard, outside, rest = [], [], []
         for g, neg in lits:
-            fv = self.free(g)
             pure = self.pure(g)
-            (guard if pure and y not in fv else
-             outside if pure and z not in fv else rest).append((g, neg))
+            (guard if pure and y not in g.free else
+             outside if pure and z not in g.free else rest).append((g, neg))
         zs = self._conjunction(guard, scope - {z}, z, depth) if guard else "_F"
         if rest:
             body = self._conjunction(rest, scope | {z}, y, depth)
@@ -521,13 +509,13 @@ class _Planner:
     def _tc(self, f: TC, scope: frozenset, reverse: bool = False) -> str:
         """Source of the reachability rows of f, or of its reverse, under
         the valuation of its outer variables."""
-        outer = sorted((self.free(f.body) - {f.u, f.v}) & scope)
+        outer = sorted((f.body.free - {f.u, f.v}) & scope)
         succ = self.subplan(f.body, outer + [f.u], f.v)
         g = self._global(("K" if reverse else "C", succ))
         return f"{g}({', '.join(map(_ident, outer))})"
 
     def _tc_row(self, f: TC, scope: frozenset, y: str) -> str:
-        if y in self.free(f.body) - {f.u, f.v}:
+        if y in f.body.free - {f.u, f.v}:
             return self._pointwise(f, scope, y)
         if f.a == f.b:
             self._tc(f, scope)  # planned for its names only

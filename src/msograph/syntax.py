@@ -36,21 +36,31 @@ class FormulaSyntaxError(ValueError):
 
 class Formula:
     """A node of the AST.  Nodes are immutable values: equality is
-    structural and the hash, computed once per node and kept on it, is
-    too, as formulas key the plan cache of ``plans``.  Both walk the tree
-    on a stack, so a deep formula needs no recursion."""
+    structural, compared on a stack so that a deep formula needs no
+    recursion, and so is the hash, as formulas key the plan cache of
+    ``plans``.  A node is built after its children and computes from
+    their facts, once, the facts it keeps: ``free``, its free vertex- and
+    set-variable names (call names excluded); ``calls``, the (name,
+    arity) of every call in it; ``sets``, whether it holds a set
+    quantifier; and its hash."""
+
+    # the node classes are slotted too: a node has no __dict__ to pay for
+    __slots__ = ("free", "calls", "sets", "_hash")
+
+    def __post_init__(self):
+        free, calls, sets = self._facts()
+        keep = object.__setattr__
+        keep(self, "free", _SHARED.setdefault(free, free))
+        keep(self, "calls", _SHARED.setdefault(calls, calls))
+        keep(self, "sets", sets)
+        keep(self, "_hash", hash((type(self), *(
+            getattr(self, name) for name in self.__dataclass_fields__))))
+
+    def _facts(self) -> tuple[frozenset, frozenset, bool]:
+        """free, calls and sets of this node, from its children's."""
+        return _NONE, _NONE, False
 
     def __hash__(self) -> int:
-        stack = [self]
-        while not hasattr(self, "_hash"):
-            g = stack[-1]
-            todo = [s for s in subformulas(g) if not hasattr(s, "_hash")]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            object.__setattr__(g, "_hash", hash((type(g), *(
-                getattr(g, name) for name in g.__dataclass_fields__))))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -73,100 +83,154 @@ class Formula:
                     return False
         return True
 
-    def __getstate__(self) -> dict:
-        # string hashes differ between processes: a copy rehashes
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self):
+        # string hashes differ between processes: a copy is built from
+        # the fields alone and computes its facts where it lands (slotted
+        # dataclasses bring their own __getstate__, which would not)
+        return type(self), tuple(
+            getattr(self, name) for name in self.__dataclass_fields__)
 
 
-@dataclass(frozen=True, eq=False)
+_NONE: frozenset = frozenset()
+# one kept copy of each set of facts, so that equal ``free`` and ``calls``
+# of many nodes take the memory of one
+_SHARED: dict[frozenset, frozenset] = {}
+
+
+def _joined(f) -> tuple[frozenset, frozenset, bool]:
+    """The facts of a connective of two subformulas."""
+    l, r = f.left, f.right
+    return l.free | r.free, l.calls | r.calls, l.sets or r.sets
+
+
+def _bound(f) -> tuple[frozenset, frozenset, bool]:
+    """The facts of a quantifier."""
+    b = f.body
+    return (b.free - {f.var}, b.calls,
+            b.sets or isinstance(f, (ExistsS, ForallS)))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class EdgeAtom(Formula):
     x: str
     y: str
 
+    def _facts(self):
+        return frozenset((self.x, self.y)), _NONE, False
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Eq(Formula):
     x: str
     y: str
 
+    def _facts(self):
+        return frozenset((self.x, self.y)), _NONE, False
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class SetAtom(Formula):
     set_name: str
     x: str
 
+    def _facts(self):
+        return frozenset((self.set_name, self.x)), _NONE, False
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class App(Formula):
     """Reference to a named unary label or library predicate."""
     name: str
     args: tuple[str, ...]
 
+    def _facts(self):
+        return (frozenset(self.args),
+                frozenset(((self.name, len(self.args)),)), False)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Not(Formula):
     body: Formula
 
+    def _facts(self):
+        return self.body.free, self.body.calls, self.body.sets
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
+    _facts = _joined
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
+    _facts = _joined
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
+    _facts = _joined
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
+    _facts = _joined
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ExistsV(Formula):
     var: str
     body: Formula
 
+    _facts = _bound
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ForallV(Formula):
     var: str
     body: Formula
 
+    _facts = _bound
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ExistsS(Formula):
     var: str
     body: Formula
 
+    _facts = _bound
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class ForallS(Formula):
     var: str
     body: Formula
 
+    _facts = _bound
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class TC(Formula):
     """(a, b) lies in the reflexive-transitive closure of
     {(u, v) | body} computed under the ambient valuation."""
@@ -175,6 +239,10 @@ class TC(Formula):
     body: Formula
     a: str
     b: str
+
+    def _facts(self):
+        b = self.body
+        return (b.free - {self.u, self.v}) | {self.a, self.b}, b.calls, b.sets
 
 
 def is_set_var(name: str) -> bool:
@@ -190,54 +258,9 @@ def subformulas(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def fold(f: Formula, rule, memo: dict):
-    """rule(g, [the values of g's immediate subformulas]) for f, computed
-    bottom-up without recursion.  memo maps id(g) to (g, value) for every
-    node g already folded, and is filled for every node visited; holding
-    g keeps its id from being reused."""
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in memo:
-            stack.pop()
-            continue
-        subs = subformulas(g)
-        todo = [s for s in subs if id(s) not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        memo[id(g)] = (g, rule(g, [memo[id(s)][1] for s in subs]))
-    return memo[id(f)][1]
-
-
-def free_vars(f: Formula, memo: Optional[dict] = None) -> frozenset[str]:
-    """Free vertex- and set-variable names of f (App names excluded).
-    A memo as for ``fold``, shared by the calls on the subformulas of one
-    formula, makes each node cost once."""
-    if memo is not None and id(f) in memo:
-        return memo[id(f)][1]
-    if isinstance(f, (TrueF, FalseF)):
-        fv = frozenset()
-    elif isinstance(f, (EdgeAtom, Eq)):
-        fv = frozenset({f.x, f.y})
-    elif isinstance(f, SetAtom):
-        fv = frozenset({f.set_name, f.x})
-    elif isinstance(f, App):
-        fv = frozenset(f.args)
-    elif isinstance(f, Not):
-        fv = free_vars(f.body, memo)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        fv = free_vars(f.left, memo) | free_vars(f.right, memo)
-    elif isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
-        fv = free_vars(f.body, memo) - {f.var}
-    elif isinstance(f, TC):
-        fv = (free_vars(f.body, memo) - {f.u, f.v}) | {f.a, f.b}
-    else:
-        raise TypeError(f"unknown node {f!r}")
-    if memo is not None:
-        memo[id(f)] = (f, fv)
-    return fv
+def free_vars(f: Formula) -> frozenset[str]:
+    """Free vertex- and set-variable names of f (App names excluded)."""
+    return f.free
 
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
@@ -625,26 +648,13 @@ class PredicateLibrary:
         self._add(d)
         self.defs.append(d)
 
-    def extended(self, other: "PredicateLibrary") -> "PredicateLibrary":
-        return PredicateLibrary(self.defs + other.defs)
-
-    def arity(self, name: str) -> int:
-        return len(self.by_name[name].params)
-
     def __contains__(self, name: str) -> bool:
         return name in self.by_name
 
 
 def app_refs(f: Formula) -> set[tuple[str, int]]:
     """The (name, arity) of every call in f."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, App):
-            out.add((g.name, len(g.args)))
-        stack += subformulas(g)
-    return out
+    return set(f.calls)
 
 
 _DEF_RE = re.compile(r"^def\s+([a-z][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*:=\s*(.*)$",

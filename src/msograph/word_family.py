@@ -77,13 +77,6 @@ class ColumnPlan:
             raise WordError(f"no vertex at row {row}, column {col}")
         return self.offsets[col] + row
 
-    def coord(self, v: int) -> tuple[int, int]:
-        offs = self.offsets
-        for col in range(self.l - 1, -1, -1):
-            if v >= offs[col]:
-                return v - offs[col], col
-        raise WordError(f"vertex index {v} out of range")
-
 
 def plan_Gn(alpha: str, n: int) -> ColumnPlan:
     """Column window for the n-th piece: exactly 2n + 2 non-0 letters,

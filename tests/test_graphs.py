@@ -4,7 +4,7 @@ import pytest
 
 from msograph.graphs import (GraphError, LabeledGraph, SubdivisionPlan,
                              antichain_member_In, branch_vertices,
-                             complement, contract_subdivision, grid,
+                             contract_subdivision, grid,
                              induced_subgraph, make_Tn, mn, subdivide,
                              tri_corner_grid, uniform_subdivide_utg,
                              upper_tri_grid)
@@ -132,8 +132,3 @@ def test_induced_subgraph_keeps_names():
     H = induced_subgraph(G, [1, 3])
     assert H.n == 2
     assert {H.name_of(0), H.name_of(1)} == {G.name_of(1), G.name_of(3)}
-
-
-def test_complement_involution():
-    G = grid(2, 3)
-    assert complement(complement(G)).edges == G.edges

@@ -17,8 +17,8 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             FalseF, ForallS, ForallV, Formula,
                             FormulaSyntaxError, Iff, Implies, Not, Or,
                             PredicateLibrary, SetAtom, SetQuantifierCapError,
-                            TC, Table, TrueF, App,
-                            evaluate, free_vars, materialize,
+                            TC, Table, TrueF, App, app_refs,
+                            evaluate, free_vars, materialize, subformulas,
                             materialize_all, parse_formula, parse_library,
                             relativize, tc_naive_encoding)
 from msograph.power_family import build_Dn, power_predicates
@@ -86,6 +86,48 @@ def ref_eval(G: LabeledGraph, f: Formula, env: dict, lib=None) -> bool:
 def _to_env(valuation):
     return {k: (frozenset(v) if isinstance(v, (set, frozenset)) else v)
             for k, v in valuation.items()}
+
+
+# Reference facts: what each node keeps, recomputed by walking the tree
+
+def ref_free_vars(f: Formula) -> frozenset:
+    """The free vertex- and set-variable names of f, by recursion."""
+    if isinstance(f, (TrueF, FalseF)):
+        return frozenset()
+    if isinstance(f, (EdgeAtom, Eq)):
+        return frozenset({f.x, f.y})
+    if isinstance(f, SetAtom):
+        return frozenset({f.set_name, f.x})
+    if isinstance(f, App):
+        return frozenset(f.args)
+    if isinstance(f, Not):
+        return ref_free_vars(f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return ref_free_vars(f.left) | ref_free_vars(f.right)
+    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+        return ref_free_vars(f.body) - {f.var}
+    if isinstance(f, TC):
+        return (ref_free_vars(f.body) - {f.u, f.v}) | {f.a, f.b}
+    raise TypeError(f)
+
+
+def ref_nodes(f: Formula) -> list:
+    """Every node of f, by a walk on a stack."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack += subformulas(g)
+    return out
+
+
+def ref_calls(f: Formula) -> frozenset:
+    return frozenset((g.name, len(g.args)) for g in ref_nodes(f)
+                     if isinstance(g, App))
+
+
+def ref_sets(f: Formula) -> bool:
+    return any(isinstance(g, (ExistsS, ForallS)) for g in ref_nodes(f))
 
 
 def _random_graph(rng, n, n_labels=1):
@@ -406,18 +448,22 @@ def test_valuations_outside_the_graph_raise():
 
 
 def test_formulas_deeper_than_the_python_parser_allows():
-    f = Eq("x", "x")
-    for _ in range(300):
-        f = Not(f)
-    assert evaluate(grid(1, 2), None, f, {"x": 0})
-    # each level's inner formula is taken once per row, not once per q:
-    # otherwise this takes 2^300 steps
-    g = EdgeAtom("x", "y")
-    for _ in range(300):
-        g = ExistsV("q", And(Eq("q", "y"), g))
-    lib = PredicateLibrary()
-    lib.define("p", ("x", "y"), g)
-    assert materialize(grid(1, 2), lib, "p") == {(0, 1), (1, 0)}
+    # at 1500 levels, Python's stack would not hold a walk that recurses
+    # once per level
+    for depth in (300, 1500):
+        f = Eq("x", "x")
+        for _ in range(depth):
+            f = Not(f)
+        assert evaluate(grid(1, 2), None, f, {"x": 0}) == (depth % 2 == 0)
+        # each level's inner formula is taken once per row, not once per
+        # q: otherwise this takes 2^depth steps
+        g = EdgeAtom("x", "y")
+        for _ in range(depth):
+            g = ExistsV("q", And(Eq("q", "y"), g))
+        lib = PredicateLibrary()
+        lib.define("p", ("x", "y"), g)
+        assert materialize(grid(1, 2), lib, "p") == {(0, 1), (1, 0)}
+        assert evaluate(grid(1, 3), lib, g, {"x": 1, "y": 2})
 
 
 def test_set_cap_enforced():
@@ -498,6 +544,23 @@ def test_formula_hash_is_not_carried_between_processes():
     assert f == parse_formula(text) and hash(f) == hash(parse_formula(text))
     assert f in {parse_formula(text)}
     assert lib.key in {parse_library(defs).key}
+
+
+def test_node_facts_match_the_recursive_walks():
+    rng = random.Random(37)
+    calls = [("p", "vv"), ("q", "vS")]
+    formulas = [_random_formula(rng, rng.randrange(0, 6), ["x", "x_1"],
+                                ["S"], calls) for _ in range(200)]
+    nodes = [g for f in formulas for g in ref_nodes(f)]
+    for kind in (App, TC, ExistsS, ForallS):
+        assert any(isinstance(g, kind) for g in nodes), kind
+    for f in formulas:
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and hash(copy) == hash(f)
+        for g in ref_nodes(f) + ref_nodes(copy):
+            assert g.free == ref_free_vars(g) == free_vars(g)
+            assert g.calls == ref_calls(g) == app_refs(g)
+            assert g.sets == ref_sets(g)
 
 
 def test_cached_plans_match_reference_on_many_graphs():
