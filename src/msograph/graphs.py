@@ -109,12 +109,20 @@ class LabeledGraph:
         for k, vs in extra.items():
             labs[k] = frozenset(vs)
             self._check_label(k, labs[k])
-        # the rest of self is valid already: set the fields as __init__
-        # does, without the checks of __post_init__, and share the rows
+        # the rest of self is valid already, and so are its rows
+        return LabeledGraph._unchecked(self.n, self.edges, labs,
+                                       self.names, self._adjacency_rows())
+
+    @staticmethod
+    def _unchecked(n: int, edges: frozenset[tuple[int, int]],
+                   labels: dict[str, frozenset[int]], names: dict[int, str],
+                   adj: tuple[int, ...]) -> "LabeledGraph":
+        """The graph of fields already canonical and in range, and of
+        the adjacency rows adj: the fields are set as __init__ sets
+        them, without the checks of __post_init__."""
         g = object.__new__(LabeledGraph)
-        for attr, value in (("n", self.n), ("edges", self.edges),
-                            ("labels", labs), ("names", self.names),
-                            ("_adj", self._adjacency_rows())):
+        for attr, value in (("n", n), ("edges", edges), ("labels", labels),
+                            ("names", names), ("_adj", adj)):
             object.__setattr__(g, attr, value)
         return g
 

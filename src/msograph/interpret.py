@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import LabeledGraph
 from .logic import (
@@ -28,7 +29,7 @@ from .logic import (
     parse_formula,
     parse_library,
 )
-from .search import _automorphisms, isomorphism_classes
+from .search import _automorphisms, _first_of_classes
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -76,13 +77,16 @@ def apply(I: Interpretation, G: LabeledGraph,
         vals = frozenset(vals)
         G._check_label(name, vals)
         masks.append(sum(1 << v for v in vals))
-    return next(_sweep(I, G, [tuple(masks)], set_cap))
+    _, build = next(_sweep(I, G, [tuple(masks)], set_cap))
+    return build()
 
 
 def _sweep(I: Interpretation, G: LabeledGraph,
            tuples: Iterable[tuple[int, ...]],
-           set_cap: int) -> Iterator[LabeledGraph]:
-    """The output of I on G under each tuple of parameter masks, in order.
+           set_cap: int) -> Iterator[tuple[tuple[int, ...],
+                                           Callable[[], LabeledGraph]]]:
+    """The output of I on G under each tuple of parameter masks, in order,
+    as its adjacency rows and the call that builds it as a graph.
 
     G is bound once, and the parameters are set-variable arguments of
     the two formulas.  Where a parameter is not a set variable, or a
@@ -98,15 +102,14 @@ def _sweep(I: Interpretation, G: LabeledGraph,
         binding, dom_row, edge_row = _bind(I, G, called, params, set_cap)
         for masks in tuples:
             binding.forget()  # memos keyed by the last tuple's masks
-            labels = dict(G.labels)
-            labels.update((p, frozenset(bits(m)))
-                          for p, m in zip(params, masks))
-            yield _output(G, labels, dom_row(*masks), edge_row, masks)
+            domain, adj = _rows(G, dom_row(*masks), edge_row, masks)
+            yield adj, partial(_output, G, params, masks, domain, adj)
     else:
         for masks in tuples:
             work = G.with_labels({p: bits(m) for p, m in zip(params, masks)})
             _, dom_row, edge_row = _bind(I, work, called, (), set_cap)
-            yield _output(work, work.labels, dom_row(), edge_row, ())
+            domain, adj = _rows(work, dom_row(), edge_row, ())
+            yield adj, partial(_output, work, (), (), domain, adj)
 
 
 def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
@@ -126,18 +129,26 @@ def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
     return binding, dom_row, edge_row
 
 
-def _output(G: LabeledGraph, labels: dict, dom: int, edge_row,
-            masks: tuple[int, ...]) -> LabeledGraph:
-    """The graph on the domain dom whose edges are the rows
-    edge_row(*masks, x), checked for symmetry and irreflexivity."""
+def _rows(G: LabeledGraph, dom: int, edge_row, masks: tuple[int, ...]
+          ) -> tuple[list[int], tuple[int, ...]]:
+    """The vertices of dom, and the adjacency rows of the graph on them
+    whose edges are the rows edge_row(*masks, x), checked for symmetry
+    and irreflexivity and renumbered over 0..m-1 in vertex order."""
     domain = list(bits(dom))
     rows = {x: edge_row(*masks, x) & dom for x in domain}
-    # the transpose above the diagonal: y > x is in cols[x] iff x is in rows[y]
+    place = [0] * G.n  # the bit of each domain vertex in the output
+    for i, v in enumerate(domain):
+        place[v] = 1 << i
+    # the transpose above the diagonal: y > x is in cols[x] iff x is in
+    # rows[y]; and out, each pair below the diagonal renumbered both
+    # ways, which is the whole of the rows once the checks below pass
     cols = [0] * G.n
+    out = [0] * G.n
     for y in domain:
         for x in bits(rows[y] & ((1 << y) - 1)):
             cols[x] |= 1 << y
-    edges = []
+            out[x] |= place[y]
+            out[y] |= place[x]
     for x in domain:
         if (rows[x] >> x) & 1:
             raise InterpretationError(
@@ -149,15 +160,24 @@ def _output(G: LabeledGraph, labels: dict, dom: int, edge_row,
             raise InterpretationError(
                 f"edge formula asymmetric on "
                 f"({G.name_of(x)}, {G.name_of(y)})")
-        edges += [(x, y) for y in bits(rows[x] & above)]
-    dom_set = set(domain)
+    return domain, tuple([out[x] for x in domain])
+
+
+def _output(G: LabeledGraph, params: tuple[str, ...],
+            masks: tuple[int, ...], domain: list[int],
+            adj: tuple[int, ...]) -> LabeledGraph:
+    """The graph of the rows adj over the vertices domain of G, with
+    their provenance names and the labels of G, each parameter bound to
+    its mask, restricted to the domain."""
     newid = {v: i for i, v in enumerate(domain)}
-    names = {newid[v]: G.name_of(v) for v in domain}
-    labels = {k: frozenset(newid[v] for v in vs if v in dom_set)
+    labels = dict(G.labels)
+    labels.update((p, bits(m)) for p, m in zip(params, masks))
+    labels = {k: frozenset(newid[v] for v in vs if v in newid)
               for k, vs in labels.items()}
-    return LabeledGraph.build(len(domain),
-                              [(newid[u], newid[v]) for (u, v) in edges],
-                              labels=labels, names=names)
+    names = {i: G.name_of(v) for i, v in enumerate(domain)}
+    edges = frozenset((x, y) for x, row in enumerate(adj)
+                      for y in bits(row & -(2 << x)))
+    return LabeledGraph._unchecked(len(domain), edges, labels, names, adj)
 
 
 def _single_var(f: Formula, what: str) -> str:
@@ -187,7 +207,9 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
     With ``dedupe`` the stream is filtered up to isomorphism, and a tuple
     that a label-keeping automorphism of G maps onto an earlier tuple is
     skipped unapplied: its output is isomorphic to that earlier tuple's,
-    so the filtered stream is the same.
+    so the filtered stream is the same.  The filter reads each output's
+    adjacency rows; only the first output of a class is built as a
+    graph, with its names and labels.
     """
     p = len(I.params)
     if G.n * p > enum_cap:
@@ -198,13 +220,15 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
                for c in itertools.combinations(range(G.n), r)]
     tuples = itertools.product(subsets, repeat=p)
     if not dedupe:
-        yield from _sweep(I, G, tuples, set_cap)
+        for _, build in _sweep(I, G, tuples, set_cap):
+            yield build()
         return
     # above the set cap, whether a set quantifier is reached (and raises)
     # may hang on the order of the vertices, which automorphisms do not keep
     if p and G.n <= set_cap:
         tuples = _orbit_leaders(tuples, _automorphisms(G))
-    yield from isomorphism_classes(_sweep(I, G, tuples, set_cap))
+    for build in _first_of_classes(_sweep(I, G, tuples, set_cap)):
+        yield build()
 
 
 def _orbit_leaders(tuples: Iterable[tuple[int, ...]],

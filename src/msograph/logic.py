@@ -194,28 +194,44 @@ def _subset_guard(Z: str, X: str) -> Formula:
 
 
 def _relativize(f: Formula, X: str) -> Formula:
-    if isinstance(f, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
-        return f
-    if isinstance(f, App):
-        if len(f.args) == 1:
-            return f  # unary label atom: part of the graph vocabulary
-        raise ValueError("relativization is defined on the graph vocabulary only")
-    if isinstance(f, TC):
-        raise ValueError("relativization does not support the TC primitive")
-    if isinstance(f, Not):
-        return Not(_relativize(f.body, X))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_relativize(f.left, X), _relativize(f.right, X))
-    if isinstance(f, ExistsV):
-        return ExistsV(f.var, And(SetAtom(X, f.var), _relativize(f.body, X)))
-    if isinstance(f, ForallV):
-        return ForallV(f.var, Implies(SetAtom(X, f.var), _relativize(f.body, X)))
-    if isinstance(f, ExistsS):
-        return ExistsS(f.var, And(_subset_guard(f.var, X), _relativize(f.body, X)))
-    if isinstance(f, ForallS):
-        return ForallS(f.var, Implies(_subset_guard(f.var, X),
-                                      _relativize(f.body, X)))
-    raise TypeError(f"unknown node {f!r}")
+    """relativize's rebuild, bottom-up on its own stack so that a deep
+    formula needs no recursion; nodes are checked in preorder."""
+    done: list[Formula] = []  # the rebuilt subformulas, the latest last
+    stack = [(f, False)]
+    while stack:
+        g, kids_done = stack.pop()
+        if not kids_done:
+            if isinstance(g, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
+                done.append(g)
+            elif isinstance(g, App):
+                if len(g.args) != 1:  # a unary label atom is graph vocabulary
+                    raise ValueError("relativization is defined on the "
+                                     "graph vocabulary only")
+                done.append(g)
+            elif isinstance(g, TC):
+                raise ValueError(
+                    "relativization does not support the TC primitive")
+            elif isinstance(g, (Not, And, Or, Implies, Iff, ExistsV,
+                                ForallV, ExistsS, ForallS)):
+                stack.append((g, True))
+                stack += [(c, False) for c in reversed(subformulas(g))]
+            else:
+                raise TypeError(f"unknown node {g!r}")
+        elif isinstance(g, Not):
+            done[-1] = Not(done[-1])
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            right = done.pop()
+            done[-1] = type(g)(done[-1], right)
+        elif isinstance(g, ExistsV):
+            done[-1] = ExistsV(g.var, And(SetAtom(X, g.var), done[-1]))
+        elif isinstance(g, ForallV):
+            done[-1] = ForallV(g.var, Implies(SetAtom(X, g.var), done[-1]))
+        elif isinstance(g, ExistsS):
+            done[-1] = ExistsS(g.var, And(_subset_guard(g.var, X), done[-1]))
+        else:
+            done[-1] = ForallS(g.var, Implies(_subset_guard(g.var, X),
+                                              done[-1]))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

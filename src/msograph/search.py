@@ -1,32 +1,39 @@
 """Backtracking search for induced-subgraph containment and isomorphism.
 
-A graph is read once into a private ``_Graph`` record: its adjacency as
-bitmasks, a key per vertex (its degree, and with ``respect_labels`` also
-the names of the labels it lies in), the isomorphism invariant (vertex
-count, edge count, sorted keys, and with ``respect_labels`` the label
-names) and the order in which the search places its vertices as a
-pattern: connected to the placed prefix, then descending degree, then
-index, so failing runs are reproducible.  One forward-checking
-core, ``_search``, maps a pattern record into a host record.  Its
-callers differ only in the candidate domains they pass:
-``is_induced_subgraph_of`` and ``is_antichain`` let v go to any vertex
-of degree at least deg(v); ``is_isomorphic`` to vertices of equal key.
-``isomorphism_classes`` keeps the record of each class it has yielded,
-bucketed by invariant, and searches a new graph only against the kept
-graphs that share its invariant.  The core stops at the first map or,
-given a visit callback, passes it every map: ``_automorphisms`` lists
-the label-keeping automorphisms of a graph that way, under a fixed
-expansion budget, and falls back to the identity alone when the budget
-runs out (a subset of the group is all its callers need).  An optional
-budget of node expansions per call turns a long search into an explicit
+A graph, or bare adjacency rows, is read once into a private ``_Graph``
+record: its adjacency as bitmasks, a key per vertex (its degree, and
+with ``respect_labels`` also the names of the labels it lies in), the
+isomorphism invariant (vertex count, edge count, sorted keys, and with
+``respect_labels`` the label names) and, on first use, the order in
+which the search places its vertices as a pattern: connected to the
+placed prefix, then descending degree, then index, so failing runs are
+reproducible.  One forward-checking core, ``_search``, maps a pattern
+record into a host record.  Its callers differ only in the candidate
+domains they pass: ``is_induced_subgraph_of`` and ``is_antichain`` let
+v go to any vertex of degree at least deg(v); ``is_isomorphic`` to
+vertices of equal key.  ``isomorphism_classes`` keeps the record of each
+class it has yielded, bucketed by invariant, and searches each kept
+record that shares a new graph's invariant, as the pattern, into the
+new graph; isomorphism is symmetric, so a duplicate never sorts its
+vertices.  Its core, ``_first_of_classes``, takes bare rows with an item
+each, so the census of ``interpret`` builds only the graphs it keeps.
+The search core stops at the first map or, given a visit callback,
+passes it every map: ``_automorphisms`` lists the label-keeping
+automorphisms of a graph that way, under a fixed expansion budget, and
+falls back to the identity alone when the budget runs out (a subset of
+the group is all its callers need).  An optional budget of node
+expansions per call turns a long search into an explicit
 ``BudgetExhausted`` outcome, never a negative answer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import (Callable, Iterable, Iterator, Mapping, Optional,
+                    Sequence, TypeVar)
 
 from .graphs import LabeledGraph
+
+T = TypeVar("T")
 
 
 class BudgetExhausted(Exception):
@@ -37,7 +44,7 @@ class BudgetExhausted(Exception):
         self.expanded = expanded
 
 
-def _pattern_order(adj: list[int]) -> list[int]:
+def _pattern_order(adj: Sequence[int]) -> list[int]:
     """Descending degree, ties by index, but preferring connectivity to
     already-placed vertices so pruning bites early."""
     neg_deg = [-a.bit_count() for a in adj]
@@ -58,25 +65,42 @@ def _pattern_order(adj: list[int]) -> list[int]:
 
 
 class _Graph:
-    """What the searches need of one graph, computed once."""
+    """What the searches need of one graph, computed once: its pattern
+    order on first use, since a record searched only as the target never
+    needs it."""
 
-    __slots__ = ("n", "adj", "key", "invariant", "order")
+    __slots__ = ("n", "adj", "key", "invariant", "_order")
 
-    def __init__(self, G: LabeledGraph, respect_labels: bool = False):
-        self.n = G.n
-        self.adj = G.adjacency_masks()
-        key: list = [a.bit_count() for a in self.adj]
-        if respect_labels:
-            names: list[list[str]] = [[] for _ in range(G.n)]
-            for name in sorted(G.labels):
-                for v in G.labels[name]:
+    def __init__(self, adj: Sequence[int],
+                 labels: Optional[Mapping[str, frozenset[int]]] = None):
+        """The record of the graph of adjacency rows adj; given its label
+        sets, a vertex's key holds the names of the labels it lies in."""
+        self.n = len(adj)
+        self.adj = adj
+        key: list = [a.bit_count() for a in adj]
+        edges = sum(key) // 2
+        if labels is not None:
+            names: list[list[str]] = [[] for _ in adj]
+            for name in sorted(labels):
+                for v in labels[name]:
                     names[v].append(name)
             key = [(d, tuple(ns)) for d, ns in zip(key, names)]
         self.key = key
-        self.invariant = (G.n, len(G.edges), tuple(sorted(key)))
-        if respect_labels:  # an empty label set still has to match
-            self.invariant += (tuple(sorted(G.labels)),)
-        self.order = _pattern_order(self.adj)
+        self.invariant = (self.n, edges, tuple(sorted(key)))
+        if labels is not None:  # an empty label set still has to match
+            self.invariant += (tuple(sorted(labels)),)
+        self._order: Optional[list[int]] = None
+
+    @property
+    def order(self) -> list[int]:
+        if self._order is None:
+            self._order = _pattern_order(self.adj)
+        return self._order
+
+
+def _record(G: LabeledGraph, respect_labels: bool = False) -> _Graph:
+    """The record of G, its keys with label names if respect_labels."""
+    return _Graph(G._adjacency_rows(), G.labels if respect_labels else None)
 
 
 def _search(P: _Graph, T: _Graph, domains: list[int],
@@ -165,7 +189,7 @@ def _automorphisms(G: LabeledGraph) -> list[list[int]]:
     """The automorphisms of G that keep every label set, each as its
     list of vertex images, in search order; only the identity if listing
     them takes more than ``_AUTOMORPHISM_BUDGET`` expansions."""
-    g = _Graph(G, respect_labels=True)
+    g = _record(G, respect_labels=True)
     found: list[list[int]] = []
     try:
         _isomorphism(g, g, _AUTOMORPHISM_BUDGET,
@@ -182,7 +206,7 @@ def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,
     Labels are ignored (plain-graph containment).  Raises
     ``BudgetExhausted`` if ``budget`` node expansions are exceeded.
     """
-    return _embedding(_Graph(H), _Graph(G), budget)
+    return _embedding(_record(H), _record(G), budget)
 
 
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
@@ -194,26 +218,34 @@ def is_isomorphic(G: LabeledGraph, H: LabeledGraph,
     onto the equally named label set of H.  Raises ``BudgetExhausted``
     if ``budget`` node expansions are exceeded.
     """
-    return _isomorphism(_Graph(G, respect_labels), _Graph(H, respect_labels),
-                        budget)
+    return _isomorphism(_record(G, respect_labels),
+                        _record(H, respect_labels), budget)
 
 
 def isomorphism_classes(graphs: Iterable[LabeledGraph]
                         ) -> Iterator[LabeledGraph]:
     """The first graph of each isomorphism class (labels ignored), in
-    input order.
+    input order."""
+    return _first_of_classes((G._adjacency_rows(), G) for G in graphs)
 
-    A graph is searched only against the yielded graphs with its
-    invariant, and a match is always confirmed by the search.
+
+def _first_of_classes(items: Iterable[tuple[Sequence[int], T]]
+                      ) -> Iterator[T]:
+    """Of (adjacency rows, item) pairs, the item of the first rows of
+    each isomorphism class, in input order.
+
+    The rows are searched only against the kept records with their
+    invariant, each kept record as the pattern, and a match is always
+    confirmed by the search.
     """
     kept: dict[tuple, list[_Graph]] = {}
-    for G in graphs:
-        g = _Graph(G)
+    for adj, item in items:
+        g = _Graph(adj)
         bucket = kept.setdefault(g.invariant, [])
-        if any(_isomorphism(g, K, None) is not None for K in bucket):
+        if any(_isomorphism(K, g, None) is not None for K in bucket):
             continue
         bucket.append(g)
-        yield G
+        yield item
 
 
 def is_antichain(graphs: list[LabeledGraph],
@@ -223,7 +255,7 @@ def is_antichain(graphs: list[LabeledGraph],
 
     On failure returns the violating (pattern_index, host_index) pair.
     """
-    records = [_Graph(G) for G in graphs]
+    records = [_record(G) for G in graphs]
     for i, Gi in enumerate(records):
         for j, Gj in enumerate(records):
             if i != j and _embedding(Gi, Gj, budget) is not None:

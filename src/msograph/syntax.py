@@ -265,32 +265,48 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free vertex/set variables.  Binders shadow as usual; no
-    binder is renamed, so every new name must be fresh for f."""
-    if not mapping:
-        return f
-    def s(name):
-        return mapping.get(name, name)
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, EdgeAtom):
-        return EdgeAtom(s(f.x), s(f.y))
-    if isinstance(f, Eq):
-        return Eq(s(f.x), s(f.y))
-    if isinstance(f, SetAtom):
-        return SetAtom(s(f.set_name), s(f.x))
-    if isinstance(f, App):
-        return App(f.name, tuple(s(a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
-        inner = {k: v for k, v in mapping.items() if k != f.var}
-        return type(f)(f.var, substitute(f.body, inner))
-    if isinstance(f, TC):
-        inner = {k: v for k, v in mapping.items() if k not in (f.u, f.v)}
-        return TC(f.u, f.v, substitute(f.body, inner), s(f.a), s(f.b))
-    raise TypeError(f"unknown node {f!r}")
+    binder is renamed, so every new name must be fresh for f.
+
+    The rebuild runs bottom-up on its own stack, so a deep formula needs
+    no recursion; a subformula in which no name of the mapping is free
+    is kept as it is."""
+    done: list[Formula] = []  # the rebuilt subformulas, the latest last
+    stack: list[tuple[Formula, dict[str, str], bool]] = [(f, mapping, False)]
+    while stack:
+        g, m, kids_done = stack.pop()
+        def s(name):
+            return m.get(name, name)
+        if kids_done:
+            if isinstance(g, TC):
+                done[-1] = TC(g.u, g.v, done[-1], s(g.a), s(g.b))
+            elif isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+                done[-1] = type(g)(g.var, done[-1])
+            elif isinstance(g, Not):
+                done[-1] = Not(done[-1])
+            else:
+                right = done.pop()
+                done[-1] = type(g)(done[-1], right)
+        elif m.keys().isdisjoint(g.free):
+            done.append(g)
+        elif isinstance(g, EdgeAtom):
+            done.append(EdgeAtom(s(g.x), s(g.y)))
+        elif isinstance(g, Eq):
+            done.append(Eq(s(g.x), s(g.y)))
+        elif isinstance(g, SetAtom):
+            done.append(SetAtom(s(g.set_name), s(g.x)))
+        elif isinstance(g, App):
+            done.append(App(g.name, tuple(s(a) for a in g.args)))
+        elif not subformulas(g):
+            raise TypeError(f"unknown node {g!r}")
+        else:
+            inner = m
+            if isinstance(g, TC):
+                inner = {k: v for k, v in m.items() if k not in (g.u, g.v)}
+            elif isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+                inner = {k: v for k, v in m.items() if k != g.var}
+            stack.append((g, m, True))
+            stack += [(c, inner, False) for c in reversed(subformulas(g))]
+    return done[0]
 
 
 def fresh_var(base: str, avoid: Iterable[str]) -> str:

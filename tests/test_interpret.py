@@ -246,6 +246,71 @@ def test_dedupe_class_counts_agree_with_networkx():
             == len(classes), G
 
 
+def _rows_of_edges(H):
+    adj = [0] * H.n
+    for u, v in H.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def test_outputs_carry_the_rows_of_their_edges():
+    two = Interpretation(("A", "B"), parse_formula("A(x) | B(x)"),
+                         parse_formula("E(x, y) & (A(x) <-> A(y)) | "
+                                       "(B(x) & B(y) & x != y)"))
+    per_tuple = parse_interpretation("""
+        params: [Z]
+        def inz(x) := Z(x)
+        domain(x) := inz(x)
+        edge(x, y) := !E(x, y) & x != y & inz(x) & inz(y)
+    """)
+    hosts = _dedupe_hosts()
+    for I, G in itertools.chain(
+            ((I, G) for G in hosts
+             for I in (builtin_induced(), builtin_complement())),
+            ((two, G) for G in hosts[3:40] if G.n <= 5),
+            ((per_tuple, G) for G in hosts[3:40])):
+        for dedupe in (False, True):
+            for H in apply_all_params(I, G, dedupe=dedupe):
+                assert H._adj == _rows_of_edges(H), (I.name, G, H)
+                # the fields pass the checks that building them skipped
+                assert LabeledGraph(H.n, H.edges, H.labels, H.names) == H
+
+
+def _count_graphs_made(monkeypatch):
+    """A counter of the LabeledGraph objects made from now on."""
+    made = [0]
+    post_init = LabeledGraph.__post_init__
+    unchecked = LabeledGraph._unchecked
+
+    def counted_post_init(self):
+        made[0] += 1
+        post_init(self)
+
+    def counted_unchecked(*args):
+        made[0] += 1
+        return unchecked(*args)
+
+    monkeypatch.setattr(LabeledGraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(LabeledGraph, "_unchecked",
+                        staticmethod(counted_unchecked))
+    return made
+
+
+def test_dedupe_builds_only_the_graphs_it_yields(monkeypatch):
+    hosts = [grid(3, 3), make_Tn(3), build_Pn(3)] + _dedupe_hosts()[3:30]
+    made = _count_graphs_made(monkeypatch)
+    for G in hosts:
+        made[0] = 0
+        kept = sum(1 for _ in apply_all_params(builtin_induced(), G,
+                                               dedupe=True))
+        assert made[0] == kept, G
+    G = grid(2, 3)
+    made[0] = 0
+    assert sum(1 for _ in apply_all_params(builtin_induced(), G)) \
+        == made[0] == 64
+
+
 def _per_tuple(I, G):
     """The oracle of the sweep: one ``apply``, with a binding of its own,
     per parameter tuple, in the order of ``apply_all_params``."""

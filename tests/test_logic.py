@@ -20,7 +20,8 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             TC, Table, TrueF, App, app_refs,
                             evaluate, free_vars, materialize, subformulas,
                             materialize_all, parse_formula, parse_library,
-                            relativize, tc_naive_encoding)
+                            relativize, substitute, tc_naive_encoding)
+from msograph.syntax import fresh_var
 from msograph.power_family import build_Dn, power_predicates
 from msograph.word_family import build_Hn, word_predicates
 
@@ -687,6 +688,118 @@ def test_relativize_rejects_tc_and_clashes():
         relativize(parse_formula("TC[a,b: E(a,b)](x, y)"), "X")
     with pytest.raises(ValueError):
         relativize(parse_formula("exists x. X(x)"), "X")
+
+
+# The recursive rebuilds that substitute and relativize replaced: the
+# oracles of the rebuilds on a stack.
+
+def ref_substitute(f: Formula, mapping: dict) -> Formula:
+    if not mapping:
+        return f
+    def s(name):
+        return mapping.get(name, name)
+    if isinstance(f, (TrueF, FalseF)):
+        return f
+    if isinstance(f, EdgeAtom):
+        return EdgeAtom(s(f.x), s(f.y))
+    if isinstance(f, Eq):
+        return Eq(s(f.x), s(f.y))
+    if isinstance(f, SetAtom):
+        return SetAtom(s(f.set_name), s(f.x))
+    if isinstance(f, App):
+        return App(f.name, tuple(s(a) for a in f.args))
+    if isinstance(f, Not):
+        return Not(ref_substitute(f.body, mapping))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(ref_substitute(f.left, mapping),
+                       ref_substitute(f.right, mapping))
+    if isinstance(f, (ExistsV, ForallV, ExistsS, ForallS)):
+        inner = {k: v for k, v in mapping.items() if k != f.var}
+        return type(f)(f.var, ref_substitute(f.body, inner))
+    if isinstance(f, TC):
+        inner = {k: v for k, v in mapping.items() if k not in (f.u, f.v)}
+        return TC(f.u, f.v, ref_substitute(f.body, inner), s(f.a), s(f.b))
+    raise TypeError(f"unknown node {f!r}")
+
+
+def ref_relativize(f: Formula, X: str) -> Formula:
+    def guard(Z):
+        w = fresh_var("w", {Z, X})
+        return ForallV(w, Implies(SetAtom(Z, w), SetAtom(X, w)))
+    if isinstance(f, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
+        return f
+    if isinstance(f, App):
+        if len(f.args) == 1:
+            return f
+        raise ValueError("relativization is defined on the graph vocabulary only")
+    if isinstance(f, TC):
+        raise ValueError("relativization does not support the TC primitive")
+    if isinstance(f, Not):
+        return Not(ref_relativize(f.body, X))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(ref_relativize(f.left, X), ref_relativize(f.right, X))
+    if isinstance(f, ExistsV):
+        return ExistsV(f.var, And(SetAtom(X, f.var), ref_relativize(f.body, X)))
+    if isinstance(f, ForallV):
+        return ForallV(f.var, Implies(SetAtom(X, f.var),
+                                      ref_relativize(f.body, X)))
+    if isinstance(f, ExistsS):
+        return ExistsS(f.var, And(guard(f.var), ref_relativize(f.body, X)))
+    if isinstance(f, ForallS):
+        return ForallS(f.var, Implies(guard(f.var), ref_relativize(f.body, X)))
+    raise TypeError(f"unknown node {f!r}")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+
+
+def test_substitute_matches_the_recursive_rebuild():
+    rng = random.Random(23)
+    # old names from the binder pools, so that binders shadow them, and
+    # new names both fresh and taken
+    olds = VERTEX_NAMES + SET_NAMES
+    news = ("z", "x", "x_2", "T", "S", "S_2")
+    calls = (("p", "vv"), ("q", "vS"))
+    for _ in range(400):
+        f = _random_formula(rng, rng.randrange(0, 6), ["x", "y"], ["S"],
+                            calls)
+        mapping = {old: rng.choice(news) for old in olds
+                   if rng.random() < 0.4}
+        got = substitute(f, mapping)
+        assert got == ref_substitute(f, mapping), (f, mapping)
+        assert got.free == ref_free_vars(got)
+
+
+def test_relativize_matches_the_recursive_rebuild():
+    rng = random.Random(29)
+    errors = 0
+    for _ in range(400):
+        calls = (("p", "vv"),) if rng.random() < 0.2 else ()
+        f = _random_formula(rng, rng.randrange(0, 6), ["x"], ["S"], calls)
+        want = _outcome(ref_relativize, f, "X")
+        assert _outcome(relativize, f, "X") == want, f
+        errors += not isinstance(want, Formula)
+    assert 0 < errors < 400
+
+
+def test_substitute_and_relativize_on_formulas_too_deep_to_recurse():
+    chain = Eq("x", "y")
+    for _ in range(1500):
+        chain = Not(chain)
+    nested = Eq("x", "y")
+    for i in range(1500):
+        nested = ForallS("S", ExistsV("z", nested)) if i % 2 else Not(nested)
+    for f in (chain, nested):
+        renamed = substitute(f, {"x": "y"})
+        assert renamed.free == {"y"}
+        assert substitute(renamed, {"y": "x"}) == substitute(f, {"y": "x"})
+    assert relativize(chain, "X") == chain  # nothing to guard
+    assert relativize(nested, "X").free == {"x", "y", "X"}
 
 
 def test_tc_naive_encoding_agrees_with_primitive():

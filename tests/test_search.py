@@ -5,9 +5,12 @@ import pytest
 
 from msograph.bichain_family import build_Zn
 from msograph.graphs import LabeledGraph, grid, make_Tn, upper_tri_grid
-from msograph.search import (BudgetExhausted, _automorphisms, _pattern_order,
-                             is_antichain, is_induced_subgraph_of,
-                             is_isomorphic, isomorphism_classes)
+from msograph import search
+from msograph.interpret import apply_all_params, builtin_induced
+from msograph.search import (BudgetExhausted, _automorphisms, _Graph,
+                             _pattern_order, _record, is_antichain,
+                             is_induced_subgraph_of, is_isomorphic,
+                             isomorphism_classes)
 
 
 def _random_graph(rng, n):
@@ -238,6 +241,51 @@ def test_isomorphism_classes_keep_the_first_of_each_class():
         if all(is_isomorphic(G, K) is None for K in firsts):
             firsts.append(G)
     assert [id(G) for G in kept] == [id(G) for G in firsts]
+
+
+def test_records_from_rows_equal_records_from_the_graph():
+    rng = random.Random(15)
+    for _ in range(40):
+        G = _random_graph(rng, rng.randint(0, 6))
+        G = G.with_labels({"a": [v for v in range(G.n) if rng.random() < 0.5],
+                           "b": []})
+        for H in apply_all_params(builtin_induced(), G):
+            # the rows that the census made, against a fresh graph whose
+            # rows are made from its edges
+            fresh = LabeledGraph.build(H.n, H.edges, H.labels)
+            for labels, respect in ((None, False), (H.labels, True)):
+                a, b = _Graph(H._adj, labels), _record(fresh, respect)
+                assert (a.n, a.adj, a.key, a.invariant, a.order) == \
+                    (b.n, b.adj, b.key, b.invariant, b.order), H
+
+
+def test_only_kept_records_sort_their_vertices(monkeypatch):
+    rng = random.Random(16)
+    graphs = []
+    for _ in range(80):
+        G = _random_graph(rng, rng.randint(0, 5))
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        graphs += [G, _relabel(G, perm), _relabel(G, perm[::-1])]
+    rng.shuffle(graphs)
+    seen = []  # the rows of each record that sorts its vertices
+
+    def recorded(adj):
+        seen.append(adj)
+        return _pattern_order(adj)
+
+    monkeypatch.setattr(search, "_pattern_order", recorded)
+    kept = list(isomorphism_classes(graphs))
+    assert len(kept) < len(graphs) // 2
+    kept_rows = {id(K._adj) for K in kept}
+    assert len({id(adj) for adj in seen}) == len(seen)
+    assert {id(adj) for adj in seen} <= kept_rows
+    # in a census the host's automorphisms add one record: the host's
+    for G in (grid(3, 3), make_Tn(3)):
+        seen.clear()
+        outputs = list(apply_all_params(builtin_induced(), G, dedupe=True))
+        assert len(seen) <= len(outputs) + 1
+        assert set(seen) <= {H._adj for H in outputs}
 
 
 def _brute_automorphisms(G):
