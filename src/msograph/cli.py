@@ -18,20 +18,20 @@ from pathlib import Path
 from . import bichain_family as bf
 from . import power_family as pf
 from . import word_family as wf
-from .graphs import (GraphError, LabeledGraph, SubdivisionPlan,
-                     antichain_member_In, grid, make_Tn, tri_corner_grid,
-                     uniform_subdivide_utg, upper_tri_grid)
-from .interpret import (Interpretation, InterpretationError, Pipeline, apply,
+from .graphs import (LabeledGraph, SubdivisionPlan, antichain_member_In,
+                     grid, make_Tn, tri_corner_grid, uniform_subdivide_utg,
+                     upper_tri_grid)
+from .interpret import (Interpretation, InterpretationError, Pipeline,
                         builtin_complement, builtin_induced, compose_pipeline,
                         parse_interpretation)
-from .logic import (DEFAULT_SET_CAP, EvalError, FormulaSyntaxError,
-                    SetQuantifierCapError, is_set_var, materialize,
-                    parse_formula, parse_library, PredicateLibrary, evaluate)
+from .logic import (DEFAULT_SET_CAP, SetQuantifierCapError, is_set_var,
+                    materialize, parse_formula, parse_library,
+                    PredicateLibrary, evaluate)
 from .search import BudgetExhausted
 from .verify import SUITES, run_suite
 from .widths import (KExpression, SizeCapExceeded, TreeDecomposition,
-                     WidthError, cliquewidth_exact, treewidth_exact,
-                     verify_k_expression, verify_tree_decomposition)
+                     cliquewidth_exact, treewidth_exact, verify_k_expression,
+                     verify_tree_decomposition)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,48 +47,45 @@ class UsageError(ValueError):
 # gen
 # ---------------------------------------------------------------------------
 
+def _split(args) -> LabeledGraph:
+    Z = bf.build_Zn(args.n, with_labels=args.labels)
+    A, _ = bf.zn_parts(args.n)
+    return bf.split_from_bichain(Z, A)
+
+
+def _subdiv(args) -> LabeledGraph:
+    sizes = {}
+    if args.path_sizes:
+        for part in args.path_sizes.split(","):
+            j, k = part.split(":")
+            sizes[int(j)] = int(k)
+    G, originals = uniform_subdivide_utg(SubdivisionPlan(args.r, sizes))
+    return G.with_labels({"original": originals})
+
+
+# family name -> (the options it needs, its builder)
+_FAMILIES = {
+    "grid": (("m", "n"), lambda a: grid(a.m, a.n)),
+    "utg": (("t",), lambda a: upper_tri_grid(a.t)),
+    "word": (("alpha", "n"), lambda a: wf.build_Hn(a.alpha, a.n)
+             if a.labels else wf.build_Gn(a.alpha, a.n)),
+    "bichain": (("n",), lambda a: bf.build_Zn(a.n, with_labels=a.labels)),
+    "split": (("n",), _split),
+    "bpg": (("n",), lambda a: bf.build_Pn(a.n)),
+    "power": (("n",), lambda a: pf.build_Dn(a.n)),
+    "Tn": (("n",), lambda a: make_Tn(a.n)),
+    "subdiv": (("r",), _subdiv),
+    "In": (("n",), lambda a: antichain_member_In(a.n)),
+    "tri-grid": (("n",), lambda a: tri_corner_grid(a.n)),
+}
+
+
 def _gen_graph(args) -> LabeledGraph:
-    fam = args.family
-    need = {
-        "grid": ("m", "n"), "utg": ("t",), "word": ("alpha", "n"),
-        "bichain": ("n",), "split": ("n",), "bpg": ("n",), "power": ("n",),
-        "Tn": ("n",), "subdiv": ("r",), "In": ("n",), "tri-grid": ("n",),
-    }[fam]
+    need, build = _FAMILIES[args.family]
     for a in need:
         if getattr(args, a, None) is None:
-            raise UsageError(f"family {fam!r} needs --{a}")
-    if fam == "grid":
-        return grid(args.m, args.n)
-    if fam == "utg":
-        return upper_tri_grid(args.t)
-    if fam == "word":
-        return wf.build_Hn(args.alpha, args.n) if args.labels \
-            else wf.build_Gn(args.alpha, args.n)
-    if fam == "bichain":
-        return bf.build_Zn(args.n, with_labels=args.labels)
-    if fam == "split":
-        Z = bf.build_Zn(args.n, with_labels=args.labels)
-        A, _ = bf.zn_parts(args.n)
-        return bf.split_from_bichain(Z, A)
-    if fam == "bpg":
-        return bf.build_Pn(args.n)
-    if fam == "power":
-        return pf.build_Dn(args.n)
-    if fam == "Tn":
-        return make_Tn(args.n)
-    if fam == "subdiv":
-        sizes = {}
-        if args.path_sizes:
-            for part in args.path_sizes.split(","):
-                j, k = part.split(":")
-                sizes[int(j)] = int(k)
-        G, originals = uniform_subdivide_utg(SubdivisionPlan(args.r, sizes))
-        return G.with_labels({"original": originals})
-    if fam == "In":
-        return antichain_member_In(args.n)
-    if fam == "tri-grid":
-        return tri_corner_grid(args.n)
-    raise UsageError(f"unknown family {fam!r}")
+            raise UsageError(f"family {args.family!r} needs --{a}")
+    return build(args)
 
 
 def _emit_graph(G: LabeledGraph, out: str, dot: str | None) -> None:
@@ -321,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"quantifier may range over (default: {DEFAULT_SET_CAP})")
 
     g = sub.add_parser("gen", help="generate a family member")
-    g.add_argument("--family", required=True,
-                   choices=["grid", "utg", "word", "bichain", "split", "bpg",
-                            "power", "Tn", "subdiv", "In", "tri-grid"])
+    g.add_argument("--family", required=True, choices=list(_FAMILIES))
     g.add_argument("--m", type=int)
     g.add_argument("--n", type=int)
     g.add_argument("--t", type=int)
@@ -395,9 +390,7 @@ def main(argv=None) -> int:
     except InterpretationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (UsageError, FormulaSyntaxError, GraphError, WidthError, EvalError,
-            wf.WordError, bf.BichainError, pf.PowerError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,7 @@ from .syntax import (  # re-exported: the dialect's public names
     LibraryError, Not, Or, PredicateLibrary, SetAtom, TrueF, all_vars,
     app_refs, free_vars, fresh_var, is_set_var, parse_formula,
     parse_library, subformulas, substitute)
-from .syntax import NO_DEFINITIONS
+from .syntax import NO_DEFINITIONS, _rewrite
 from .table import Table
 
 DEFAULT_SET_CAP = 22
@@ -185,53 +185,32 @@ def relativize(f: Formula, X: str) -> Formula:
         raise ValueError(f"{X!r} is not a set variable")
     if X in all_vars(f):
         raise ValueError(f"{X!r} occurs in the formula")
-    return _relativize(f, X)
 
-
-def _subset_guard(Z: str, X: str) -> Formula:
-    w = fresh_var("w", {Z, X})
-    return ForallV(w, Implies(SetAtom(Z, w), SetAtom(X, w)))
-
-
-def _relativize(f: Formula, X: str) -> Formula:
-    """relativize's rebuild, bottom-up on its own stack so that a deep
-    formula needs no recursion; nodes are checked in preorder."""
-    done: list[Formula] = []  # the rebuilt subformulas, the latest last
-    stack = [(f, False)]
-    while stack:
-        g, kids_done = stack.pop()
-        if not kids_done:
-            if isinstance(g, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
-                done.append(g)
-            elif isinstance(g, App):
-                if len(g.args) != 1:  # a unary label atom is graph vocabulary
-                    raise ValueError("relativization is defined on the "
-                                     "graph vocabulary only")
-                done.append(g)
-            elif isinstance(g, TC):
-                raise ValueError(
-                    "relativization does not support the TC primitive")
-            elif isinstance(g, (Not, And, Or, Implies, Iff, ExistsV,
-                                ForallV, ExistsS, ForallS)):
-                stack.append((g, True))
-                stack += [(c, False) for c in reversed(subformulas(g))]
-            else:
-                raise TypeError(f"unknown node {g!r}")
-        elif isinstance(g, Not):
-            done[-1] = Not(done[-1])
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            right = done.pop()
-            done[-1] = type(g)(done[-1], right)
-        elif isinstance(g, ExistsV):
-            done[-1] = ExistsV(g.var, And(SetAtom(X, g.var), done[-1]))
-        elif isinstance(g, ForallV):
-            done[-1] = ForallV(g.var, Implies(SetAtom(X, g.var), done[-1]))
-        elif isinstance(g, ExistsS):
-            done[-1] = ExistsS(g.var, And(_subset_guard(g.var, X), done[-1]))
+    def enter(g: Formula, _):
+        # nodes are checked in preorder
+        if isinstance(g, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
+            return g
+        if isinstance(g, App):
+            if len(g.args) != 1:  # a unary label atom is graph vocabulary
+                raise ValueError("relativization is defined on the graph "
+                                 "vocabulary only")
+            return g
+        if isinstance(g, TC):
+            raise ValueError("relativization does not support the TC "
+                             "primitive")
+        if isinstance(g, (Not, And, Or, Implies, Iff)):
+            return None, type(g)
+        if isinstance(g, (ExistsV, ForallV)):
+            guard = SetAtom(X, g.var)
+        elif isinstance(g, (ExistsS, ForallS)):
+            w = fresh_var("w", {g.var, X})
+            guard = ForallV(w, Implies(SetAtom(g.var, w), SetAtom(X, w)))
         else:
-            done[-1] = ForallS(g.var, Implies(_subset_guard(g.var, X),
-                                              done[-1]))
-    return done[0]
+            raise TypeError(f"unknown node {g!r}")
+        link = And if isinstance(g, (ExistsV, ExistsS)) else Implies
+        return None, lambda body: type(g)(g.var, link(guard, body))
+
+    return _rewrite(f, None, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +228,9 @@ def tc_naive_encoding(u: str, v: str, body: Formula, a: str, b: str) -> Formula:
     if extra:
         raise ValueError(
             f"body has extra free vertex variables {sorted(extra)}")
-    avoid = all_vars(body) | {a, b, u, v}
-    if a in (u, v) or b in (u, v):
-        u2 = fresh_var(u, avoid)
-        v2 = fresh_var(v, avoid | {u2})
-        body = substitute(body, {u: u2, v: v2})
-        u, v = u2, v2
-    X = fresh_var("X", avoid).capitalize()
+    # a and b stand outside the scope of u and v, so they may share
+    # their names
+    X = fresh_var("X", all_vars(body) | {a, b, u, v}).capitalize()
     closed = ForallV(u, ForallV(v, Implies(And(SetAtom(X, u), body),
                                            SetAtom(X, v))))
     return ForallS(X, Implies(And(SetAtom(X, a), closed), SetAtom(X, b)))

@@ -263,50 +263,75 @@ def free_vars(f: Formula) -> frozenset[str]:
     return f.free
 
 
-def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free vertex/set variables.  Binders shadow as usual; no
-    binder is renamed, so every new name must be fresh for f.
+def _rewrite(f: Formula, ctx, enter) -> Formula:
+    """Rebuild f bottom-up on an explicit stack, so that a deep formula
+    needs no recursion.
 
-    The rebuild runs bottom-up on its own stack, so a deep formula needs
-    no recursion; a subformula in which no name of the mapping is free
-    is kept as it is."""
+    ``enter(g, ctx)`` sees each node top-down, in preorder, with the
+    context its parent passed on.  It returns either the formula that
+    replaces g's whole subtree, or a pair (the context for g's
+    subformulas, a function that builds g from their rebuilds)."""
     done: list[Formula] = []  # the rebuilt subformulas, the latest last
-    stack: list[tuple[Formula, dict[str, str], bool]] = [(f, mapping, False)]
+    # a (node, context) pair to enter, or a (build, arity) pair to finish
+    stack: list = [(f, ctx)]
     while stack:
-        g, m, kids_done = stack.pop()
-        def s(name):
-            return m.get(name, name)
-        if kids_done:
-            if isinstance(g, TC):
-                done[-1] = TC(g.u, g.v, done[-1], s(g.a), s(g.b))
-            elif isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
-                done[-1] = type(g)(g.var, done[-1])
-            elif isinstance(g, Not):
-                done[-1] = Not(done[-1])
-            else:
-                right = done.pop()
-                done[-1] = type(g)(done[-1], right)
-        elif m.keys().isdisjoint(g.free):
-            done.append(g)
-        elif isinstance(g, EdgeAtom):
-            done.append(EdgeAtom(s(g.x), s(g.y)))
-        elif isinstance(g, Eq):
-            done.append(Eq(s(g.x), s(g.y)))
-        elif isinstance(g, SetAtom):
-            done.append(SetAtom(s(g.set_name), s(g.x)))
-        elif isinstance(g, App):
-            done.append(App(g.name, tuple(s(a) for a in g.args)))
-        elif not subformulas(g):
-            raise TypeError(f"unknown node {g!r}")
-        else:
-            inner = m
-            if isinstance(g, TC):
-                inner = {k: v for k, v in m.items() if k not in (g.u, g.v)}
-            elif isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
-                inner = {k: v for k, v in m.items() if k != g.var}
-            stack.append((g, m, True))
-            stack += [(c, inner, False) for c in reversed(subformulas(g))]
+        g, c = stack.pop()
+        if not isinstance(g, Formula):  # its c subformulas are rebuilt
+            done[-c:] = [g(*done[-c:])]
+            continue
+        out = enter(g, c)
+        if isinstance(out, Formula):
+            done.append(out)
+            continue
+        inner, build = out
+        kids = subformulas(g)
+        stack.append((build, len(kids)))
+        stack += [(k, inner) for k in reversed(kids)]
     return done[0]
+
+
+def substitute(f: Formula, mapping: dict[str, str]) -> Formula:
+    """Rename free vertex/set variables.  Binders shadow as usual, and a
+    binder that would capture a new name is renamed to the first
+    ``fresh_var`` of it that avoids every name of its node and every new
+    name.  A subformula in which no name of the mapping is free is kept
+    as it is."""
+    return _rewrite(f, mapping, _substitute_enter)
+
+
+def _substitute_enter(g: Formula, m: dict[str, str]):
+    if m.keys().isdisjoint(g.free):
+        return g
+    def s(name):
+        return m.get(name, name)
+    if isinstance(g, (EdgeAtom, Eq)):
+        return type(g)(s(g.x), s(g.y))
+    if isinstance(g, SetAtom):
+        return SetAtom(s(g.set_name), s(g.x))
+    if isinstance(g, App):
+        return App(g.name, tuple(s(a) for a in g.args))
+    if isinstance(g, (Not, And, Or, Implies, Iff)):
+        return m, type(g)
+    if isinstance(g, TC):
+        binders = (g.u, g.v)
+    elif isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+        binders = (g.var,)
+    else:
+        raise TypeError(f"unknown node {g!r}")
+    inner = {k: v for k, v in m.items() if k not in binders}
+    # the new names that land free in the body, where a binder would
+    # capture them
+    landing = {v for k, v in inner.items() if k in g.body.free}
+    new = {}
+    for b in binders:
+        if b in landing and b not in new:
+            new[b] = fresh_var(b, all_vars(g) | set(m.values())
+                               | set(new.values()))
+    inner.update(new)
+    if isinstance(g, TC):
+        return inner, lambda body: TC(new.get(g.u, g.u), new.get(g.v, g.v),
+                                      body, s(g.a), s(g.b))
+    return inner, lambda body: type(g)(new.get(g.var, g.var), body)
 
 
 def fresh_var(base: str, avoid: Iterable[str]) -> str:
@@ -330,9 +355,6 @@ _TOKEN_RE = re.compile(r"""
   | (?P<sym>[()\[\],.:=!&|])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
 """, re.VERBOSE)
-
-_KEYWORDS = {"exists", "forall", "xor", "true", "false", "TC", "E"}
-
 
 @dataclass
 class _Token:
@@ -365,7 +387,8 @@ class _Parser:
 
     def next(self) -> _Token:
         tok = self.tokens[self.i]
-        self.i += 1
+        if tok.kind != "eof":  # the end stays the current token
+            self.i += 1
         return tok
 
     def expect(self, text: str) -> _Token:
@@ -529,7 +552,11 @@ class _Parser:
 def parse_formula(text: str) -> Formula:
     """Parse the DSL; xor and exists! are desugared during parsing."""
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply to parse",
+                                 p.peek().pos) from None
     if not p.at_end():
         tok = p.peek()
         raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)

@@ -264,6 +264,18 @@ def test_deep_certificates_are_checked_or_rejected(tmp_path, capsys):
             assert err.startswith("error:")
 
 
+def test_formula_nested_too_deeply_to_parse_is_usage_error(tmp_path, capsys):
+    g = tmp_path / "k1.json"
+    g.write_text(LabeledGraph.build(1, []).to_json())
+    deep = "".join(f"exists z{i}. (" for i in range(100)) + "x = x" + \
+        ")" * 100
+    code, out, err = run(capsys, "eval", str(g), "--formula", deep,
+                         "--assign", "x=0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: formula nested too deeply to parse")
+    assert "Traceback" not in err
+
+
 def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
     # a vertex name containing "cap" must not turn the error into exit 3
     interp = tmp_path / "refl.interp"

@@ -21,7 +21,7 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             evaluate, free_vars, materialize, subformulas,
                             materialize_all, parse_formula, parse_library,
                             relativize, substitute, tc_naive_encoding)
-from msograph.syntax import fresh_var
+from msograph.syntax import fresh_var, is_set_var
 from msograph.power_family import build_Dn, power_predicates
 from msograph.word_family import build_Hn, word_predicates
 
@@ -340,6 +340,15 @@ def test_parse_errors_have_positions():
         parse_formula("exists x. (E(x)")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("x = = y")
+    for text in ("TC[", "TC[a, b: E(a, b)]("):  # cut off at the end
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
+
+
+def test_formulas_nested_too_deeply_to_parse_are_syntax_errors():
+    text = "(" * 200 + "x = x" + ")" * 200
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula(text)
 
 
 # ---------------------------------------------------------------------------
@@ -758,21 +767,103 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
+def _binders(f: Formula) -> set:
+    """The names that some quantifier or TC of f binds."""
+    out = set()
+    for g in ref_nodes(f):
+        if isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+            out.add(g.var)
+        elif isinstance(g, TC):
+            out |= {g.u, g.v}
+    return out
+
+
+def ref_canonical(f: Formula) -> Formula:
+    """f with its binders renamed w0, w1, ... (set binders W0, W1, ...)
+    in preorder, so that two formulas equal up to the names of their
+    binders have equal canonical forms."""
+    count = itertools.count()
+
+    def rec(g, env):
+        def s(name):
+            return env.get(name, name)
+        if isinstance(g, (TrueF, FalseF)):
+            return g
+        if isinstance(g, EdgeAtom):
+            return EdgeAtom(s(g.x), s(g.y))
+        if isinstance(g, Eq):
+            return Eq(s(g.x), s(g.y))
+        if isinstance(g, SetAtom):
+            return SetAtom(s(g.set_name), s(g.x))
+        if isinstance(g, App):
+            return App(g.name, tuple(s(a) for a in g.args))
+        if isinstance(g, Not):
+            return Not(rec(g.body, env))
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return type(g)(rec(g.left, env), rec(g.right, env))
+        if isinstance(g, (ExistsV, ForallV, ExistsS, ForallS)):
+            b = f"{'W' if is_set_var(g.var) else 'w'}{next(count)}"
+            return type(g)(b, rec(g.body, {**env, g.var: b}))
+        u = f"w{next(count)}"
+        v = u if g.v == g.u else f"w{next(count)}"
+        return TC(u, v, rec(g.body, {**env, g.u: u, g.v: v}), s(g.a), s(g.b))
+    return rec(f, {})
+
+
 def test_substitute_matches_the_recursive_rebuild():
     rng = random.Random(23)
+    values = random.Random(31)  # graphs and valuations
+    lib = _random_library(random.Random(37))
     # old names from the binder pools, so that binders shadow them, and
-    # new names both fresh and taken
+    # new names of the same sort, both fresh and taken
     olds = VERTEX_NAMES + SET_NAMES
-    news = ("z", "x", "x_2", "T", "S", "S_2")
+    news = {False: ("z", "x", "x_2"), True: ("T", "S", "S_2")}
     calls = (("p", "vv"), ("q", "vS"))
+    renamed = 0
     for _ in range(400):
         f = _random_formula(rng, rng.randrange(0, 6), ["x", "y"], ["S"],
                             calls)
-        mapping = {old: rng.choice(news) for old in olds
+        mapping = {old: rng.choice(news[is_set_var(old)]) for old in olds
                    if rng.random() < 0.4}
         got = substitute(f, mapping)
-        assert got == ref_substitute(f, mapping), (f, mapping)
+        assert substitute(f, mapping) == got  # deterministic
         assert got.free == ref_free_vars(got)
+        if _binders(f).isdisjoint(mapping.values()):  # nothing to capture
+            assert got == ref_substitute(f, mapping), (f, mapping)
+        else:
+            renamed += got != ref_substitute(f, mapping)
+        # against renaming every binder apart first, which leaves nothing
+        # to capture
+        assert ref_canonical(got) == ref_canonical(
+            ref_substitute(ref_canonical(f), mapping)), (f, mapping)
+        # the meaning: got under sigma is f under sigma after the mapping
+        n = values.randrange(1, 4)
+        G = _random_graph(values, n)
+        sigma = {name: frozenset(v for v in range(n) if values.random() < 0.5)
+                 if is_set_var(name) else values.randrange(n)
+                 for name in (*olds, *news[False], *news[True])}
+        assert evaluate(G, lib, got, {k: sigma[k] for k in got.free}) == \
+            evaluate(G, lib, f, {k: sigma[mapping.get(k, k)]
+                                 for k in f.free}), (f, mapping)
+    assert renamed > 0
+
+
+def test_substitute_renames_a_binder_that_would_capture():
+    assert substitute(parse_formula("exists y. E(x, y)"), {"x": "y"}) == \
+        parse_formula("exists y_1. E(y, y_1)")
+    assert substitute(parse_formula("forall S. (S(x) -> T(x))"),
+                      {"T": "S"}) == \
+        parse_formula("forall S_1. (S_1(x) -> S(x))")
+    # a TC binder is renamed when a new name lands in its body ...
+    f = parse_formula("TC[u, v: E(u, v) & E(x, v)](x, u)")
+    assert substitute(f, {"x": "u"}) == \
+        parse_formula("TC[u_1, v: E(u_1, v) & E(u, v)](u, u)")
+    assert substitute(f, {"x": "v", "u": "x"}) == \
+        parse_formula("TC[u, v_1: E(u, v_1) & E(v, v_1)](v, x)")
+    # ... but not for its arguments, which lie outside its scope
+    g = parse_formula("TC[u, v: E(u, v)](x, y)")
+    assert substitute(g, {"x": "u", "y": "v"}) == \
+        parse_formula("TC[u, v: E(u, v)](u, v)")
 
 
 def test_relativize_matches_the_recursive_rebuild():
@@ -817,3 +908,20 @@ def test_tc_naive_encoding_agrees_with_primitive():
                 va = {"s": s, "t": t}
                 assert evaluate(G, None, prim, va) == \
                     evaluate(G, None, naive, va)
+
+
+def test_tc_naive_encoding_with_arguments_named_as_binders():
+    # a and b lie outside the scope of u and v, so they may share names
+    rng = random.Random(41)
+    body = parse_formula("E(u, v) & !red(v)")  # a directed step
+    for a, b in (("u", "v"), ("v", "u"), ("u", "u")):
+        prim = TC("u", "v", body, a, b)
+        naive = tc_naive_encoding("u", "v", body, a, b)
+        assert naive.free == prim.free == {a, b}
+        for _ in range(10):
+            n = rng.randrange(1, 6)
+            G = _random_graph(rng, n)
+            for s, t in itertools.product(range(n), repeat=2):
+                va = {a: s, b: t} if a != b else {a: s}
+                assert evaluate(G, None, prim, va) == \
+                    evaluate(G, None, naive, va), (a, b)
