@@ -29,7 +29,7 @@ from .logic import (
     parse_formula,
     parse_library,
 )
-from .search import _automorphisms, _first_of_classes
+from .search import _automorphisms, _byte_images, _first_of_classes
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -247,20 +247,6 @@ def _orbit_leaders(tuples: Iterable[tuple[int, ...]],
     for masks in tuples:
         if not any(_moves_earlier(tabs, masks) for tabs in images):
             yield masks
-
-
-def _byte_images(perm: list[int]) -> list[list[int]]:
-    """The image of a mask under the vertex map perm, by lookup: table k
-    sends byte b to the image of the mask b << 8k."""
-    n = len(perm)
-    tabs = []
-    for lo in range(0, n, 8):
-        t = [0]
-        for b in range(1, 1 << min(8, n - lo)):
-            low = b & -b
-            t.append(t[b ^ low] | 1 << perm[lo + low.bit_length() - 1])
-        tabs.append(t)
-    return tabs
 
 
 def _moves_earlier(tabs: list[list[int]], masks: tuple[int, ...]) -> bool:

@@ -18,12 +18,14 @@ new graph; isomorphism is symmetric, so a duplicate never sorts its
 vertices.  Its core, ``_first_of_classes``, takes bare rows with an item
 each, so the census of ``interpret`` builds only the graphs it keeps.
 The search core stops at the first map or, given a visit callback,
-passes it every map: ``_automorphisms`` lists the label-keeping
-automorphisms of a graph that way, under a fixed expansion budget, and
-falls back to the identity alone when the budget runs out (a subset of
-the group is all its callers need).  An optional budget of node
-expansions per call turns a long search into an explicit
-``BudgetExhausted`` outcome, never a negative answer.
+passes it every map: ``_automorphisms`` lists the automorphisms of a
+graph that way, the label-keeping ones by default, under a fixed
+expansion budget, and falls back to the identity alone when the budget
+runs out (the trivial group serves its callers as well, only slower).
+``_byte_images`` tables map vertex sets, as masks, through them, for the
+census of ``interpret`` and the clique-width search of ``widths``.  An
+optional budget of node expansions per call turns a long search into an
+explicit ``BudgetExhausted`` outcome, never a negative answer.
 """
 
 from __future__ import annotations
@@ -185,11 +187,13 @@ def _isomorphism(A: _Graph, B: _Graph, budget: Optional[int],
 _AUTOMORPHISM_BUDGET = 10_000
 
 
-def _automorphisms(G: LabeledGraph) -> list[list[int]]:
-    """The automorphisms of G that keep every label set, each as its
-    list of vertex images, in search order; only the identity if listing
-    them takes more than ``_AUTOMORPHISM_BUDGET`` expansions."""
-    g = _record(G, respect_labels=True)
+def _automorphisms(G: LabeledGraph,
+                   respect_labels: bool = True) -> list[list[int]]:
+    """The automorphisms of G, each as its list of vertex images, in
+    search order; only the identity if listing them takes more than
+    ``_AUTOMORPHISM_BUDGET`` expansions.  With ``respect_labels`` only
+    those that keep every label set."""
+    g = _record(G, respect_labels)
     found: list[list[int]] = []
     try:
         _isomorphism(g, g, _AUTOMORPHISM_BUDGET,
@@ -197,6 +201,35 @@ def _automorphisms(G: LabeledGraph) -> list[list[int]]:
     except BudgetExhausted:
         return [list(range(G.n))]
     return found
+
+
+def _byte_images(perm: list[int]) -> list[list[int]]:
+    """The image of a mask under the vertex map perm, by lookup: table k
+    sends byte b to the image of the mask b << 8k."""
+    tabs = []
+    for lo in range(0, len(perm), 8):
+        t = [0]
+        for v in perm[lo:lo + 8]:  # the bytes with this vertex's bit follow
+            bit = 1 << v
+            t += [image | bit for image in t]
+        tabs.append(t)
+    return tabs
+
+
+def _mask_map(perm: list[int]) -> Callable[[int], int]:
+    """The map of masks induced by the vertex map perm, by lookup in its
+    byte tables: one table itself up to 8 vertices."""
+    tabs = _byte_images(perm)
+    if len(tabs) == 1:
+        return tabs[0].__getitem__
+
+    def image(mask: int) -> int:
+        out = 0
+        for k, t in enumerate(tabs):
+            out |= t[mask >> 8 * k & 255]
+        return out
+
+    return image
 
 
 def is_induced_subgraph_of(H: LabeledGraph, G: LabeledGraph,

@@ -86,9 +86,29 @@ class Formula:
     def __reduce__(self):
         # string hashes differ between processes: a copy is built from
         # the fields alone and computes its facts where it lands (slotted
-        # dataclasses bring their own __getstate__, which would not)
-        return type(self), tuple(
-            getattr(self, name) for name in self.__dataclass_fields__)
+        # dataclasses bring their own __getstate__, which would not).  The
+        # nodes go as a flat post-order list, so a deep formula pickles
+        # without recursion.
+        pre = []  # preorder, the last subformula first
+        stack = [self]
+        while stack:
+            g = stack.pop()
+            fields = tuple(getattr(g, name) for name in g.__dataclass_fields__)
+            pre.append((type(g), tuple(
+                ... if isinstance(x, Formula) else x for x in fields)))
+            stack += [x for x in fields if isinstance(x, Formula)]
+        return _from_post_order, (pre[::-1],)
+
+
+def _from_post_order(nodes: list) -> Formula:
+    """The formula of a post-order list of (class, fields) with ``...``
+    for each subformula, built through the constructors."""
+    done: list[Formula] = []
+    for cls, fields in nodes:
+        cut = len(done) - fields.count(...)
+        kids = iter(done[cut:])
+        done[cut:] = [cls(*(next(kids) if x is ... else x for x in fields))]
+    return done[0]
 
 
 _NONE: frozenset = frozenset()

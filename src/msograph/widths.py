@@ -4,16 +4,18 @@ Both oracles are exhaustive and intended for small graphs: treewidth by
 a search over elimination prefixes for each width k, from the degeneracy
 up to the width of a greedy least-degree elimination (cap 20 vertices),
 clique-width by breadth-first search over canonical labeled partial
-constructions (cap 8 by default; grid(3,3) at cap 10 and grid(3,4) at
-cap 12 fit the default budget).  Each state of that search keeps one
-summary per block (the OR and the AND of its vertices' adjacency rows),
-so a union step reads blocks, never vertices, and returns all its
-groupings in one call.  The clique-width budget counts the groupings of
-union steps the search closes: each one it completes and each one it
-cuts short.  Each returns a certificate — a tree decomposition or a
-k-expression — that the companion verifier checks independently; the
-verifiers reject bag vertices outside the graph, expression nodes with
-the wrong number of fields, and labels that are not ints.
+constructions, one per orbit of the automorphisms of the graph, from a
+lower bound by an induced P4 (cap 8 by default; grid(3,3) at cap 10,
+grid(3,4) at cap 12 and grid(4,4) at cap 16 fit the default budget).
+Each state of that search keeps one summary per block (the OR and the
+AND of its vertices' adjacency rows), so a union step reads blocks,
+never vertices, and returns all its groupings in one call.  The
+clique-width budget counts the groupings of union steps the search
+closes: each one it completes and each one it cuts short.  Each returns
+a certificate — a tree decomposition or a k-expression — that the
+companion verifier checks independently; the verifiers reject bag
+vertices outside the graph, expression nodes with the wrong number of
+fields, and labels that are not ints.
 
 A constructive decomposition extension is included: subdividing every
 edge into a path of length t raises treewidth to at most max(k, 3),
@@ -30,7 +32,8 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import GraphError, LabeledGraph, subdivide
-from .search import BudgetExhausted, is_isomorphic
+from .search import (BudgetExhausted, _automorphisms, _mask_map,
+                     is_isomorphic)
 from .table import bits
 
 
@@ -455,17 +458,25 @@ def verify_k_expression(G: LabeledGraph, e: KExpression) -> bool:
 #   * vertices sharing a class must have identical neighborhoods outside
 #    S, because all future edges reach them classwise.
 # States are canonical up to label renaming (a partition, not a
-# labeling), which is the orbit quotient that keeps 8-12 vertices
-# tractable; correctness does not depend on it, only the state count.
+# labeling), and the search keeps one state per orbit of a group of
+# automorphisms of G, the least by mask, then by blocks.  An
+# automorphism maps the union steps of two states onto those of their
+# images, so pairing each kept state with every image of every kept
+# state reaches an image of every state; and a k-expression names
+# labels, not vertices, so the expression of a state serves each of its
+# images.  Correctness depends on neither quotient, only the state
+# count: every group gives the same width, the identity alone the plain
+# search.
 # Each state keeps one summary per block, computed once when the state
 # is first reached: the block, the OR of its vertices' adjacency rows
 # and their AND.  By the second fact the OR, cut to any set outside S,
 # is the neighbourhood there of every vertex of the block, so a union
 # step reads blocks, never vertices.  It places the blocks of two states
 # into groups and cuts a placement at its first incomplete join; the
-# budget counts every grouping so closed, complete or cut: grid(3,3) at
-# cap 10 closes 21,901 (19,891 of them cut), grid(3,4) at cap 12 closes
-# 1,031,073.
+# budget counts every grouping so closed, complete or cut, up to the
+# first state with every vertex: grid(3,3) at cap 10 closes 4,935,
+# grid(3,4) at cap 12 closes 302,899 and grid(4,4) at cap 16 617,000
+# (17,383, 815,020 and more than 2,000,000 with a state per state).
 
 def _summaries(adj: list[int], blocks: tuple[int, ...]
                ) -> tuple[tuple[int, int, int], ...]:
@@ -564,78 +575,159 @@ def _unions(summA: tuple, mA: int, summB: tuple, mB: int, outside: int,
     return done, cuts
 
 
+def _has_induced_p4(adj: list[int]) -> bool:
+    """Whether the graph of adjacency rows adj has an induced path
+    a-b-c-d: for an edge bc, a neighbour of b alone and a neighbour of c
+    alone that are not adjacent."""
+    for b, nb in enumerate(adj):
+        for c in bits(nb):
+            only_c = adj[c] & ~nb & ~(1 << b)
+            for a in bits(nb & ~adj[c] & ~(1 << c)):
+                if only_c & ~adj[a]:
+                    return True
+    return False
+
+
 def cliquewidth_exact(G: LabeledGraph, cap: int = 8,
                       budget: int = 2_000_000
                       ) -> tuple[int, KExpression]:
     """Least k admitting a k-expression, with a witnessing expression.
 
     Exhaustive per k: returning k certifies that no (k-1)-expression
-    exists.  ``budget`` bounds the number of union groupings the search
-    closes, those it completes and those it cuts at an incomplete join;
+    exists.  The search starts at a certified lower bound: 1, or 2 when
+    G has an edge, or 3 when it has an induced P4, as the graphs of
+    clique-width at most 2 are the P4-free ones (Courcelle & Olariu
+    2000).  It keeps one state per orbit of the automorphisms of G.
+    ``budget`` bounds the number of union groupings the search closes,
+    those it completes and those it cuts at an incomplete join;
     exceeding it raises BudgetExhausted rather than guessing.  Raise the
-    cap for 9-12 vertices: of the default 2,000,000, grid(3,3) at cap 10
-    spends 21,901 and grid(3,4) at cap 12 spends 1,031,073.
+    cap for 9-16 vertices: of the default 2,000,000, grid(3,3) at cap 10
+    spends 4,935, grid(3,4) at cap 12 spends 302,899 and grid(4,4) at
+    cap 16 spends 617,000.
     """
+    return _cliquewidth(G, cap, budget)
+
+
+def _cliquewidth(G: LabeledGraph, cap: int, budget: int,
+                 automorphisms: Optional[list[list[int]]] = None
+                 ) -> tuple[int, KExpression]:
+    """``cliquewidth_exact`` over the orbits of a group of automorphisms
+    of G, labels ignored: by default all of them, as ``_automorphisms``
+    lists them.  With the identity alone every state is its own orbit."""
     if G.n > cap:
         raise SizeCapExceeded(f"clique-width cap is {cap} vertices, got {G.n}")
     if G.n == 0:
         raise WidthError("clique-width of the empty graph is undefined here")
     n = G.n
     adj = G.adjacency_masks()
-    full = (1 << n) - 1
+    if automorphisms is None:
+        automorphisms = _automorphisms(G, respect_labels=False)
+    identity = list(range(n))
+    # the identity first, then the rest in the order given
+    maps = [_mask_map(p) for p in
+            [identity] + [p for p in automorphisms if p != identity]]
+    low = 1 if not any(adj) else 3 if _has_induced_p4(adj) else 2
     spent = 0
-
-    for k in range(1, n + 1):
-        # state: (mask, tuple-sorted block masks) -> provenance
+    for k in range(low, n + 1):
         prov: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        # the states of each size, in the order found, with their summaries
-        frontier_by_size: list[list[tuple[tuple[int, tuple[int, ...]],
-                                          tuple]]] = [[] for _ in range(n + 1)]
-        goal = None
-        for v in range(n):
-            st = (1 << v, (1 << v,))
-            prov[st] = ("leaf", v)
-            frontier_by_size[1].append((st, _summaries(adj, st[1])))
-            if st[0] == full:
-                goal = st
-        for size in range(2, n + 1):
-            for s1 in range(1, size // 2 + 1):
-                s2 = size - s1
-                for stA, summA in frontier_by_size[s1]:
-                    mA = stA[0]
-                    for stB, summB in frontier_by_size[s2]:
-                        mB = stB[0]
-                        if mA & mB or (s1 == s2 and mA > mB):
-                            continue
-                        mask = mA | mB
-                        done, cuts = _unions(summA, mA, summB, mB,
-                                             full & ~mask, k)
-                        spent += len(done) + cuts
-                        if spent > budget:
-                            raise BudgetExhausted(budget)
-                        for Q, joins in done:
-                            st = (mask, tuple(sorted(Q)))
-                            if st in prov:
-                                continue
-                            prov[st] = ("union", stA, stB, Q, joins)
-                            frontier_by_size[size].append(
-                                (st, _summaries(adj, st[1])))
-                            if mask == full and goal is None:
-                                goal = st
-            if goal is not None:
-                break
+        goal, spent = _grow(adj, k, maps, prov, budget, spent)
         if goal is not None:
-            expr = _rebuild_expression(prov, goal, k)
-            return k, KExpression(k, expr)
+            return k, KExpression(k, _rebuild_expression(prov, goal, k,
+                                                          maps))
     raise WidthError("internal: no expression found at k = n")
 
 
-def _rebuild_expression(prov: dict, goal, k: int) -> tuple:
+def _orbit(maps: list, st: tuple[int, tuple[int, ...]]) -> list:
+    """The image of the state st, a mask and its sorted blocks, under
+    each of the mask maps, the identity first, in their order."""
+    mask, blocks = st
+    return [st] + [(f(mask), tuple(sorted(map(f, blocks))))
+                   for f in maps[1:]]
+
+
+def _grow(adj: list[int], k: int, maps: list, prov: dict, budget: int,
+          spent: int) -> tuple[Optional[tuple[int, tuple[int, ...]]], int]:
+    """Search the states of width k, one per orbit, size by size, into
+    prov, and return the first whose mask is full, or None, with the
+    groupings closed so far, ``spent`` before the search.
+
+    An orbit is kept as its least state, comparing the masks first, so
+    that a pair of states of one size needs trying in one order only.
+    Each state is paired with every distinct image of each state of the
+    complementary size, taken by the first of the mask maps that gives
+    it."""
+    n = len(adj)
+    full = (1 << n) - 1
+    seen: set = set()  # every state of every orbit kept
+    # the states of each size, in the order found, with their summaries
+    frontier_by_size: list[list[tuple[tuple[int, tuple[int, ...]],
+                                      tuple]]] = [[] for _ in range(n + 1)]
+    # per size, the distinct images of each state in turn: (the state,
+    # the index of the map giving the image, its mask, its summaries)
+    partners: list[list[tuple[tuple, int, int, tuple]]] = [
+        [] for _ in range(n + 1)]
+    for v in range(n):
+        st = (1 << v, (1 << v,))
+        if st in seen:  # a lower vertex of its orbit came first
+            continue
+        seen.update(_orbit(maps, st))
+        prov[st] = ("leaf", v)
+        if st[0] == full:
+            return st, spent
+        frontier_by_size[1].append((st, _summaries(adj, st[1])))
+    for size in range(2, n + 1):
+        # the states of size - 1 meet their first partners now
+        for st, summ in frontier_by_size[size - 1]:
+            met = set()
+            for i, img in enumerate(_orbit(maps, st)):
+                if img in met:
+                    continue
+                met.add(img)
+                f = maps[i]
+                # an automorphism maps each block's OR and AND to its image's
+                images = summ if i == 0 else tuple(
+                    (f(b), f(near), f(com)) for b, near, com in summ)
+                partners[size - 1].append((st, i, img[0], images))
+        for s1 in range(1, size // 2 + 1):
+            s2 = size - s1
+            for stA, summA in frontier_by_size[s1]:
+                mA = stA[0]
+                for stB, sigma, mB, summB in partners[s2]:
+                    if mA & mB or (s1 == s2 and mA > mB):
+                        continue
+                    mask = mA | mB
+                    done, cuts = _unions(summA, mA, summB, mB,
+                                         full & ~mask, k)
+                    spent += len(done) + cuts
+                    if spent > budget:
+                        raise BudgetExhausted(budget)
+                    for Q, joins in done:
+                        st = (mask, tuple(sorted(Q)))
+                        if st in seen:
+                            continue
+                        orbit = _orbit(maps, st)
+                        seen.update(orbit)
+                        st = min(orbit)
+                        prov[st] = ("union", stA, stB, sigma,
+                                    orbit.index(st), Q, joins)
+                        if mask == full:
+                            return st, spent
+                        frontier_by_size[size].append(
+                            (st, _summaries(adj, st[1])))
+    return None, spent
+
+
+def _rebuild_expression(prov: dict, goal, k: int, maps: list) -> tuple:
     """Top-down reconstruction: each state is told which label every one
     of its blocks must carry, so relabels are only ever needed to merge
     sibling blocks into their union group (temp labels are drawn from
     the labels unused by that child's merge targets, which always
-    suffice)."""
+    suffice).  A k-expression names labels, not vertices, so the
+    expression of a state serves each of its images under an
+    automorphism: a state found as the image under rho of the union of
+    A and the image under sigma of B tells B's block b the label of the
+    group holding sigma(b), that group's label being the one wanted for
+    its image under rho."""
 
     def rec(state, want: dict[int, int]) -> tuple:
         entry = prov[state]
@@ -643,14 +735,15 @@ def _rebuild_expression(prov: dict, goal, k: int) -> tuple:
             _, v = entry
             (block,) = state[1]
             return ("leaf", want[block])
-        _, stA, stB, Q, joins = entry
-        label_of_group = {g: want[g] for g in Q}
+        _, stA, stB, sigma, rho, Q, joins = entry
+        label_of_group = {g: want[maps[rho](g)] for g in Q}
 
-        def build_child(st) -> tuple:
+        def build_child(st, image) -> tuple:
             child_blocks = st[1]
             by_group: dict[int, list[int]] = {}
             for b in child_blocks:
-                g = next(g for g in Q if g & b == b)
+                ib = image(b)
+                g = next(g for g in Q if g & ib == ib)
                 by_group.setdefault(g, []).append(b)
             reps = {g: bs[0] for g, bs in by_group.items()}
             used_finals = {label_of_group[g] for g in by_group}
@@ -668,7 +761,8 @@ def _rebuild_expression(prov: dict, goal, k: int) -> tuple:
                 e = ("relabel", i, j, e)
             return e
 
-        expr = ("union", build_child(stA), build_child(stB))
+        expr = ("union", build_child(stA, maps[0]),
+                build_child(stB, maps[sigma]))
         for (ia, ib) in joins:
             expr = ("join", label_of_group[Q[ia]], label_of_group[Q[ib]], expr)
         return expr

@@ -573,6 +573,24 @@ def test_node_facts_match_the_recursive_walks():
             assert g.sets == ref_sets(g)
 
 
+def test_deep_formulas_pickle_without_recursion():
+    deep = Eq("x", "y")
+    for _ in range(1500):
+        deep = Not(deep)
+    mixed = parse_formula("exists X. (TC[u, v: E(u, v) & p(u, v) & X(v)]"
+                          "(x, y) & forall z. (q(z, X) -> !(z = y)))")
+    for f in (deep, mixed):
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and hash(copy) == hash(f)
+        assert (copy.free, copy.calls, copy.sets) == (f.free, f.calls, f.sets)
+    assert mixed.calls == {("p", 2), ("q", 2)} and mixed.sets
+    node = pickle.loads(pickle.dumps(deep))
+    for _ in range(1500):
+        assert type(node) is Not and node.free == {"x", "y"}
+        node = node.body
+    assert node == Eq("x", "y")
+
+
 def test_cached_plans_match_reference_on_many_graphs():
     rng = random.Random(31)
     calls = [("p", "vv"), ("q", "vS")]

@@ -8,7 +8,7 @@ from msograph.graphs import LabeledGraph, grid, make_Tn, upper_tri_grid
 from msograph import search
 from msograph.interpret import apply_all_params, builtin_induced
 from msograph.search import (BudgetExhausted, _automorphisms, _Graph,
-                             _pattern_order, _record, is_antichain,
+                             _mask_map, _pattern_order, _record, is_antichain,
                              is_induced_subgraph_of, is_isomorphic,
                              isomorphism_classes)
 
@@ -321,8 +321,21 @@ def test_automorphism_group_orders():
     corner = grid(3, 3).with_labels({"c": [0]})  # only the diagonal flip
     assert sorted(_automorphisms(corner)) == [
         list(range(9)), [0, 3, 6, 1, 4, 7, 2, 5, 8]]
+    assert len(_automorphisms(corner, respect_labels=False)) == 8
 
 
 def test_automorphisms_fall_back_to_the_identity_past_the_budget():
     # 10! automorphisms take millions of expansions to list
     assert _automorphisms(LabeledGraph.build(10, [])) == [list(range(10))]
+
+
+def test_mask_maps_send_each_vertex_to_its_image():
+    rng = random.Random(47)
+    for n in range(1, 21):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        image = _mask_map(perm)
+        for _ in range(30):
+            mask = rng.getrandbits(n)
+            assert image(mask) == sum(1 << perm[v] for v in range(n)
+                                      if mask >> v & 1)

@@ -7,7 +7,7 @@ import pytest
 
 from msograph import widths
 from msograph.graphs import LabeledGraph, grid, subdivide, upper_tri_grid
-from msograph.search import BudgetExhausted
+from msograph.search import BudgetExhausted, _automorphisms, _mask_map
 from msograph.widths import (KExpression, SizeCapExceeded, TreeDecomposition,
                              WidthError, cliquewidth_exact,
                              decomposition_violation,
@@ -170,11 +170,59 @@ def test_cliquewidth_cap_and_budget():
     assert msg.count("budget") == 1 and msg.count("50") == 1, msg
 
 
+def _plain(G, cap=8, budget=2_000_000):
+    """The clique-width search with the identity alone: every state its
+    own orbit."""
+    return widths._cliquewidth(G, cap, budget, [list(range(G.n))])
+
+
 def test_cliquewidth_budget_counts_closed_groupings():
-    # grid(3,3) at cap 10 closes 21,901 groupings: 2,010 complete, 19,891 cut
-    assert cliquewidth_exact(grid(3, 3), cap=10, budget=21_901)[0] == 4
+    # grid(3,3) at cap 10, from k = 3 up to its goal state, closes 17,383
+    # groupings with a state per state, and 4,935 with one per orbit
+    assert _plain(grid(3, 3), cap=10, budget=17_383)[0] == 4
     with pytest.raises(BudgetExhausted):
-        cliquewidth_exact(grid(3, 3), cap=10, budget=21_900)
+        _plain(grid(3, 3), cap=10, budget=17_382)
+    assert cliquewidth_exact(grid(3, 3), cap=10, budget=4_935)[0] == 4
+    with pytest.raises(BudgetExhausted):
+        cliquewidth_exact(grid(3, 3), cap=10, budget=4_934)
+
+
+def test_the_lower_bound_is_the_p4_test():
+    rng = random.Random(41)
+    for _ in range(300):
+        G = _random_graph(rng, rng.randrange(1, 8), rng.random())
+        assert widths._has_induced_p4(G.adjacency_masks()) == \
+            _has_induced_p4(G), sorted(G.edges)
+
+
+def test_the_search_below_the_lower_bound_fails(atlas_widths):
+    # Courcelle & Olariu (2000) let the search start at 3 for a graph
+    # with an induced P4, and at 2 for one with an edge; the search at
+    # the width below finds nothing on the atlas graphs of 1-6 vertices
+    for G, cw, _, _ in atlas_widths:
+        adj = G.adjacency_masks()
+        low = 1 if not any(adj) else 3 if _has_induced_p4(G) else 2
+        assert cw >= low
+        if low > 1:
+            maps = [_mask_map(list(range(G.n)))]
+            assert widths._grow(adj, low - 1, maps, {}, 10 ** 9, 0)[0] is None
+
+
+def _shuffled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return LabeledGraph.build(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def test_shuffled_grids_keep_their_width():
+    rng = random.Random(43)
+    for G, cap in ((grid(2, 4), 8), (grid(3, 3), 10)):
+        want = cliquewidth_exact(G, cap=cap)[0]
+        for _ in range(3):
+            H = _shuffled(G, rng)
+            assert len(_automorphisms(H)) == len(_automorphisms(G)) > 1
+            cw, e = cliquewidth_exact(H, cap=cap)
+            assert cw == want and e.k == cw and verify_k_expression(H, e)
 
 
 def _unions_brute(adj, blocksA, mA, blocksB, mB, outside, k):
@@ -286,8 +334,9 @@ def _unions_generator(adj, blocksA, mA, blocksB, mB, outside, k):
 
 
 def _recorded_unions(monkeypatch):
-    """A sample of the union steps of seeded searches, each as (adj,
-    summA, mA, summB, mB, outside)."""
+    """A sample of the union steps of seeded searches, with a state per
+    state and with one per orbit, each as (adj, summA, mA, summB, mB,
+    outside)."""
     calls = []
 
     def recording(*args):
@@ -301,6 +350,7 @@ def _recorded_unions(monkeypatch):
     for _ in range(12):
         calls.clear()
         G = _random_graph(rng, rng.randrange(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        _plain(G)
         cliquewidth_exact(G)
         adj = G.adjacency_masks()
         pairs += [(adj, *c) for c in rng.sample(calls, min(len(calls), 25))]
@@ -355,11 +405,17 @@ def _digest(texts):
 
 
 def test_cliquewidth_expressions_are_pinned():
-    # sha256 of to_json(), as the search with per-vertex union steps wrote it
-    assert _digest([cliquewidth_exact(grid(2, 4))[1].to_json()]) == (
+    # sha256 of to_json(), as the search with per-vertex union steps wrote
+    # it, on the path with the identity alone
+    assert _digest([_plain(grid(2, 4))[1].to_json()]) == (
         "8d6a1eccf92cfe02902e2f30b64d4ef759b18f095f93f47aa1339a99f802ab19")
-    assert _digest([cliquewidth_exact(grid(3, 3), cap=10)[1].to_json()]) == (
+    assert _digest([_plain(grid(3, 3), cap=10)[1].to_json()]) == (
         "a7a700abfeede42cd521ef48eb9e9dc70b9cd628540ee02a7ecb6eaa261d70fd")
+    # and as the search over orbits writes it
+    assert _digest([cliquewidth_exact(grid(2, 4))[1].to_json()]) == (
+        "e754505522a69e89b7060af4f21450292144fb41b10f20b57f6b940ee29ff695")
+    assert _digest([cliquewidth_exact(grid(3, 3), cap=10)[1].to_json()]) == (
+        "c13f6e09640d75972c8710486095783575e23d2bcc96d1c8684f2a16b5734154")
 
 
 def test_monotone_under_induced_subgraphs():
@@ -499,18 +555,42 @@ def test_atlas_certificates_verify(atlas_widths):
         assert e.k == cw and verify_k_expression(G, e), sorted(G.edges)
 
 
-def test_atlas_expressions_are_pinned(atlas_widths):
-    # sha256 of to_json() for every atlas graph with 1-7 vertices, in
-    # atlas order, as the search with per-vertex union steps wrote them
+@pytest.fixture(scope="module")
+def atlas_plain():
+    """(graph, k-expression) of the search with the identity alone for
+    every atlas graph with 1-7 vertices, in atlas order."""
     nx = pytest.importorskip("networkx")
-    texts = [e.to_json() for _, _, e, _ in atlas_widths]
+    out = []
     for g in nx.graph_atlas_g():
-        if g.number_of_nodes() == 7:
-            G = LabeledGraph.build(7, list(g.edges()))
-            texts.append(cliquewidth_exact(G)[1].to_json())
-    assert len(texts) == 1252
+        if 1 <= g.number_of_nodes() <= 7:
+            G = LabeledGraph.build(g.number_of_nodes(), list(g.edges()))
+            out.append((G, _plain(G)[1]))
+    assert len(out) == 1252
+    return out
+
+
+def test_atlas_expressions_are_pinned(atlas_plain):
+    # sha256 of to_json() for every atlas graph with 1-7 vertices, in
+    # atlas order, as the search with per-vertex union steps wrote them;
+    # most have a nontrivial group, so only the identity alone keeps them
+    texts = [e.to_json() for _, e in atlas_plain]
     assert _digest(texts) == (
         "f4c93a594b6f0ae1ac8fab9e032271463dec3f12af7723db0e83b14451a9fa51")
+
+
+def test_atlas_orbit_search_agrees(atlas_widths, atlas_plain):
+    # the widths of the search over orbits equal those of the plain one;
+    # the graphs of 1-6 vertices come from atlas_widths
+    small = len(atlas_widths)
+    for (G, cw, _, _), (H, plain) in zip(atlas_widths, atlas_plain):
+        assert G == H and cw == plain.k, sorted(G.edges)
+    nontrivial = 0
+    for G, plain in atlas_plain[small:]:
+        nontrivial += len(_automorphisms(G)) > 1
+        cw, e = cliquewidth_exact(G)
+        assert cw == e.k == plain.k and verify_k_expression(G, e), \
+            sorted(G.edges)
+    assert nontrivial == 890
 
 
 def test_atlas_cw_within_corneil_rotics_bound(atlas_widths):
