@@ -21,15 +21,14 @@ from .logic import (
     Binding,
     Formula,
     PredicateLibrary,
-    _plan,
-    _tabulate_reached,
     app_refs,
     free_vars,
     is_set_var,
     parse_formula,
     parse_library,
+    tabulate_reached,
 )
-from .search import _automorphisms, _byte_images, _first_of_classes
+from .search import _automorphisms, _first_of_classes, _mask_map
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -117,15 +116,12 @@ def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
     """A binding of G with the definitions that the called names reach
     tabulated, and in it the domain row and the edge row function, both
     taking params first."""
-    lib = I.library
-    binding = Binding(G, set_cap, {})
-    _tabulate_reached(binding, lib, called)
-    dom_row = binding.function(_plan(G, lib, I.domain, params,
-                                     _single_var(I.domain, "domain"),
-                                     binding.tables))
+    binding = Binding(G, I.library, set_cap)
+    tabulate_reached(binding, called)
+    dom_row = binding.compile(I.domain, params,
+                              _single_var(I.domain, "domain"))
     x, y = _pair_vars(I.edge, "edge")
-    edge_row = binding.function(_plan(G, lib, I.edge, (*params, x), y,
-                                      binding.tables))
+    edge_row = binding.compile(I.edge, (*params, x), y)
     return binding, dom_row, edge_row
 
 
@@ -242,23 +238,22 @@ def _orbit_leaders(tuples: Iterable[tuple[int, ...]],
     automorphism moves, the image of S comes first iff it holds the
     least vertex of S ^ image.
     """
-    images = [_byte_images(s) for s in automorphisms
-              if s != sorted(s)]  # the identity moves nothing
+    maps = [_mask_map(s) for s in automorphisms
+            if s != sorted(s)]  # the identity moves nothing
     for masks in tuples:
-        if not any(_moves_earlier(tabs, masks) for tabs in images):
+        if not any(_moves_earlier(image, masks) for image in maps):
             yield masks
 
 
-def _moves_earlier(tabs: list[list[int]], masks: tuple[int, ...]) -> bool:
-    """Whether the automorphism of the image tables maps the tuple onto
+def _moves_earlier(image: Callable[[int], int],
+                   masks: tuple[int, ...]) -> bool:
+    """Whether the automorphism of the mask map image maps the tuple onto
     an earlier one."""
     for S in masks:
-        image = 0
-        for k, t in enumerate(tabs):
-            image |= t[S >> 8 * k & 255]
-        if image != S:
-            d = image ^ S
-            return image & d & -d != 0
+        moved = image(S)
+        if moved != S:
+            d = moved ^ S
+            return moved & d & -d != 0
     return False
 
 

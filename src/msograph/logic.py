@@ -2,9 +2,10 @@
 relativization and the pure-MSO encoding of TC.
 
 ``evaluate``, ``materialize`` and the interpretations all compile a
-formula into a Python function over vertex indices and set bitmasks on
-one graph: its plan, cached by ``plans`` and shared by every graph with
-the same label names, bound to that graph.  A formula with free vertex
+formula through ``plans.Binding.compile`` into a Python function over
+vertex indices and set bitmasks on one graph: its plan, cached by
+``plans`` and shared by every graph with the same label names, bound to
+that graph.  A formula with free vertex
 variables (x̄, y) compiles to a function of x̄ that returns its *row*
 over y, the bitmask of every y at which it holds, and a library
 predicate is tabulated as a ``Table`` of such rows, one call per tuple
@@ -13,58 +14,33 @@ quantifiers enumerate subsets of V(G) and raise
 ``SetQuantifierCapError`` when reached on a graph larger than the cap.
 TC is a first-class primitive computed by bitset fixpoint, once per
 valuation of its outer variables, so formulas built from it stay
-polynomial to evaluate.  Names are resolved while planning: an
-unassigned variable or an unknown predicate raises ``EvalError`` before
-evaluation, and so does a valuation that gives a vertex outside V(G).
+polynomial to evaluate.  Names are resolved while planning and binding:
+an unassigned variable or an unknown predicate, in the formula or in a
+callee or TC body it reaches, raises ``EvalError`` before evaluation,
+and so does a valuation that gives a vertex outside V(G).
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from . import plans
 from .graphs import LabeledGraph
-from .plans import Binding, EvalError, Plan, SetQuantifierCapError
+from .plans import Binding, EvalError, SetQuantifierCapError
 from .syntax import (  # re-exported: the dialect's public names
     TC, And, App, Definition, EdgeAtom, Eq, ExistsS, ExistsV, FalseF,
     ForallS, ForallV, Formula, FormulaSyntaxError, Iff, Implies,
     LibraryError, Not, Or, PredicateLibrary, SetAtom, TrueF, all_vars,
     app_refs, free_vars, fresh_var, is_set_var, parse_formula,
     parse_library, subformulas, substitute)
-from .syntax import NO_DEFINITIONS, _rewrite
+from .syntax import _rewrite
 from .table import Table
 
 DEFAULT_SET_CAP = 22
 
 
 Tables = dict[str, AbstractSet[tuple[int, ...]]]
-
-
-def _plan(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
-          params: Sequence[str], row: Optional[str],
-          tables: Optional[Tables]) -> Plan:
-    """The cached plan of f for G's label names, the names that have
-    tables now and the library's definitions."""
-    return plans.plan(f, tuple(params), row, frozenset(G.labels),
-                      frozenset(tables or ()),
-                      lib.key if lib else NO_DEFINITIONS)
-
-
-def compile_formula(G: LabeledGraph, lib: Optional[PredicateLibrary],
-                    f: Formula, params: Sequence[str], *,
-                    set_cap: int = DEFAULT_SET_CAP,
-                    tables: Optional[Tables] = None):
-    """A Python function of params (vertex indices for vertex variables,
-    bitmasks over V(G) for set variables) that tells whether f holds.
-
-    Every other free name of f must be a label of G and every call must
-    name a table, a library definition or a label; otherwise EvalError is
-    raised here, before anything is evaluated.
-    """
-    plan = _plan(G, lib, f, params, None, tables)
-    return Binding(G, set_cap, tables).function(plan)
 
 
 def _argument(n: int, name: str, val) -> int:
@@ -98,9 +74,7 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     EvalError."""
     valuation = valuation or {}
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
-    fn = compile_formula(G, lib, f, list(valuation), set_cap=set_cap,
-                         tables=tables)
-    return fn(*args)
+    return Binding(G, lib, set_cap, tables).compile(f, list(valuation))(*args)
 
 
 MAX_MATERIALIZE_ARITY = 3
@@ -128,32 +102,27 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
         raise EvalError(
             f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
             f"parameters and cannot be tabulated; evaluate it pointwise")
-    return _tabulate_reached(Binding(G, set_cap, tables), lib, [name])[name]
+    return tabulate_reached(Binding(G, lib, set_cap, tables), [name])[name]
 
 
-def _tabulate_reached(binding: Binding, lib: PredicateLibrary,
-                      names: Iterable[str]) -> Tables:
-    """The binding's tables, extended by every tabulatable definition
-    that the definitions ``names`` reach, tabulated in library order
-    after one walk of the call graph."""
+def tabulate_reached(binding: Binding, names: Iterable[str]) -> Tables:
+    """The binding's tables, extended by every tabulatable definition of
+    its library that the definitions ``names`` reach, tabulated in
+    library order after one walk of the call graph."""
     tables = binding.tables
-    for d in lib.reach(names):
+    for d in binding.lib.reach(names):
         if d.name not in tables and _tabulatable(d):
-            tables[d.name] = _tabulate(binding, lib, d, tables)
+            tables[d.name] = _tabulate(binding, d)
     return tables
 
 
-def _tabulate(binding: Binding, lib: PredicateLibrary, d: Definition,
-              tables: Tables) -> Table:
+def _tabulate(binding: Binding, d: Definition) -> Table:
     """The table of d, one call of its row function per tuple of its
     leading arguments."""
-    G = binding.G
-    n, k = G.n, len(d.params)
+    n, k = binding.G.n, len(d.params)
     if k == 0:
-        plan = _plan(G, lib, d.body, (), None, tables)
-        return Table(n, 0, int(binding.function(plan)()))
-    plan = _plan(G, lib, d.body, d.params[:-1], d.params[-1], tables)
-    fn = binding.function(plan)
+        return Table(n, 0, int(binding.compile(d.body, ())()))
+    fn = binding.compile(d.body, d.params[:-1], d.params[-1])
 
     def rows(prefix):
         if len(prefix) == k - 1:
@@ -166,7 +135,7 @@ def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
                     set_cap: int = DEFAULT_SET_CAP) -> dict[str, Table]:
     """Tables for every tabulatable definition in the library, all bound
     in one binding of G."""
-    return _tabulate_reached(Binding(G, set_cap, {}), lib,
+    return tabulate_reached(Binding(G, lib, set_cap),
                             [d.name for d in lib.defs])
 
 

@@ -4,16 +4,18 @@ each graph it is evaluated on.
 A *plan* does not depend on the graph.  It holds the code of the
 function a formula compiles to, and of its split functions, and a
 recipe for each global that code reads: the adjacency rows, a label's
-mask, a table's rows, a callee's or a TC body's own plan.  ``plan``
-keeps the plans in a fixed-size LRU cache keyed by the formula, its
+mask, a table's rows, a callee or a TC body to compile.  ``plan`` keeps
+the plans in a fixed-size LRU cache keyed by the formula, its
 parameters and row variable, the label names of the graph, the names
-that have tables and the library's definitions.  A ``Binding`` runs the
-recipes on one graph: it supplies the full row, the set quantifiers'
-range under the set cap, label masks, table rows after their arity is
-checked, and fresh memos for callees and TC.  Names are resolved while
-planning: an unassigned variable or an unknown predicate raises
-``EvalError`` before anything is evaluated.  ``logic`` calls this
-module and re-exports its errors.
+that have tables and the library's definitions.  ``Binding.compile``,
+the one entry point, builds that key for one graph and library and runs
+the plan's recipes on the graph: it supplies the full row, the set
+quantifiers' range under the set cap, label masks, table rows after
+their arity is checked, and fresh memos for callees and TC, each
+compiled when first bound, so planning one formula never plans another.
+Names are resolved while planning and binding: an unassigned variable
+or an unknown predicate raises ``EvalError`` before anything is
+evaluated.  ``logic`` calls this module and re-exports its errors.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from types import CodeType, FunctionType
 from typing import Iterable, Optional, Sequence
 
 from .graphs import LabeledGraph
-from .syntax import (TC, And, App, Definitions, EdgeAtom, Eq, ExistsS,
-                     ExistsV, FalseF, ForallS, ForallV, Formula, Iff,
-                     Implies, Not, Or, SetAtom, TrueF, is_set_var)
+from .syntax import (NO_DEFINITIONS, TC, And, App, Definitions, EdgeAtom,
+                     Eq, ExistsS, ExistsV, FalseF, ForallS, ForallV, Formula,
+                     Iff, Implies, Not, Or, PredicateLibrary, SetAtom, TrueF,
+                     is_set_var)
 from .table import Table, bits
 
 
@@ -55,9 +58,9 @@ class SetQuantifierCapError(EvalError):
 # stops at the first one whose row is 0, so a set quantifier is reached
 # only from a live branch.  The tables of library predicates are rows
 # too (Table).  A TC body and a definition called without a table each
-# have a plan of their own, bound once per binding and memoized per
-# argument tuple; TC rows are reachability masks, built from one
-# successor row per vertex.
+# have a plan of their own, planned and bound when the binding first
+# binds them and memoized per argument tuple; TC rows are reachability
+# masks, built from one successor row per vertex.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -165,9 +168,10 @@ class Plan:
     """The graph-independent half of a compiled formula: the code of its
     function and, for the globals that code reads, one recipe each.  A
     recipe is a tuple: ("A",) the adjacency rows, ("L", name) a label's
-    mask, ("R", name, positions, arity) the rows of a table, ("D", plan)
-    a memoized callee, ("C", plan) and ("K", plan) the reachability rows
-    of a TC body and their transpose, ("F", code) a split function."""
+    mask, ("R", name, positions, arity) the rows of a table, ("D", body,
+    params, row) a memoized callee, ("C", body, params, row) and ("K",
+    body, params, row) the reachability rows of a TC body and their
+    transpose, ("F", code) a split function."""
 
     __slots__ = ("code", "recipes")
 
@@ -194,23 +198,17 @@ def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
 class _Planner:
     """Builds the plan of one function: the source of it and of its split
     functions, and the recipes of the globals they read.  Callees and TC
-    bodies are plans of their own, looked up in the plan cache."""
+    bodies are recipes, planned when they are bound."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
                  defs: Definitions):
         self.labels = labels
         self.tables = tables
-        self.defs = defs
         self.lib = defs.by_name
         self.recipes: list[tuple[str, tuple]] = []
         self.names: dict[tuple, str] = {}
         self.pending: list[tuple] = []
         self.temps = 0
-
-    def subplan(self, f: Formula, params: Sequence[str],
-                row: Optional[str]) -> Plan:
-        return plan(f, tuple(params), row, self.labels, self.tables,
-                    self.defs)
 
     def function(self, f: Formula, params: Sequence[str],
                  row: Optional[str] = None) -> CodeType:
@@ -504,21 +502,21 @@ class _Planner:
             params, row = d.params, None
         else:
             params, row = d.params[:at] + d.params[at + 1:], d.params[at]
-        return self._global(("D", self.subplan(d.body, params, row)))
+        return self._global(("D", d.body, params, row))
 
     def _tc(self, f: TC, scope: frozenset, reverse: bool = False) -> str:
         """Source of the reachability rows of f, or of its reverse, under
         the valuation of its outer variables."""
         outer = sorted((f.body.free - {f.u, f.v}) & scope)
-        succ = self.subplan(f.body, outer + [f.u], f.v)
-        g = self._global(("K" if reverse else "C", succ))
+        g = self._global(("K" if reverse else "C", f.body, (*outer, f.u),
+                          f.v))
         return f"{g}({', '.join(map(_ident, outer))})"
 
     def _tc_row(self, f: TC, scope: frozenset, y: str) -> str:
         if y in f.body.free - {f.u, f.v}:
             return self._pointwise(f, scope, y)
         if f.a == f.b:
-            self._tc(f, scope)  # planned for its names only
+            self._tc(f, scope)  # bound for its names only
             return "_F"  # the closure is reflexive
         if f.b == y:
             return f"{self._tc(f, scope)}[{self.vertex(f.a, scope)}]"
@@ -526,15 +524,18 @@ class _Planner:
 
 
 class Binding:
-    """Plans bound to one graph.  Every plan bound here shares the values
-    of its recipes: label masks, table rows, and one memo per callee and
-    per TC body, all fresh for this binding until ``forget`` empties the
-    memos."""
+    """Formulas compiled for one graph and library.  Every plan bound here
+    shares the values of its recipes: label masks, table rows, and one
+    memo per callee and per TC body, all fresh for this binding until
+    ``forget`` empties the memos."""
 
-    def __init__(self, G: LabeledGraph, set_cap: int,
-                 tables: Optional[dict]):
+    def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
+                 set_cap: int, tables: Optional[dict] = None):
         self.G = G
+        self.lib = lib
         self.tables = tables if tables is not None else {}
+        self.labels = frozenset(G.labels)
+        self.defs = lib.key if lib else NO_DEFINITIONS
         n = G.n
 
         def subsets():
@@ -547,12 +548,21 @@ class Binding:
         self.made: dict[tuple, object] = {}
         self.memos: list = []
 
-    def function(self, plan: Plan):
+    def compile(self, f: Formula, params: Sequence[str],
+                row: Optional[str] = None):
+        """The function of params (vertex indices for vertex variables,
+        bitmasks for set variables) that tells whether f holds or, given
+        a row variable, returns the row of f over it, planned for the
+        label names of G, the names that have tables now and the library.
+        An unknown name in f or in a callee or TC body it reaches raises
+        EvalError here, before anything is evaluated."""
+        p = plan(f, tuple(params), row, self.labels, frozenset(self.tables),
+                 self.defs)
         g = dict(self.base)
-        for name, recipe in plan.recipes:
+        for name, recipe in p.recipes:
             g[name] = (FunctionType(recipe[1], g) if recipe[0] == "F"
                        else self.make(recipe))
-        return FunctionType(plan.code, g)
+        return FunctionType(p.code, g)
 
     def make(self, recipe: tuple):
         """The value of a recipe on this graph, made once."""
@@ -576,11 +586,11 @@ class Binding:
                                 f"tabulated with {t.arity}")
             value = t.rows(positions)
         elif kind == "D":
-            value = functools.cache(self.function(args[0]))
+            value = functools.cache(self.compile(*args))
         elif kind == "C":
-            value = _tc_rows(self.function(args[0]), self.G.n)
+            value = _tc_rows(self.compile(*args), self.G.n)
         else:  # "K"
-            rows = self.make(("C", args[0]))
+            rows = self.make(("C", *args))
             value = functools.cache(lambda *val: _transpose(rows(*val)))
         if kind in "DCK":
             self.memos.append(value)

@@ -22,10 +22,11 @@ passes it every map: ``_automorphisms`` lists the automorphisms of a
 graph that way, the label-keeping ones by default, under a fixed
 expansion budget, and falls back to the identity alone when the budget
 runs out (the trivial group serves its callers as well, only slower).
-``_byte_images`` tables map vertex sets, as masks, through them, for the
-census of ``interpret`` and the clique-width search of ``widths``.  An
-optional budget of node expansions per call turns a long search into an
-explicit ``BudgetExhausted`` outcome, never a negative answer.
+``_mask_map`` maps vertex sets, as masks, through them by lookup in
+byte tables, for the census of ``interpret`` and the clique-width
+search of ``widths``.  An optional budget of node expansions per call
+turns a long search into an explicit ``BudgetExhausted`` outcome, never
+a negative answer.
 """
 
 from __future__ import annotations

@@ -53,7 +53,9 @@ class Formula:
         keep(self, "free", _SHARED.setdefault(free, free))
         keep(self, "calls", _SHARED.setdefault(calls, calls))
         keep(self, "sets", sets)
-        keep(self, "_hash", hash((type(self), *(
+        # the class by name: the hash of a class is its address, which
+        # moves from process to process
+        keep(self, "_hash", hash((type(self).__name__, *(
             getattr(self, name) for name in self.__dataclass_fields__))))
 
     def _facts(self) -> tuple[frozenset, frozenset, bool]:

@@ -10,12 +10,13 @@ grid(3,4) at cap 12 and grid(4,4) at cap 16 fit the default budget).
 Each state of that search keeps one summary per block (the OR and the
 AND of its vertices' adjacency rows), so a union step reads blocks,
 never vertices, and returns all its groupings in one call.  The
-clique-width budget counts the groupings of union steps the search
-closes: each one it completes and each one it cuts short.  Each returns
-a certificate — a tree decomposition or a k-expression — that the
-companion verifier checks independently; the verifiers reject bag
-vertices outside the graph, expression nodes with the wrong number of
-fields, and labels that are not ints.
+clique-width budget counts the union steps the search makes and the
+groupings they close: one unit per step, and one for each grouping it
+completes or cuts short, so a step that closes none still costs one.
+Each returns a certificate — a tree decomposition or a k-expression —
+that the companion verifier checks independently; the verifiers reject
+bag vertices outside the graph, expression nodes with the wrong number
+of fields, and labels that are not ints.
 
 A constructive decomposition extension is included: subdividing every
 edge into a path of length t raises treewidth to at most max(k, 3),
@@ -473,10 +474,11 @@ def verify_k_expression(G: LabeledGraph, e: KExpression) -> bool:
 # is the neighbourhood there of every vertex of the block, so a union
 # step reads blocks, never vertices.  It places the blocks of two states
 # into groups and cuts a placement at its first incomplete join; the
-# budget counts every grouping so closed, complete or cut, up to the
-# first state with every vertex: grid(3,3) at cap 10 closes 4,935,
-# grid(3,4) at cap 12 closes 302,899 and grid(4,4) at cap 16 617,000
-# (17,383, 815,020 and more than 2,000,000 with a state per state).
+# budget counts every union step and every grouping it so closes,
+# complete or cut, up to the first state with every vertex: grid(3,3)
+# at cap 10 spends 8,223 (3,288 steps closing 4,935 groupings),
+# grid(3,4) at cap 12 419,054 and grid(4,4) at cap 16 1,818,691 (29,117,
+# 1,154,700 and more than 2,000,000 with a state per state).
 
 def _summaries(adj: list[int], blocks: tuple[int, ...]
                ) -> tuple[tuple[int, int, int], ...]:
@@ -598,12 +600,13 @@ def cliquewidth_exact(G: LabeledGraph, cap: int = 8,
     G has an edge, or 3 when it has an induced P4, as the graphs of
     clique-width at most 2 are the P4-free ones (Courcelle & Olariu
     2000).  It keeps one state per orbit of the automorphisms of G.
-    ``budget`` bounds the number of union groupings the search closes,
-    those it completes and those it cuts at an incomplete join;
-    exceeding it raises BudgetExhausted rather than guessing.  Raise the
-    cap for 9-16 vertices: of the default 2,000,000, grid(3,3) at cap 10
-    spends 4,935, grid(3,4) at cap 12 spends 302,899 and grid(4,4) at
-    cap 16 spends 617,000.
+    ``budget`` bounds the union steps the search makes and the groupings
+    they close: a step costs one unit, and each grouping it completes or
+    cuts at an incomplete join one more; exceeding it raises
+    BudgetExhausted rather than guessing.  Raise the cap for 9-16
+    vertices: of the default 2,000,000, grid(3,3) at cap 10 spends 8,223,
+    grid(3,4) at cap 12 spends 419,054 and grid(4,4) at cap 16 spends
+    1,818,691.
     """
     return _cliquewidth(G, cap, budget)
 
@@ -649,7 +652,8 @@ def _grow(adj: list[int], k: int, maps: list, prov: dict, budget: int,
           spent: int) -> tuple[Optional[tuple[int, tuple[int, ...]]], int]:
     """Search the states of width k, one per orbit, size by size, into
     prov, and return the first whose mask is full, or None, with the
-    groupings closed so far, ``spent`` before the search.
+    budget spent so far, ``spent`` before the search: one unit per union
+    step and one per grouping it closes.
 
     An orbit is kept as its least state, comparing the masks first, so
     that a pair of states of one size needs trying in one order only.
@@ -698,7 +702,7 @@ def _grow(adj: list[int], k: int, maps: list, prov: dict, budget: int,
                     mask = mA | mB
                     done, cuts = _unions(summA, mA, summB, mB,
                                          full & ~mask, k)
-                    spent += len(done) + cuts
+                    spent += 1 + len(done) + cuts
                     if spent > budget:
                         raise BudgetExhausted(budget)
                     for Q, joins in done:

@@ -70,6 +70,20 @@ def test_a_long_chain_of_calls():
     assert apply(I, G).edges == G.edges
 
 
+def test_a_long_chain_of_calls_evaluated_untabulated():
+    # evaluate tabulates nothing: each definition is a callee of the one
+    # above it, planned when the binding binds it, not inside its caller
+    lib = parse_library("def p0(x, y) := E(x, y)\n" + "".join(
+        f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 200)))
+    G = grid(1, 3)
+    f = parse_formula("p199(x, y)")
+    assert evaluate(G, lib, f, {"x": 0, "y": 1})
+    assert not evaluate(G, lib, f, {"x": 0, "y": 2})
+    f = parse_formula("exists y. (p199(x, y) & y != z)")
+    assert evaluate(G, lib, f, {"x": 1, "z": 0})
+    assert not evaluate(G, lib, f, {"x": 2, "z": 1})
+
+
 def test_tabulating_a_chain_walks_the_library_once(monkeypatch):
     lib = parse_library("def p0(x, y) := E(x, y)\n" + "".join(
         f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 1000)))

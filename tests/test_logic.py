@@ -437,11 +437,18 @@ def test_primed_names():
 
 
 def test_unresolved_names_raise_before_evaluation():
+    # in a callee or a TC body too, which the binding plans when it binds
+    # them, still before anything is evaluated
     G = grid(2, 2)
+    lib = parse_library("def p(x) := nosuch(x)\n"
+                        "def q(x, y) := E(x, y) | p(y)")
     for text in ("false & E(x, y)", "false & nosuch(x)",
-                 "false & (exists x. Y(x))"):
+                 "false & (exists x. Y(x))", "false & p(x)",
+                 "false & (exists y. q(x, y))",
+                 "false & TC[u, v: nosuch(u)](x, x)",
+                 "false & (exists y. TC[u, v: E(u, v) & Y(v)](y, x))"):
         with pytest.raises(EvalError):
-            evaluate(G, None, parse_formula(text), {"x": 0})
+            evaluate(G, lib, parse_formula(text), {"x": 0})
 
 
 def test_valuations_outside_the_graph_raise():
@@ -554,6 +561,21 @@ def test_formula_hash_is_not_carried_between_processes():
     assert f == parse_formula(text) and hash(f) == hash(parse_formula(text))
     assert f in {parse_formula(text)}
     assert lib.key in {parse_library(defs).key}
+
+
+def test_formula_hashes_are_the_same_in_every_process():
+    # with string hashes fixed, a formula and a library key hash alike in
+    # every process, so the plan cache and its keys do not change from
+    # run to run
+    code = ("from msograph.logic import parse_formula, parse_library; "
+            "print(hash(parse_formula('exists y. (E(x, y) & red(y))')), "
+            "hash(parse_library('def p(x, y) := E(x, y) | x = y').key))")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    outs = [subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
 
 
 def test_node_facts_match_the_recursive_walks():
@@ -673,9 +695,9 @@ def test_equal_libraries_built_apart_share_their_plans():
     P = LabeledGraph.build(3, [(0, 1), (1, 2)])
     f = parse_formula("exists y. q(x, y) & !p(x, y)")
     assert evaluate(P, grown, f, {"x": 1})
-    hits = _plan_hits()
-    assert evaluate(P, parsed, f, {"x": 1})
-    assert _plan_hits() == hits + 1
+    misses = plans.plan.cache_info().misses
+    assert evaluate(P, parsed, f, {"x": 1})  # f and its callees: all hits
+    assert plans.plan.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

@@ -177,14 +177,16 @@ def _plain(G, cap=8, budget=2_000_000):
 
 
 def test_cliquewidth_budget_counts_closed_groupings():
-    # grid(3,3) at cap 10, from k = 3 up to its goal state, closes 17,383
-    # groupings with a state per state, and 4,935 with one per orbit
-    assert _plain(grid(3, 3), cap=10, budget=17_383)[0] == 4
+    # grid(3,3) at cap 10, from k = 3 up to its goal state, makes 11,734
+    # union steps that close 17,383 groupings with a state per state, and
+    # 3,288 that close 4,935 with one per orbit; each step costs one unit
+    # and each grouping one more
+    assert _plain(grid(3, 3), cap=10, budget=29_117)[0] == 4
     with pytest.raises(BudgetExhausted):
-        _plain(grid(3, 3), cap=10, budget=17_382)
-    assert cliquewidth_exact(grid(3, 3), cap=10, budget=4_935)[0] == 4
+        _plain(grid(3, 3), cap=10, budget=29_116)
+    assert cliquewidth_exact(grid(3, 3), cap=10, budget=8_223)[0] == 4
     with pytest.raises(BudgetExhausted):
-        cliquewidth_exact(grid(3, 3), cap=10, budget=4_934)
+        cliquewidth_exact(grid(3, 3), cap=10, budget=8_222)
 
 
 def test_the_lower_bound_is_the_p4_test():
