@@ -2,8 +2,9 @@
 apply interpretations, run the width oracles, and run verification
 suites.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 a size cap or
-search budget was hit (the answer is unknown, not wrong).
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 a size cap,
+a search budget or Python's recursion limit was hit (the answer is
+unknown, not wrong).
 """
 
 from __future__ import annotations
@@ -386,6 +387,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (BudgetExhausted, SizeCapExceeded, SetQuantifierCapError) as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:  # e.g. binding a very long chain of callees
+        print(f"limit: the input nests deeper than Python's recursion "
+              f"limit ({sys.getrecursionlimit()}) allows", file=sys.stderr)
         return EXIT_BUDGET
     except InterpretationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,18 +49,35 @@ class SetQuantifierCapError(EvalError):
 # returns the *row* of the formula over y: the bitmask of the vertices y
 # at which it holds.  Atoms are rows (E(x, y) is the adjacency mask of
 # x, a label its vertex mask, x = y is 1 << x) and connectives are mask
-# operations.  A quantifier over another variable z ORs the rows of its
-# body over z, visiting only the z that pass the body's conjuncts
-# without y; forall z is !exists z. !.  A subformula without y is tested
-# in boolean mode, where exists z. f asks whether the row of f over z is
-# not 0 and forall z. f whether it is full.  A conjunction tests its
-# pure conjuncts without y first, then takes the others in order and
-# stops at the first one whose row is 0, so a set quantifier is reached
-# only from a live branch.  The tables of library predicates are rows
-# too (Table).  A TC body and a definition called without a table each
-# have a plan of their own, planned and bound when the binding first
-# binds them and memoized per argument tuple; TC rows are reachability
-# masks, built from one successor row per vertex.
+# operations.  The planner keeps a row as its source and a flag that
+# says the row is the complement of that source's value, so a negation
+# flips the flag and never nests _F ^ (_F ^ ...): an Or is the
+# complement of the conjunction of its negated disjuncts, forall z. f
+# is !exists z. !f, and a <-> b is the complement of a ^ b.  A
+# quantifier over another variable z ORs the rows of its body over z,
+# visiting only the z that pass the body's conjuncts without y.  A
+# subformula without y is tested in boolean mode, where exists z. f asks
+# whether the row of f over z is not 0 and forall z. f whether it is
+# full.
+#
+# Order.  A literal is *plain* when it is quantifier-free (the node's
+# ``qf`` fact) and calls only labels and tables.  A conjunction in row
+# mode puts its plain literals first: those without y become a guard,
+# and the rows of those with y one mask, (a & b & ~c), with no
+# temporary, or (a | b) complemented when every one is a complement.
+# Then come the tests of the pure literals without y (no set quantifier
+# reached), then the others in their order, each ANDed into a
+# temporary, stopping at the first one whose row is 0.  In boolean mode
+# a conjunction, disjunction or implication is spread into its literals
+# the same way, and the plain ones are tested first, each part in its
+# order, so an atom that decides the connective skips the quantified
+# literals beside it.  Either way a set quantifier is reached only from
+# a live branch.  The constant rows 0 and _F and the constant tests fold
+# away.  The tables of library predicates are rows too (Table).  A TC
+# body and a definition called without a table each have a plan of
+# their own, planned and bound when the binding first binds them and
+# memoized per argument tuple; TC rows are reachability masks, built
+# from one successor row per vertex.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -68,11 +85,28 @@ class SetQuantifierCapError(EvalError):
 _MAX_NESTING = 35
 
 
+@functools.lru_cache(maxsize=1024)
 def _ident(name: str) -> str:
     """An injective map from variable names (``x'`` is one) to Python
     identifiers that cannot collide with the compiler's ``_`` globals."""
     return "V" + "".join(c if c.isascii() and c.isalnum() else f"_{ord(c):x}_"
                          for c in name)
+
+
+def _final(src: str, comp: bool) -> str:
+    """The source of a row given as its source, or as the source of its
+    complement if comp."""
+    if not comp:
+        return src
+    return "0" if src == "_F" else "_F" if src == "0" else f"(_F ^ {src})"
+
+
+def _negation(test: str) -> str:
+    return {"True": "False", "False": "True"}.get(test) or f"(not {test})"
+
+
+def _group(op: str, terms: list[str]) -> str:
+    return terms[0] if len(terms) == 1 else f"({op.join(terms)})"
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -142,6 +176,9 @@ def _pointwise(test, full: int) -> int:
     return _mask(v for v in bits(full) if test(v))
 
 
+_CONNECTIVES = (And, Not, Or, Implies)
+
+
 def _conjuncts(f: Formula, negated: bool = False
                ) -> list[tuple[Formula, bool]]:
     """Literals (g, negated) whose conjunction is f, or !f if negated,
@@ -151,13 +188,14 @@ def _conjuncts(f: Formula, negated: bool = False
     stack = [(f, negated)]
     while stack:
         g, neg = stack.pop()
-        if isinstance(g, Not):
+        kind = type(g)
+        if kind is Not:
             stack.append((g.body, not neg))
-        elif isinstance(g, And) and not neg:
+        elif kind is And and not neg:
             stack += [(g.right, False), (g.left, False)]
-        elif isinstance(g, Or) and neg:
+        elif kind is Or and neg:
             stack += [(g.right, True), (g.left, True)]
-        elif isinstance(g, Implies) and neg:
+        elif kind is Implies and neg:
             stack += [(g.right, True), (g.left, False)]
         else:
             out.append((g, neg))
@@ -248,7 +286,15 @@ class _Planner:
     def pure(self, f: Formula) -> bool:
         """f reaches no set quantifier: it has none and calls no
         definition without a table."""
-        return not f.sets and all(name in self.tables or name not in self.lib
+        return not f.sets and self._direct(f)
+
+    def plain(self, f: Formula) -> bool:
+        """f is quantifier-free and calls no definition without a table:
+        its row is mask algebra on arguments, labels and table rows."""
+        return f.qf and self._direct(f)
+
+    def _direct(self, f: Formula) -> bool:
+        return not f.calls or all(name in self.tables or name not in self.lib
                                   for name, _ in f.calls)
 
     def adjacency(self) -> str:
@@ -285,50 +331,85 @@ class _Planner:
 
     def test(self, f: Formula, scope: frozenset, depth: int = 0) -> str:
         """Source of the truth value of f; its free variables are in
-        scope."""
+        scope.  Constant parts fold to True or False."""
         if depth == _MAX_NESTING:
             return self._split(f, scope, None)
         d = depth + 1
-        if isinstance(f, TrueF):
-            return "True"
-        if isinstance(f, FalseF):
-            return "False"
-        if isinstance(f, EdgeAtom):
-            return (f"(({self.adjacency()}[{self.vertex(f.x, scope)}] >> "
-                    f"{self.vertex(f.y, scope)}) & 1)")
-        if isinstance(f, Eq):
-            return f"({self.vertex(f.x, scope)} == {self.vertex(f.y, scope)})"
-        if isinstance(f, SetAtom):
+        kind = type(f)
+        if kind is EdgeAtom:
+            x, y = self.vertex(f.x, scope), self.vertex(f.y, scope)
+            if x == y:
+                return "False"  # graphs have no loops
+            return f"(({self.adjacency()}[{x}] >> {y}) & 1)"
+        if kind is Eq:
+            x, y = self.vertex(f.x, scope), self.vertex(f.y, scope)
+            return "True" if x == y else f"({x} == {y})"
+        if kind is SetAtom:
             return (f"(({self.set_mask(f.set_name, scope)} >> "
                     f"{self.vertex(f.x, scope)}) & 1)")
-        if isinstance(f, App):
+        if kind in _CONNECTIVES:
+            # an And holds if its literals do, an Or if one of theirs
+            # fails; the plain literals are tested first
+            conj = kind is And or kind is Not
+            lits = _conjuncts(f, not conj)
+            if len(lits) == 1:  # a negation
+                return self._literal_test(*lits[0], scope, d)
+            unit, zero = ("True", "False") if conj else ("False", "True")
+            terms, then = [], []
+            for g, neg in lits:
+                t = self._literal_test(g, neg if conj else not neg, scope, d)
+                if t != unit:
+                    (terms if self.plain(g) else then).append(t)
+            terms += then
+            if zero in terms or not terms:
+                return zero if terms else unit
+            if len(terms) == 1:
+                return terms[0]
+            return f"({(' and ' if conj else ' or ').join(terms)})"
+        if kind is ExistsV or kind is ForallV:
+            return self._vertex_test(f, scope, d, False)
+        if kind is App:
             return self._app_test(f, scope)
-        if isinstance(f, Not):
-            return f"(not {self.test(f.body, scope, d)})"
-        if isinstance(f, And):
-            return (f"({self.test(f.left, scope, d)} and "
-                    f"{self.test(f.right, scope, d)})")
-        if isinstance(f, Or):
-            return (f"({self.test(f.left, scope, d)} or "
-                    f"{self.test(f.right, scope, d)})")
-        if isinstance(f, Implies):
-            return (f"((not {self.test(f.left, scope, d)}) or "
-                    f"{self.test(f.right, scope, d)})")
-        if isinstance(f, Iff):
-            return (f"(bool({self.test(f.left, scope, d)}) == "
-                    f"bool({self.test(f.right, scope, d)}))")
-        if isinstance(f, ExistsV):
-            return f"({self.row(f.body, scope, f.var, d)} != 0)"
-        if isinstance(f, ForallV):
-            return f"({self.row(f.body, scope, f.var, d)} == _F)"
-        if isinstance(f, (ExistsS, ForallS)):
-            test = "any" if isinstance(f, ExistsS) else "all"
+        if kind is TrueF:
+            return "True"
+        if kind is FalseF:
+            return "False"
+        if kind is Iff:
+            left = self.test(f.left, scope, d)
+            right = self.test(f.right, scope, d)
+            if left in ("True", "False"):
+                left, right = right, left
+            if right in ("True", "False"):
+                return left if right == "True" else _negation(left)
+            return f"(bool({left}) == bool({right}))"
+        if kind is ExistsS or kind is ForallS:
+            test = "any" if kind is ExistsS else "all"
             body = self.test(f.body, scope | {f.var}, d)
             return f"{test}({body} for {_ident(f.var)} in _S())"
-        if isinstance(f, TC):
+        if kind is TC:
             return (f"(({self._tc(f, scope)}[{self.vertex(f.a, scope)}] >> "
                     f"{self.vertex(f.b, scope)}) & 1)")
         raise TypeError(f"unknown node {f!r}")
+
+    def _literal_test(self, g: Formula, negated: bool, scope: frozenset,
+                      depth: int) -> str:
+        if negated and depth < _MAX_NESTING and \
+                (type(g) is ExistsV or type(g) is ForallV):
+            return self._vertex_test(g, scope, depth + 1, True)
+        t = self.test(g, scope, depth)
+        return _negation(t) if negated else t
+
+    def _vertex_test(self, f: ExistsV | ForallV, scope: frozenset,
+                     depth: int, negated: bool) -> str:
+        """Source of the truth value of exists z. g (the row of g over z
+        is not 0) or forall z. g (it is full), or of its negation."""
+        src, comp = self._row(f.body, scope, f.var, depth)
+        forall = type(f) is ForallV
+        op = "==" if forall != negated else "!="
+        against = "_F" if forall != comp else "0"
+        if src == against:  # _F and 0 are equal on the empty graph
+            return str(op == "==")
+        return f"({src} {op} {against})"
 
     def _app_test(self, f: App, scope: frozenset) -> str:
         args = [self.arg(a, scope) for a in f.args]
@@ -344,124 +425,190 @@ class _Planner:
 
     # -- row mode -----------------------------------------------------------
 
-    def row(self, f: Formula, scope: frozenset, y: str,
-            depth: int = 0) -> str:
-        """Source of the row of f over the vertex variable y: the bitmask
-        of the values of y at which f holds.  Every other free variable
-        of f is in scope; a binding of y in scope is shadowed."""
+    def row(self, f: Formula, scope: frozenset, y: str, depth: int = 0,
+            negated: bool = False) -> str:
+        """Source of the row of f, or of !f if negated, over the vertex
+        variable y: the bitmask of the values of y at which it holds.
+        Every other free variable of f is in scope; a binding of y in
+        scope is shadowed."""
+        src, comp = self._row(f, scope, y, depth)
+        return _final(src, comp != negated)
+
+    def _row(self, f: Formula, scope: frozenset, y: str,
+             depth: int) -> tuple[str, bool]:
+        """The row of f over y as (source, complemented): the row is the
+        value of the source, or its complement if complemented, so that
+        a negation costs nothing.  The constant rows are "0" and "_F"."""
         scope = scope - {y}
         if y not in f.free:
-            return f"(_F if {self.test(f, scope, depth)} else 0)"
+            t = self.test(f, scope, depth)
+            if t == "True" or t == "False":
+                return ("_F" if t == "True" else "0"), False
+            return f"(_F if {t} else 0)", False
         if depth == _MAX_NESTING:
-            return self._split(f, scope, y)
+            return self._split(f, scope, y), False
         d = depth + 1
-        if isinstance(f, EdgeAtom):
+        kind = type(f)
+        if kind is EdgeAtom:
             if f.x == f.y:
-                return "0"  # graphs have no loops
+                return "0", False  # graphs have no loops
             other = f.y if f.x == y else f.x
-            return f"{self.adjacency()}[{self.vertex(other, scope)}]"
-        if isinstance(f, Eq):
+            return f"{self.adjacency()}[{self.vertex(other, scope)}]", False
+        if kind is Eq:
             if f.x == f.y:
-                return "_F"
+                return "_F", False
             other = f.y if f.x == y else f.x
-            return f"(1 << {self.vertex(other, scope)})"
-        if isinstance(f, SetAtom):
-            return self.set_mask(f.set_name, scope)
-        if isinstance(f, App):
-            return self._app_row(f, scope, y)
-        if isinstance(f, (Or, Implies)):
-            return (f"(_F ^ "
-                    f"{self._conjunction(_conjuncts(f, True), scope, y, d)})")
-        if isinstance(f, (And, Not)):
-            lits = _conjuncts(f)
-            if len(lits) > 1:
-                return self._conjunction(lits, scope, y, d)
-            return self._literal_row(*lits[0], scope, y, d)
-        if isinstance(f, Iff):
-            return (f"(_F ^ {self.row(f.left, scope, y, d)} ^ "
-                    f"{self.row(f.right, scope, y, d)})")
-        if isinstance(f, ExistsV):
+            return f"(1 << {self.vertex(other, scope)})", False
+        if kind is SetAtom:
+            return self.set_mask(f.set_name, scope), False
+        if kind in _CONNECTIVES:
+            # an And is the conjunction of its literals, an Or the
+            # complement of the conjunction of theirs negated
+            conj = kind is And or kind is Not
+            lits = _conjuncts(f, not conj)
+            if len(lits) == 1:  # a negation
+                g, neg = lits[0]
+                src, comp = self._row(g, scope, y, d)
+                return src, comp != neg
+            src, comp = self._conjunction(lits, scope, y, d)
+            return src, comp == conj
+        if kind is ExistsV:
             return self._exists_row(f.var, _conjuncts(f.body), scope, y, d)
-        if isinstance(f, ForallV):  # forall z. f is !exists z. !f
-            lits = _conjuncts(f.body, True)
-            return f"(_F ^ {self._exists_row(f.var, lits, scope, y, d)})"
-        if isinstance(f, (ExistsS, ForallS)):
-            body = self.row(f.body, scope | {f.var}, y, d)
-            if isinstance(f, ExistsS):
-                return f"_ES(_S, lambda {_ident(f.var)}: {body}, _F)"
-            return (f"(_F ^ _ES(_S, lambda {_ident(f.var)}: "
-                    f"(_F ^ {body}), _F))")
-        if isinstance(f, TC):
-            return self._tc_row(f, scope, y)
+        if kind is ForallV:  # forall z. f is !exists z. !f
+            src, comp = self._exists_row(f.var, _conjuncts(f.body, True),
+                                         scope, y, d)
+            return src, not comp
+        if kind is App:
+            return self._app_row(f, scope, y), False
+        if kind is Iff:
+            left, lc = self._row(f.left, scope, y, d)
+            right, rc = self._row(f.right, scope, y, d)
+            if left == right:
+                return ("_F" if lc == rc else "0"), False
+            if left == "0" or left == "_F":
+                left, lc, right, rc = right, rc, left, lc
+            if right == "0" or right == "_F":
+                return left, (lc == rc) != (right == "_F")
+            return f"({left} ^ {right})", lc == rc
+        if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
+            forall = kind is ForallS
+            body = self.row(f.body, scope | {f.var}, y, d, forall)
+            return f"_ES(_S, lambda {_ident(f.var)}: {body}, _F)", forall
+        if kind is TC:
+            return self._tc_row(f, scope, y), False
         raise TypeError(f"unknown node {f!r}")
 
-    def _literal_row(self, g: Formula, negated: bool, scope: frozenset,
-                     y: str, depth: int) -> str:
-        m = self.row(g, scope, y, depth)
-        return f"(_F ^ {m})" if negated else m
-
-    def _literal_test(self, g: Formula, negated: bool, scope: frozenset,
-                      depth: int) -> str:
-        t = self.test(g, scope, depth)
-        return f"(not {t})" if negated else t
-
     def _conjunction(self, lits: list[tuple[Formula, bool]],
-                     scope: frozenset, y: str, depth: int) -> str:
-        """Source of the row over y of the conjunction of the literals.
-        The pure literals without y are tested first; the others follow
-        in order, and the first whose row is 0 skips the rest."""
-        tests, rest = [], []
-        for g, neg in lits:
-            ok = y not in g.free and self.pure(g)
-            (tests if ok else rest).append((g, neg))
+                     scope: frozenset, y: str,
+                     depth: int) -> tuple[str, bool]:
+        """The row over y of the conjunction of the literals, as ``_row``
+        gives it.  The plain literals come first: those without y are
+        tested, and the rows of those with y are ANDed into one mask.
+        Then the pure literals without y are tested, and the others
+        follow in order; the first whose row is 0 skips the rest.  Tests
+        before the first row guard the whole conjunction.  A literal that
+        is constantly false makes it "0", one constantly true drops out."""
+        guard, pos, neg, tests, chain = [], [], [], [], []
+        zero = False  # a literal is constantly false
+        for g, n in lits:
+            if y in g.free:
+                src, comp = self._row(g, scope, y, depth)
+                comp = comp != n
+                if src == "0" or src == "_F":
+                    zero = zero or (src == "_F") == comp
+                elif not self.plain(g):
+                    chain.append((src, comp))
+                elif src not in (neg if comp else pos):
+                    (neg if comp else pos).append(src)
+                continue
+            t = self._literal_test(g, n, scope, depth)
+            if t == "True" or t == "False":
+                zero = zero or t == "False"
+            elif self.plain(g):
+                if t not in guard:
+                    guard.append(t)
+            else:
+                (tests if self.pure(g) else chain).append(t)
+        if zero or pos and neg and not set(pos).isdisjoint(neg):
+            return "0", False
+        if pos:
+            chain.insert(0, (_group(" & ", pos + [f"~{m}" for m in neg]),
+                             False))
+        elif neg:
+            chain.insert(0, (_group(" | ", neg), True))
+        if tests:
+            chain[:0] = tests
+        while chain and type(chain[0]) is str:
+            guard.append(chain.pop(0))
+        if not chain:
+            src, comp = "_F", False
+        elif len(chain) == 1:
+            src, comp = chain[0]
+        else:
+            src, comp = self._chain(chain), False
+        if guard:
+            src = (f"({src} if {' and '.join(guard)} else "
+                   f"{'_F' if comp else '0'})")
+        return src, comp
+
+    def _chain(self, chain: list) -> str:
+        """Source of the AND of the rows in chain, a row first, as long as
+        they and the tests between them are not 0: each row but the last
+        is kept in a temporary."""
         self.temps += 1
         t = f"_t{self.temps}"
-        terms, masks = [], 0
-        for g, neg in rest:
-            if y in g.free:
-                m = self._literal_row(g, neg, scope, y, depth)
-                terms.append(f"({t} := {t} & {m})" if masks else
-                             f"({t} := {m})")
-                masks += 1
-            else:
-                terms.append(self._literal_test(g, neg, scope, depth))
-        if not masks:
-            expr = f"(_F if {' and '.join(terms)} else 0)" if terms else "_F"
-        elif len(terms) == 1:
-            expr = m
-        else:
-            if y not in rest[-1][0].free:
-                terms.append(t)
-            expr = f"(({' and '.join(terms)}) or 0)"
-        if tests:
-            expr = (f"({expr} if " + " and ".join(
-                self._literal_test(g, neg, scope, depth) for g, neg in tests)
-                + " else 0)")
-        return expr
+        last = max(i for i, item in enumerate(chain) if type(item) is tuple)
+        terms = [f"({t} := {_final(*chain[0])})"]
+        for i in range(1, len(chain)):
+            item = chain[i]
+            if type(item) is str:
+                terms.append(item)
+                continue
+            m, comp = item
+            m = f"{t} & {'~' if comp else ''}{m}"
+            terms.append(f"({t} := {m})" if i < last else f"({m})")
+        if last < len(chain) - 1:
+            terms.append(t)
+        src = " and ".join(terms)
+        if all(type(item) is tuple for item in chain):
+            return f"({src})"  # a row, or the first that is 0
+        return f"(({src}) or 0)"  # not False when a test fails
 
     def _exists_row(self, z: str, lits: list[tuple[Formula, bool]],
-                    scope: frozenset, y: str, depth: int) -> str:
-        """Source of the row over y of exists z. (the conjunction of lits).
-        The pure literals without y give the z to visit, those without z
-        are taken once, outside the loop, and the OR over the visited z
-        takes the rows of the others."""
+                    scope: frozenset, y: str,
+                    depth: int) -> tuple[str, bool]:
+        """The row over y of exists z. (the conjunction of lits), as
+        ``_row`` gives it.  The pure literals without y give the z to
+        visit, those without z are taken once, outside the loop, and the
+        OR over the visited z takes the rows of the others."""
         guard, outside, rest = [], [], []
         for g, neg in lits:
             pure = self.pure(g)
             (guard if pure and y not in g.free else
              outside if pure and z not in g.free else rest).append((g, neg))
-        zs = self._conjunction(guard, scope - {z}, z, depth) if guard else "_F"
+        zs = (_final(*self._conjunction(guard, scope - {z}, z, depth))
+              if guard else "_F")
         if rest:
-            body = self._conjunction(rest, scope | {z}, y, depth)
-            found = f"_E({zs}, lambda {_ident(z)}: {body}, _F)"
+            body = _final(*self._conjunction(rest, scope | {z}, y, depth))
+            found = ("0" if zs == "0" or body == "0" else
+                     f"_E({zs}, lambda {_ident(z)}: {body}, _F)")
+        elif zs == "0" or zs == "_F":
+            found = zs
         else:
             found = f"(_F if {zs} else 0)"
         if not outside:
-            return found
+            return found, False
+        out, comp = self._conjunction(outside, scope, y, depth)
+        if found == "_F":
+            return out, comp
+        out = _final(out, comp)
+        if out == "0" or found == "0":
+            return "0", False
+        if out == "_F":
+            return found, False
         self.temps += 1
         t = f"_t{self.temps}"
-        return (f"(({t} := {self._conjunction(outside, scope, y, depth)}) "
-                f"and ({t} & {found}))")
+        return f"(({t} := {out}) and ({t} & {found}))", False
 
     def _app_row(self, f: App, scope: frozenset, y: str) -> str:
         at = tuple(i for i, a in enumerate(f.args) if a == y)

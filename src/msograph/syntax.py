@@ -42,25 +42,28 @@ class Formula:
     their facts, once, the facts it keeps: ``free``, its free vertex- and
     set-variable names (call names excluded); ``calls``, the (name,
     arity) of every call in it; ``sets``, whether it holds a set
-    quantifier; and its hash."""
+    quantifier; ``qf``, whether it holds no quantifier and no TC; and
+    its hash."""
 
     # the node classes are slotted too: a node has no __dict__ to pay for
-    __slots__ = ("free", "calls", "sets", "_hash")
+    __slots__ = ("free", "calls", "sets", "qf", "_hash")
 
     def __post_init__(self):
-        free, calls, sets = self._facts()
+        free, calls, sets, qf = self._facts()
         keep = object.__setattr__
         keep(self, "free", _SHARED.setdefault(free, free))
         keep(self, "calls", _SHARED.setdefault(calls, calls))
         keep(self, "sets", sets)
+        keep(self, "qf", qf)
         # the class by name: the hash of a class is its address, which
-        # moves from process to process
-        keep(self, "_hash", hash((type(self).__name__, *(
-            getattr(self, name) for name in self.__dataclass_fields__))))
+        # moves from process to process; then the fields, in the order
+        # __match_args__ lists them
+        keep(self, "_hash", hash((type(self).__name__, *map(
+            self.__getattribute__, self.__match_args__))))
 
-    def _facts(self) -> tuple[frozenset, frozenset, bool]:
-        """free, calls and sets of this node, from its children's."""
-        return _NONE, _NONE, False
+    def _facts(self) -> tuple[frozenset, frozenset, bool, bool]:
+        """free, calls, sets and qf of this node, from its children's."""
+        return _NONE, _NONE, False, True
 
     def __hash__(self) -> int:
         return self._hash
@@ -119,17 +122,18 @@ _NONE: frozenset = frozenset()
 _SHARED: dict[frozenset, frozenset] = {}
 
 
-def _joined(f) -> tuple[frozenset, frozenset, bool]:
+def _joined(f) -> tuple[frozenset, frozenset, bool, bool]:
     """The facts of a connective of two subformulas."""
     l, r = f.left, f.right
-    return l.free | r.free, l.calls | r.calls, l.sets or r.sets
+    return (l.free | r.free, l.calls | r.calls, l.sets or r.sets,
+            l.qf and r.qf)
 
 
-def _bound(f) -> tuple[frozenset, frozenset, bool]:
+def _bound(f) -> tuple[frozenset, frozenset, bool, bool]:
     """The facts of a quantifier."""
     b = f.body
     return (b.free - {f.var}, b.calls,
-            b.sets or isinstance(f, (ExistsS, ForallS)))
+            b.sets or isinstance(f, (ExistsS, ForallS)), False)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -148,7 +152,7 @@ class EdgeAtom(Formula):
     y: str
 
     def _facts(self):
-        return frozenset((self.x, self.y)), _NONE, False
+        return frozenset((self.x, self.y)), _NONE, False, True
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -157,7 +161,7 @@ class Eq(Formula):
     y: str
 
     def _facts(self):
-        return frozenset((self.x, self.y)), _NONE, False
+        return frozenset((self.x, self.y)), _NONE, False, True
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -166,7 +170,7 @@ class SetAtom(Formula):
     x: str
 
     def _facts(self):
-        return frozenset((self.set_name, self.x)), _NONE, False
+        return frozenset((self.set_name, self.x)), _NONE, False, True
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -177,7 +181,7 @@ class App(Formula):
 
     def _facts(self):
         return (frozenset(self.args),
-                frozenset(((self.name, len(self.args)),)), False)
+                frozenset(((self.name, len(self.args)),)), False, True)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -185,7 +189,8 @@ class Not(Formula):
     body: Formula
 
     def _facts(self):
-        return self.body.free, self.body.calls, self.body.sets
+        b = self.body
+        return b.free, b.calls, b.sets, b.qf
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -264,7 +269,8 @@ class TC(Formula):
 
     def _facts(self):
         b = self.body
-        return (b.free - {self.u, self.v}) | {self.a, self.b}, b.calls, b.sets
+        return ((b.free - {self.u, self.v}) | {self.a, self.b}, b.calls,
+                b.sets, False)
 
 
 def is_set_var(name: str) -> bool:

@@ -276,6 +276,19 @@ def test_formula_nested_too_deeply_to_parse_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_call_chain_past_the_recursion_limit_is_exit_3(tmp_path, capsys):
+    g = tmp_path / "g13.json"
+    g.write_text(grid(1, 3).to_json())
+    chain = tmp_path / "chain.mso"
+    chain.write_text("def p0(x, y) := E(x, y)\n" + "".join(
+        f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 600)))
+    code, out, err = run(capsys, "eval", str(g), "--library", str(chain),
+                         "--pred", "p599", "--assign", "x=0, y=1")
+    assert code == 3 and out == ""
+    assert err.startswith("limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
     # a vertex name containing "cap" must not turn the error into exit 3
     interp = tmp_path / "refl.interp"

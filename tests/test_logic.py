@@ -1,6 +1,7 @@
 """The evaluator against an independent brute-force reference, plus
 parser, library, relativization, and TC-encoding behavior."""
 
+import ast
 import itertools
 import os
 import pickle
@@ -129,6 +130,11 @@ def ref_calls(f: Formula) -> frozenset:
 
 def ref_sets(f: Formula) -> bool:
     return any(isinstance(g, (ExistsS, ForallS)) for g in ref_nodes(f))
+
+
+def ref_qf(f: Formula) -> bool:
+    return not any(isinstance(g, (ExistsV, ForallV, ExistsS, ForallS, TC))
+                   for g in ref_nodes(f))
 
 
 def _random_graph(rng, n, n_labels=1):
@@ -593,6 +599,7 @@ def test_node_facts_match_the_recursive_walks():
             assert g.free == ref_free_vars(g) == free_vars(g)
             assert g.calls == ref_calls(g) == app_refs(g)
             assert g.sets == ref_sets(g)
+            assert g.qf == ref_qf(g)
 
 
 def test_deep_formulas_pickle_without_recursion():
@@ -604,7 +611,8 @@ def test_deep_formulas_pickle_without_recursion():
     for f in (deep, mixed):
         copy = pickle.loads(pickle.dumps(f))
         assert copy == f and hash(copy) == hash(f)
-        assert (copy.free, copy.calls, copy.sets) == (f.free, f.calls, f.sets)
+        assert (copy.free, copy.calls, copy.sets, copy.qf) == \
+            (f.free, f.calls, f.sets, f.qf)
     assert mixed.calls == {("p", 2), ("q", 2)} and mixed.sets
     node = pickle.loads(pickle.dumps(deep))
     for _ in range(1500):
@@ -698,6 +706,132 @@ def test_equal_libraries_built_apart_share_their_plans():
     misses = plans.plan.cache_info().misses
     assert evaluate(P, parsed, f, {"x": 1})  # f and its callees: all hits
     assert plans.plan.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# Generated code: its shape, and the order it tests literals in
+# ---------------------------------------------------------------------------
+
+def _plan_sources(monkeypatch):
+    """The list that every source the planner compiles is appended to."""
+    sources = []
+
+    def spy(src, namespace):
+        sources.append(src)
+        exec(src, namespace)
+    monkeypatch.setattr(plans, "exec", spy, raising=False)
+    return sources
+
+
+def _complement(node):
+    """e, if node is _F ^ e."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor) \
+            and isinstance(node.left, ast.Name) and node.left.id == "_F":
+        return node.right
+    return None
+
+
+def _random_qf(rng, vvars, calls=()):
+    f = _random_formula(rng, rng.randrange(0, 3), vvars, [], calls)
+    while not f.qf:
+        f = _random_formula(rng, rng.randrange(0, 3), vvars, [], calls)
+    return f
+
+
+def test_generated_code_has_no_double_complements(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    rng = random.Random(41)
+    calls = [("p", "vv"), ("q", "vS")]
+    for _ in range(300):
+        lib = _random_library(rng)
+        f = _random_formula(rng, rng.randrange(1, 5), ["x", "x_1"], ["S"],
+                            calls)
+        for params, row in ((("x", "x_1", "S"), None), (("x", "S"), "x_1")):
+            plans.plan.__wrapped__(f, params, row, frozenset({"red"}),
+                                   frozenset(), lib.key)
+        for d in lib.defs:  # p(x, x') and q(y, S), as rows over x and y
+            plans.plan.__wrapped__(d.body, d.params[1:], d.params[0],
+                                   frozenset({"red"}), frozenset(), lib.key)
+    assert len(sources) > 900
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            inner = _complement(node)
+            assert inner is None or _complement(inner) is None, src
+
+
+def test_quantifier_free_rows_are_plain_mask_algebra(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    rng = random.Random(43)
+    shapes = set()
+    for _ in range(300):
+        f = And(_random_qf(rng, ["x", "y"], [("p", "vv")]),
+                _random_qf(rng, ["x", "y"], [("p", "vv")]))
+        if rng.random() < 0.5:
+            f = Not(f) if rng.random() < 0.5 else Or(f.left, f.right)
+        lib = parse_library("def p(x, y) := E(x, y)")
+        lib.define("t", ("x", "y"), f)
+        del sources[:]
+        plans.plan.__wrapped__(f, ("x",), "y", frozenset({"red"}),
+                               frozenset({"p"}), lib.key)
+        (src,) = sources
+        nodes = list(ast.walk(ast.parse(src)))
+        assert not any(isinstance(n, ast.NamedExpr) for n in nodes), src
+        shapes |= {type(n.op) for n in nodes if isinstance(n, ast.BinOp)}
+        G = _random_graph(rng, rng.randrange(1, 5))
+        assert materialize(G, lib, "t") == {
+            (a, b) for a in range(G.n) for b in range(G.n)
+            if ref_eval(G, f, {"x": a, "y": b}, lib)}
+    assert {ast.BitAnd, ast.BitOr, ast.BitXor} <= shapes
+
+
+def _beside_a_set_quantifier(rng):
+    """A formula in which one set quantifier q sits among quantifier-free
+    formulas under connectives, and the function that builds it with
+    another formula in the place of q."""
+    q = rng.choice((ExistsS, ForallS))("S", _random_formula(
+        rng, rng.randrange(0, 2), ["x", "y"], ["S"]))
+    steps = [(rng.choice((And, Or, Implies, Iff)), _random_qf(rng, ["x", "y"]),
+              rng.random() < 0.5, rng.random() < 0.3)
+             for _ in range(rng.randrange(1, 4))]
+
+    def build(leaf):
+        f = leaf
+        for op, atom, left, negated in steps:
+            f = op(f, atom) if left else op(atom, f)
+            f = Not(f) if negated else f
+        return f
+    return build(q), build
+
+
+def test_an_atom_that_decides_skips_the_set_quantifier_beside_it():
+    f = parse_formula("(exists S. S(x)) | x = x")
+    assert evaluate(grid(1, 3), None, f, {"x": 0}, set_cap=1)
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(400):
+        f, build = _beside_a_set_quantifier(rng)
+        G = _random_graph(rng, rng.randrange(2, 6))
+        val = {"x": rng.randrange(G.n), "y": rng.randrange(G.n)}
+        want = ref_eval(G, f, val)
+        decided = ref_eval(G, build(TrueF()), val) == \
+            ref_eval(G, build(FalseF()), val)
+        seen.add(decided)
+        if decided:  # no set quantifier is reached, and the answer is exact
+            assert evaluate(G, None, f, val, set_cap=1) == want, f
+        else:  # the quantifier is reached: unknown, never a wrong answer
+            with pytest.raises(SetQuantifierCapError):
+                evaluate(G, None, f, val, set_cap=1)
+        # rows: where the cap is not hit, the table is exact
+        lib = PredicateLibrary()
+        lib.define("t", ("x", "y"), f)
+        try:
+            got = materialize(G, lib, "t", set_cap=1)
+        except SetQuantifierCapError:
+            continue
+        seen.add("rows")
+        assert got == {(a, b) for a in range(G.n) for b in range(G.n)
+                       if ref_eval(G, f, {"x": a, "y": b})}
+    assert seen == {True, False, "rows"}
 
 
 # ---------------------------------------------------------------------------
