@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{_default(treewidth_exact, 'cap')}, cwd "
                         f"{_default(cliquewidth_exact, 'cap')})")
     w.add_argument("--budget", type=int,
-                   help=f"cwd only: union groupings the search may close "
+                   help=f"cwd only: union steps and the groupings they close "
                         f"(default: "
                         f"{_default(cliquewidth_exact, 'budget'):,})")
     w.set_defaults(fn=cmd_width)

@@ -3,10 +3,11 @@
 Both oracles are exhaustive and intended for small graphs: treewidth by
 a search over elimination prefixes for each width k, from the degeneracy
 up to the width of a greedy least-degree elimination (cap 20 vertices),
-clique-width by breadth-first search over canonical labeled partial
-constructions, one per orbit of the automorphisms of the graph, from a
-lower bound by an induced P4 (cap 8 by default; grid(3,3) at cap 10,
-grid(3,4) at cap 12 and grid(4,4) at cap 16 fit the default budget).
+clique-width by a search over labeled partial constructions taken from
+one last-in-first-out agenda, one per orbit of the automorphisms of the
+graph, from a lower bound by an induced P4 (cap 8 by default; grid(3,3)
+at cap 10, grid(3,4) at cap 12 and grid(4,4) at cap 16 fit the default
+budget).
 Each state of that search keeps one summary per block (the OR and the
 AND of its vertices' adjacency rows), so a union step reads blocks,
 never vertices, and returns all its groupings in one call.  The
@@ -460,25 +461,24 @@ def verify_k_expression(G: LabeledGraph, e: KExpression) -> bool:
 #    S, because all future edges reach them classwise.
 # States are canonical up to label renaming (a partition, not a
 # labeling), and the search keeps one state per orbit of a group of
-# automorphisms of G, the least by mask, then by blocks.  An
-# automorphism maps the union steps of two states onto those of their
-# images, so pairing each kept state with every image of every kept
-# state reaches an image of every state; and a k-expression names
-# labels, not vertices, so the expression of a state serves each of its
-# images.  Correctness depends on neither quotient, only the state
-# count: every group gives the same width, the identity alone the plain
-# search.
-# Each state keeps one summary per block, computed once when the state
-# is first reached: the block, the OR of its vertices' adjacency rows
-# and their AND.  By the second fact the OR, cut to any set outside S,
-# is the neighbourhood there of every vertex of the block, so a union
+# automorphisms of G, the first found.  An automorphism maps the union
+# steps of two states onto those of their images, so pairing each kept
+# state with every image of every kept state reaches an image of every
+# state; and a k-expression names labels, not vertices, so the
+# expression of a state serves each of its images.  Correctness depends
+# on neither quotient, only the state count: every group gives the same
+# width, the identity alone the plain search.
+# Each state has one summary per block, computed once when the state is
+# taken from the agenda: the block, the OR of its vertices' adjacency
+# rows and their AND.  By the second fact the OR, cut to any set outside
+# S, is the neighbourhood there of every vertex of the block, so a union
 # step reads blocks, never vertices.  It places the blocks of two states
 # into groups and cuts a placement at its first incomplete join; the
 # budget counts every union step and every grouping it so closes,
 # complete or cut, up to the first state with every vertex: grid(3,3)
-# at cap 10 spends 8,223 (3,288 steps closing 4,935 groupings),
-# grid(3,4) at cap 12 419,054 and grid(4,4) at cap 16 1,818,691 (29,117,
-# 1,154,700 and more than 2,000,000 with a state per state).
+# at cap 10 spends 2,960 (1,520 steps closing 1,440 groupings),
+# grid(3,4) at cap 12 68,014 and grid(4,4) at cap 16 842,103 (11,742,
+# 409,908 and more than 2,000,000 with a state per state).
 
 def _summaries(adj: list[int], blocks: tuple[int, ...]
                ) -> tuple[tuple[int, int, int], ...]:
@@ -604,9 +604,9 @@ def cliquewidth_exact(G: LabeledGraph, cap: int = 8,
     they close: a step costs one unit, and each grouping it completes or
     cuts at an incomplete join one more; exceeding it raises
     BudgetExhausted rather than guessing.  Raise the cap for 9-16
-    vertices: of the default 2,000,000, grid(3,3) at cap 10 spends 8,223,
-    grid(3,4) at cap 12 spends 419,054 and grid(4,4) at cap 16 spends
-    1,818,691.
+    vertices: of the default 2,000,000, grid(3,3) at cap 10 spends 2,960,
+    grid(3,4) at cap 12 spends 68,014 and grid(4,4) at cap 16 spends
+    842,103.
     """
     return _cliquewidth(G, cap, budget)
 
@@ -650,74 +650,65 @@ def _orbit(maps: list, st: tuple[int, tuple[int, ...]]) -> list:
 
 def _grow(adj: list[int], k: int, maps: list, prov: dict, budget: int,
           spent: int) -> tuple[Optional[tuple[int, tuple[int, ...]]], int]:
-    """Search the states of width k, one per orbit, size by size, into
-    prov, and return the first whose mask is full, or None, with the
-    budget spent so far, ``spent`` before the search: one unit per union
-    step and one per grouping it closes.
+    """Search the states of width k, one per orbit, into prov, and return
+    the first whose mask is full, or None, with the budget spent so far,
+    ``spent`` before the search: one unit per union step and one per
+    grouping it closes.
 
-    An orbit is kept as its least state, comparing the masks first, so
-    that a pair of states of one size needs trying in one order only.
-    Each state is paired with every distinct image of each state of the
-    complementary size, taken by the first of the mask maps that gives
-    it."""
+    The states wait on one last-in-first-out agenda, the leaves first,
+    the lowest vertex on top.  A state taken from it adds each distinct
+    image of itself to the partners, with the index of the mask map that
+    gives the image first, and is then paired with every partner, its
+    own images included.  So every two orbits meet once, when the later
+    is taken, and a search that returns None has tried them all."""
     n = len(adj)
     full = (1 << n) - 1
     seen: set = set()  # every state of every orbit kept
-    # the states of each size, in the order found, with their summaries
-    frontier_by_size: list[list[tuple[tuple[int, tuple[int, ...]],
-                                      tuple]]] = [[] for _ in range(n + 1)]
-    # per size, the distinct images of each state in turn: (the state,
-    # the index of the map giving the image, its mask, its summaries)
-    partners: list[list[tuple[tuple, int, int, tuple]]] = [
-        [] for _ in range(n + 1)]
+    agenda = []
     for v in range(n):
         st = (1 << v, (1 << v,))
         if st in seen:  # a lower vertex of its orbit came first
             continue
         seen.update(_orbit(maps, st))
-        prov[st] = ("leaf", v)
+        prov[st] = ("leaf",)
         if st[0] == full:
             return st, spent
-        frontier_by_size[1].append((st, _summaries(adj, st[1])))
-    for size in range(2, n + 1):
-        # the states of size - 1 meet their first partners now
-        for st, summ in frontier_by_size[size - 1]:
-            met = set()
-            for i, img in enumerate(_orbit(maps, st)):
-                if img in met:
+        agenda.append(st)
+    agenda.reverse()
+    # the distinct images of each state taken: (the state, the index of
+    # the map giving the image, its mask, its summaries)
+    partners: list[tuple[tuple, int, int, tuple]] = []
+    while agenda:
+        stA = agenda.pop()
+        mA = stA[0]
+        summA = _summaries(adj, stA[1])
+        met = set()
+        for i, img in enumerate(_orbit(maps, stA)):
+            if img in met:
+                continue
+            met.add(img)
+            f = maps[i]
+            # an automorphism maps each block's OR and AND to its image's
+            images = summA if i == 0 else tuple(
+                (f(b), f(near), f(com)) for b, near, com in summA)
+            partners.append((stA, i, img[0], images))
+        for stB, sigma, mB, summB in partners:
+            if mA & mB:
+                continue
+            mask = mA | mB
+            done, cuts = _unions(summA, mA, summB, mB, full & ~mask, k)
+            spent += 1 + len(done) + cuts
+            if spent > budget:
+                raise BudgetExhausted(budget)
+            for Q, joins in done:
+                st = (mask, tuple(sorted(Q)))
+                if st in seen:
                     continue
-                met.add(img)
-                f = maps[i]
-                # an automorphism maps each block's OR and AND to its image's
-                images = summ if i == 0 else tuple(
-                    (f(b), f(near), f(com)) for b, near, com in summ)
-                partners[size - 1].append((st, i, img[0], images))
-        for s1 in range(1, size // 2 + 1):
-            s2 = size - s1
-            for stA, summA in frontier_by_size[s1]:
-                mA = stA[0]
-                for stB, sigma, mB, summB in partners[s2]:
-                    if mA & mB or (s1 == s2 and mA > mB):
-                        continue
-                    mask = mA | mB
-                    done, cuts = _unions(summA, mA, summB, mB,
-                                         full & ~mask, k)
-                    spent += 1 + len(done) + cuts
-                    if spent > budget:
-                        raise BudgetExhausted(budget)
-                    for Q, joins in done:
-                        st = (mask, tuple(sorted(Q)))
-                        if st in seen:
-                            continue
-                        orbit = _orbit(maps, st)
-                        seen.update(orbit)
-                        st = min(orbit)
-                        prov[st] = ("union", stA, stB, sigma,
-                                    orbit.index(st), Q, joins)
-                        if mask == full:
-                            return st, spent
-                        frontier_by_size[size].append(
-                            (st, _summaries(adj, st[1])))
+                seen.update(_orbit(maps, st))
+                prov[st] = ("union", stA, stB, sigma, Q, joins)
+                if mask == full:
+                    return st, spent
+                agenda.append(st)
     return None, spent
 
 
@@ -728,19 +719,16 @@ def _rebuild_expression(prov: dict, goal, k: int, maps: list) -> tuple:
     the labels unused by that child's merge targets, which always
     suffice).  A k-expression names labels, not vertices, so the
     expression of a state serves each of its images under an
-    automorphism: a state found as the image under rho of the union of
-    A and the image under sigma of B tells B's block b the label of the
-    group holding sigma(b), that group's label being the one wanted for
-    its image under rho."""
+    automorphism: a state found as the union of A and the image under
+    sigma of B, its blocks the groups, tells B's block b the label
+    wanted for the group holding sigma(b)."""
 
     def rec(state, want: dict[int, int]) -> tuple:
         entry = prov[state]
         if entry[0] == "leaf":
-            _, v = entry
             (block,) = state[1]
             return ("leaf", want[block])
-        _, stA, stB, sigma, rho, Q, joins = entry
-        label_of_group = {g: want[maps[rho](g)] for g in Q}
+        _, stA, stB, sigma, Q, joins = entry
 
         def build_child(st, image) -> tuple:
             child_blocks = st[1]
@@ -750,16 +738,16 @@ def _rebuild_expression(prov: dict, goal, k: int, maps: list) -> tuple:
                 g = next(g for g in Q if g & ib == ib)
                 by_group.setdefault(g, []).append(b)
             reps = {g: bs[0] for g, bs in by_group.items()}
-            used_finals = {label_of_group[g] for g in by_group}
+            used_finals = {want[g] for g in by_group}
             spares = [l for l in range(1, k + 1) if l not in used_finals]
             child_want: dict[int, int] = {}
             merges: list[tuple[int, int]] = []
             for g, bs in by_group.items():
-                child_want[reps[g]] = label_of_group[g]
+                child_want[reps[g]] = want[g]
                 for b in bs[1:]:
                     tmp = spares.pop()
                     child_want[b] = tmp
-                    merges.append((tmp, label_of_group[g]))
+                    merges.append((tmp, want[g]))
             e = rec(st, child_want)
             for (i, j) in merges:
                 e = ("relabel", i, j, e)
@@ -768,7 +756,7 @@ def _rebuild_expression(prov: dict, goal, k: int, maps: list) -> tuple:
         expr = ("union", build_child(stA, maps[0]),
                 build_child(stB, maps[sigma]))
         for (ia, ib) in joins:
-            expr = ("join", label_of_group[Q[ia]], label_of_group[Q[ib]], expr)
+            expr = ("join", want[Q[ia]], want[Q[ib]], expr)
         return expr
 
     top_want = {b: i + 1 for i, b in enumerate(goal[1])}

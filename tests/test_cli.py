@@ -331,7 +331,7 @@ def test_width_help_states_the_defaults(capsys):
         main(["width", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert "vertex cap (default: twd 20, cwd 8)" in out
-    assert "cwd only: union groupings the search may close " \
+    assert "cwd only: union steps and the groupings they close " \
         "(default: 2,000,000)" in out
 
 

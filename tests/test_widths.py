@@ -177,16 +177,16 @@ def _plain(G, cap=8, budget=2_000_000):
 
 
 def test_cliquewidth_budget_counts_closed_groupings():
-    # grid(3,3) at cap 10, from k = 3 up to its goal state, makes 11,734
-    # union steps that close 17,383 groupings with a state per state, and
-    # 3,288 that close 4,935 with one per orbit; each step costs one unit
+    # grid(3,3) at cap 10, from k = 3 up to its goal state, makes 6,596
+    # union steps that close 5,146 groupings with a state per state, and
+    # 1,520 that close 1,440 with one per orbit; each step costs one unit
     # and each grouping one more
-    assert _plain(grid(3, 3), cap=10, budget=29_117)[0] == 4
+    assert _plain(grid(3, 3), cap=10, budget=11_742)[0] == 4
     with pytest.raises(BudgetExhausted):
-        _plain(grid(3, 3), cap=10, budget=29_116)
-    assert cliquewidth_exact(grid(3, 3), cap=10, budget=8_223)[0] == 4
+        _plain(grid(3, 3), cap=10, budget=11_741)
+    assert cliquewidth_exact(grid(3, 3), cap=10, budget=2_960)[0] == 4
     with pytest.raises(BudgetExhausted):
-        cliquewidth_exact(grid(3, 3), cap=10, budget=8_222)
+        cliquewidth_exact(grid(3, 3), cap=10, budget=2_959)
 
 
 def test_the_lower_bound_is_the_p4_test():
@@ -208,6 +208,64 @@ def test_the_search_below_the_lower_bound_fails(atlas_widths):
         if low > 1:
             maps = [_mask_map(list(range(G.n)))]
             assert widths._grow(adj, low - 1, maps, {}, 10 ** 9, 0)[0] is None
+
+
+def _closure(adj, k):
+    """Every state of width k, by brute force: the leaves, then every
+    union through ``_unions`` of two disjoint states, in both orders,
+    until nothing new appears."""
+    full = (1 << len(adj)) - 1
+    states = {(1 << v, (1 << v,)) for v in range(len(adj))}
+    while True:
+        new = set()
+        for (mA, bA), (mB, bB) in itertools.product(states, repeat=2):
+            if mA & mB:
+                continue
+            done, _ = widths._unions(widths._summaries(adj, bA), mA,
+                                     widths._summaries(adj, bB), mB,
+                                     full & ~(mA | mB), k)
+            new.update((mA | mB, tuple(sorted(Q))) for Q, _ in done)
+        if new <= states:
+            return states
+        states |= new
+
+
+def test_the_search_below_the_width_reaches_every_orbit():
+    # a failed search at k keeps one state of every orbit of the states
+    # of width k: with the identity alone, every state
+    rng = random.Random(47)
+    cases = 0
+    for _ in range(40):
+        G = _random_graph(rng, rng.randrange(3, 7), rng.random())
+        adj = G.adjacency_masks()
+        identity = [_mask_map(list(range(G.n)))]
+        # sorted, so the identity comes first, as _grow needs
+        group = [_mask_map(p) for p in
+                 sorted(_automorphisms(G, respect_labels=False))]
+        for k in range(1, cliquewidth_exact(G)[0]):
+            want = _closure(adj, k)
+            for maps in (identity, group):
+                prov = {}
+                assert widths._grow(adj, k, maps, prov, 10 ** 9, 0)[0] is None
+                assert {img for st in prov for img in widths._orbit(maps, st)
+                        } == want, (sorted(G.edges), k)
+            cases += 1
+    assert cases == 48
+
+
+def test_the_search_at_three_fails_on_seven_vertices(atlas_plain):
+    # the seven-vertex atlas graphs whose width exceeds their P4 bound
+    # all have width 4; the search at 3 finds nothing in each of them,
+    # with the identity alone and with the whole group
+    above = [(G, e.k) for G, e in atlas_plain
+             if G.n == 7 and e.k > (3 if _has_induced_p4(G) else 2)]
+    assert len(above) == 54 and {k for _, k in above} == {4}
+    for G, _ in above:
+        adj = G.adjacency_masks()
+        for perms in ([list(range(7))],
+                      sorted(_automorphisms(G, respect_labels=False))):
+            maps = [_mask_map(p) for p in perms]
+            assert widths._grow(adj, 3, maps, {}, 10 ** 9, 0)[0] is None
 
 
 def _shuffled(G, rng):
@@ -407,17 +465,17 @@ def _digest(texts):
 
 
 def test_cliquewidth_expressions_are_pinned():
-    # sha256 of to_json(), as the search with per-vertex union steps wrote
-    # it, on the path with the identity alone
+    # sha256 of to_json(), as the search on one last-in-first-out agenda
+    # writes it, on the path with the identity alone
     assert _digest([_plain(grid(2, 4))[1].to_json()]) == (
-        "8d6a1eccf92cfe02902e2f30b64d4ef759b18f095f93f47aa1339a99f802ab19")
+        "b508643850be5b47fe221a75522fe5f04950adefdd02f4acfbe21d4ab6f38f46")
     assert _digest([_plain(grid(3, 3), cap=10)[1].to_json()]) == (
-        "a7a700abfeede42cd521ef48eb9e9dc70b9cd628540ee02a7ecb6eaa261d70fd")
+        "9a4973edee8bf109626749f4e18382b3975a547c1720633061a75940b8f62b73")
     # and as the search over orbits writes it
     assert _digest([cliquewidth_exact(grid(2, 4))[1].to_json()]) == (
-        "e754505522a69e89b7060af4f21450292144fb41b10f20b57f6b940ee29ff695")
+        "1d9d26c4cfdacde382e5500d3c00abaf80cc9c8ff30bdbffb60c9cbfba6fbc39")
     assert _digest([cliquewidth_exact(grid(3, 3), cap=10)[1].to_json()]) == (
-        "c13f6e09640d75972c8710486095783575e23d2bcc96d1c8684f2a16b5734154")
+        "6ab78a4dde1ee161eb4ccae89309159cb4dbac2c64b5b7dd0485778b9e951562")
 
 
 def test_monotone_under_induced_subgraphs():
@@ -573,11 +631,12 @@ def atlas_plain():
 
 def test_atlas_expressions_are_pinned(atlas_plain):
     # sha256 of to_json() for every atlas graph with 1-7 vertices, in
-    # atlas order, as the search with per-vertex union steps wrote them;
-    # most have a nontrivial group, so only the identity alone keeps them
+    # atlas order, as the search on one last-in-first-out agenda writes
+    # them; most have a nontrivial group, so only the identity alone keeps
+    # them
     texts = [e.to_json() for _, e in atlas_plain]
     assert _digest(texts) == (
-        "f4c93a594b6f0ae1ac8fab9e032271463dec3f12af7723db0e83b14451a9fa51")
+        "653086f9bead999b2322ddd3c62f7cc3ff1628f7cc7a98628830b8b6ebf8bc58")
 
 
 def test_atlas_orbit_search_agrees(atlas_widths, atlas_plain):
