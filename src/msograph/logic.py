@@ -18,6 +18,10 @@ polynomial to evaluate.  Names are resolved while planning and binding:
 an unassigned variable or an unknown predicate, in the formula or in a
 callee or TC body it reaches, raises ``EvalError`` before evaluation,
 and so does a valuation that gives a vertex outside V(G).
+``evaluate`` keeps the binding of its last call without tables and
+reuses it while the graph object, the library's definitions and the set
+cap stay the same, so calls at many points of one graph plan, bind and
+close TC once; that binding holds its graph until another one comes.
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
@@ -34,7 +38,7 @@ from .syntax import (  # re-exported: the dialect's public names
     LibraryError, Not, Or, PredicateLibrary, SetAtom, TrueF, all_vars,
     app_refs, free_vars, fresh_var, is_set_var, parse_formula,
     parse_library, subformulas, substitute)
-from .syntax import _rewrite
+from .syntax import NO_DEFINITIONS, _rewrite
 from .table import Table
 
 DEFAULT_SET_CAP = 22
@@ -65,16 +69,55 @@ def _argument(n: int, name: str, val) -> int:
     return mask
 
 
+# The binding of the last call of evaluate without tables, and the set
+# masks that call was given.  It holds its graph until evaluate is
+# called on another graph, library definitions or set cap.
+_last: Optional[tuple[Binding, tuple[int, ...]]] = None
+
+
+def _binding(G: LabeledGraph, lib: Optional[PredicateLibrary], set_cap: int,
+             sets: tuple[int, ...]) -> Binding:
+    """The binding of the last call if it was made for G (this object),
+    the definitions of lib and set_cap, else a new one.  Its memos are
+    emptied when the set masks differ from the last call's, so they hold
+    what one call leaves, however many calls there are."""
+    global _last
+    defs = lib.key if lib else NO_DEFINITIONS
+    if _last is not None and _last[0].G is G and \
+            _last[0].set_cap == set_cap and _last[0].defs == defs:
+        binding, last_sets = _last
+        if last_sets != sets:
+            binding.forget()
+    else:
+        binding = Binding(G, lib, set_cap)
+    _last = binding, sets
+    return binding
+
+
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
              valuation: Optional[dict] = None, *,
              set_cap: int = DEFAULT_SET_CAP,
              tables: Optional[Tables] = None) -> bool:
     """Evaluate f on G under the valuation (vertex vars -> vertex index,
     set vars -> vertex set or bitmask).  A value outside V(G) raises
-    EvalError."""
+    EvalError.
+
+    Without ``tables``, successive calls on the same graph object, with
+    the same library definitions and set cap, share one binding: each
+    formula is planned and bound once, and label masks, adjacency, TC
+    rows and callee memos are made once per graph.  The binding is
+    dropped for another graph, other definitions or another set cap, and
+    it keeps the last graph alive until then.  With ``tables`` a fresh
+    binding is made, because the caller's dict may change between
+    calls."""
     valuation = valuation or {}
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
-    return Binding(G, lib, set_cap, tables).compile(f, list(valuation))(*args)
+    if tables is None:
+        sets = tuple(a for name, a in zip(valuation, args) if is_set_var(name))
+        binding = _binding(G, lib, set_cap, sets)
+    else:
+        binding = Binding(G, lib, set_cap, tables)
+    return binding.compile(f, list(valuation))(*args)
 
 
 MAX_MATERIALIZE_ARITY = 3

@@ -13,6 +13,8 @@ the plan's recipes on the graph: it supplies the full row, the set
 quantifiers' range under the set cap, label masks, table rows after
 their arity is checked, and fresh memos for callees and TC, each
 compiled when first bound, so planning one formula never plans another.
+A binding keeps the functions it has made, up to ``PLAN_CACHE_SIZE`` of
+them, so compiling the same formula again on it costs one lookup.
 Names are resolved while planning and binding: an unassigned variable
 or an unknown predicate raises ``EvalError`` before anything is
 evaluated.  ``logic`` calls this module and re-exports its errors.
@@ -377,6 +379,8 @@ class _Planner:
         if kind is Iff:
             left = self.test(f.left, scope, d)
             right = self.test(f.right, scope, d)
+            if left == right:
+                return "True"
             if left in ("True", "False"):
                 left, right = right, left
             if right in ("True", "False"):
@@ -672,9 +676,14 @@ class _Planner:
 
 class Binding:
     """Formulas compiled for one graph and library.  Every plan bound here
-    shares the values of its recipes: label masks, table rows, and one
-    memo per callee and per TC body, all fresh for this binding until
-    ``forget`` empties the memos."""
+    shares the values of its recipes: label masks, adjacency, table rows,
+    and one memo per callee and per TC body, all fresh for this binding
+    until ``forget`` empties the memos.  ``compile`` keeps the last
+    ``PLAN_CACHE_SIZE`` functions it made, keyed by formula, parameters,
+    row variable and the names that have tables, so a binding used for
+    many calls plans and binds each formula once.  A table's rows are
+    read once, when first bound, so a caller that replaces a table it
+    has bound needs a new binding."""
 
     def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
                  set_cap: int, tables: Optional[dict] = None):
@@ -692,8 +701,10 @@ class Binding:
 
         self.base = {"_F": (1 << n) - 1, "_S": subsets, "_E": _exists,
                      "_ES": _exists_set, "_P": _pointwise}
+        self.set_cap = set_cap
         self.made: dict[tuple, object] = {}
         self.memos: list = []
+        self.compiled: dict[tuple, FunctionType] = {}
 
     def compile(self, f: Formula, params: Sequence[str],
                 row: Optional[str] = None):
@@ -702,14 +713,23 @@ class Binding:
         a row variable, returns the row of f over it, planned for the
         label names of G, the names that have tables now and the library.
         An unknown name in f or in a callee or TC body it reaches raises
-        EvalError here, before anything is evaluated."""
-        p = plan(f, tuple(params), row, self.labels, frozenset(self.tables),
-                 self.defs)
+        EvalError here, before anything is evaluated.  The same f,
+        params, row and table names return the same function, from a
+        memo of the last ``PLAN_CACHE_SIZE`` functions made."""
+        key = (f, tuple(params), row, frozenset(self.tables))
+        fn = self.compiled.get(key)
+        if fn is not None:
+            return fn
+        p = plan(f, key[1], row, self.labels, key[3], self.defs)
         g = dict(self.base)
         for name, recipe in p.recipes:
             g[name] = (FunctionType(recipe[1], g) if recipe[0] == "F"
                        else self.make(recipe))
-        return FunctionType(p.code, g)
+        fn = FunctionType(p.code, g)
+        if len(self.compiled) == PLAN_CACHE_SIZE:
+            del self.compiled[next(iter(self.compiled))]  # the oldest
+        self.compiled[key] = fn
+        return fn
 
     def make(self, recipe: tuple):
         """The value of a recipe on this graph, made once."""

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from msograph import plans
+from msograph import logic, plans
 from msograph.bichain_family import bichain_predicates, build_Zn
 from msograph.graphs import LabeledGraph, grid, induced_subgraph
 from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
@@ -22,7 +22,7 @@ from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
                             evaluate, free_vars, materialize, subformulas,
                             materialize_all, parse_formula, parse_library,
                             relativize, substitute, tc_naive_encoding)
-from msograph.syntax import fresh_var, is_set_var
+from msograph.syntax import NO_DEFINITIONS, fresh_var, is_set_var
 from msograph.power_family import build_Dn, power_predicates
 from msograph.word_family import build_Hn, word_predicates
 
@@ -709,6 +709,111 @@ def test_equal_libraries_built_apart_share_their_plans():
 
 
 # ---------------------------------------------------------------------------
+# evaluate reuses one binding per graph, library key and set cap
+# ---------------------------------------------------------------------------
+
+def test_a_long_chain_is_planned_once_per_graph():
+    # 201 plans do not fit the plan cache, so each new binding of the
+    # chain re-plans them all; calls on one graph share one binding
+    lib = parse_library("def p0(x, y) := E(x, y)\n" + "".join(
+        f"def p{i}(x, y) := p{i - 1}(x, y)\n" for i in range(1, 200)))
+    G = grid(1, 3)
+    f = parse_formula("p199(x, y)")
+    assert evaluate(G, lib, f, {"x": 0, "y": 1})
+    for _ in range(2):
+        misses = plans.plan.cache_info().misses
+        assert evaluate(G, lib, f, {"x": 0, "y": 1})
+        assert plans.plan.cache_info().misses == misses
+
+
+def _mask_of(value) -> int:
+    return value if isinstance(value, int) else sum(1 << v for v in value)
+
+
+def _fresh_outcome(G, lib, f, valuation, set_cap, tables):
+    """The outcome of f on a binding made for this call alone."""
+    def run():
+        args = [_mask_of(v) for v in valuation.values()]
+        return plans.Binding(G, lib, set_cap, tables).compile(
+            f, list(valuation))(*args)
+    return _outcome(run)
+
+
+def test_a_reused_binding_agrees_with_a_fresh_one():
+    rng = random.Random(53)
+    calls = [("p", "vv"), ("q", "vS"), ("r", "v")]
+    graphs = [_random_graph(rng, rng.randrange(1, 5)) for _ in range(3)]
+    libs = [_random_library(rng) for _ in range(3)]
+    G, lib, cap = graphs[0], libs[0], 22
+    reused = 0
+    seen = set()
+    for i in range(600):
+        if rng.random() < 0.2:
+            G = rng.choice(graphs)
+        if rng.random() < 0.2:
+            lib = rng.choice(libs + [None])
+        if rng.random() < 0.1:
+            cap = rng.choice((22, 2))
+        if lib is not None and "r" not in lib and rng.random() < 0.05:
+            # the same library object, with other definitions
+            lib.define("r", ("x",), _random_formula(
+                rng, rng.randrange(0, 3), ["x"], [], calls[:1]))
+        n = G.n
+        f = _random_formula(rng, rng.randrange(1, 4), ["x", "x_1"], ["S"],
+                            calls)
+        S = frozenset(v for v in range(n) if rng.random() < .5)
+        valuation = {"x": rng.randrange(n), "x_1": rng.randrange(n),
+                     "S": rng.choice((S, _mask_of(S)))}
+        tables = None
+        if lib is not None and rng.random() < 0.15:
+            tables = {"p": materialize(G, lib, "p")}
+        last = logic._last and logic._last[0]
+        got = _outcome(lambda: evaluate(G, lib, f, valuation, set_cap=cap,
+                                        tables=tables))
+        reused += tables is None and logic._last[0] is last
+        assert got == _fresh_outcome(G, lib, f, valuation, cap, tables), f
+        if type(got) is bool:
+            assert got == ref_eval(G, f, {**valuation, "S": S}, lib), f
+        else:
+            seen.add(got[0])
+        if i % 10 == 0:  # resolved and capped before evaluation, as ever
+            with pytest.raises(EvalError):
+                evaluate(G, lib, parse_formula("false & nosuch(x)"),
+                         {"x": 0}, set_cap=cap)
+            g = parse_formula("exists X. X(x)")
+            with pytest.raises(SetQuantifierCapError):
+                evaluate(G, lib, g, {"x": 0}, set_cap=n - 1)
+            assert evaluate(G, lib, g, {"x": 0}, set_cap=n)
+    assert reused > 200
+    assert seen == {EvalError, SetQuantifierCapError}
+
+
+def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
+    lib = parse_library("def q(y, S) := exists z. (S(z) & E(y, z))")
+    f = parse_formula("exists y. (q(y, S) & TC[a, b: E(a, b) & S(b)](x, y))")
+    G = grid(2, 3)
+
+    def held(binding):
+        return sum(memo.cache_info().currsize for memo in binding.memos)
+    for S in range(1 << G.n):
+        one = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
+        want = one.compile(f, ("x", "S"))(0, S)
+        S_set = frozenset(v for v in range(G.n) if S >> v & 1)
+        assert evaluate(G, lib, f, {"x": 0, "S": S}) == want == \
+            ref_eval(G, f, {"x": 0, "S": S_set}, lib)
+        binding = logic._last[0]
+        assert binding.G is G and held(binding) == held(one) > 0
+    # the function memo is bounded; a function it dropped is made again
+    first = parse_formula("exists z0. (E(x, z0) & S(z0))")
+    for i in range(3 * plans.PLAN_CACHE_SIZE):
+        g = parse_formula(f"exists z{i}. (E(x, z{i}) & S(z{i}))")
+        assert evaluate(G, lib, g, {"x": 0, "S": 0b10})
+        assert logic._last[0] is binding
+        assert len(binding.compiled) <= plans.PLAN_CACHE_SIZE
+    assert evaluate(G, lib, first, {"x": 0, "S": 0b10})
+
+
+# ---------------------------------------------------------------------------
 # Generated code: its shape, and the order it tests literals in
 # ---------------------------------------------------------------------------
 
@@ -782,6 +887,41 @@ def test_quantifier_free_rows_are_plain_mask_algebra(monkeypatch):
             (a, b) for a in range(G.n) for b in range(G.n)
             if ref_eval(G, f, {"x": a, "y": b}, lib)}
     assert {ast.BitAnd, ast.BitOr, ast.BitXor} <= shapes
+
+
+def test_iff_of_equal_sides_folds_in_boolean_mode(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    S_x = SetAtom("S", "x")
+    plans.plan.__wrapped__(Iff(S_x, S_x), ("x", "S"), None, frozenset(),
+                           frozenset(), NO_DEFINITIONS)
+    assert sources == ["def _f(Vx, VS):\n    return bool(True)\n"]
+    rng = random.Random(59)
+    calls = [("p", "vv"), ("q", "vS")]
+    folded = 0
+    for _ in range(200):
+        lib = _random_library(rng)
+        g = _random_formula(rng, rng.randrange(0, 3), ["x", "x_1"], ["S"],
+                            calls)
+        f = rng.choice((And, Or, Iff))(Iff(g, g), _random_formula(
+            rng, rng.randrange(0, 3), ["x", "x_1"], ["S"], calls))
+        del sources[:]
+        plans.plan.__wrapped__(Iff(g, g), ("x", "x_1", "S"), None,
+                               frozenset({"red"}), frozenset(), lib.key)
+        folded += sources[0].endswith("return bool(True)\n")
+        plans.plan.__wrapped__(f, ("x", "x_1", "S"), None,
+                               frozenset({"red"}), frozenset(), lib.key)
+        for src in sources:
+            for node in ast.walk(ast.parse(src)):
+                if isinstance(node, ast.Compare) and \
+                        isinstance(node.ops[0], ast.Eq):
+                    assert ast.dump(node.left) != \
+                        ast.dump(node.comparators[0]), src
+        G = _random_graph(rng, rng.randrange(1, 5))
+        valuation = {"x": rng.randrange(G.n), "x_1": rng.randrange(G.n),
+                     "S": frozenset(v for v in range(G.n)
+                                    if rng.random() < .5)}
+        assert evaluate(G, lib, f, valuation) == ref_eval(G, f, valuation, lib)
+    assert folded > 150
 
 
 def _beside_a_set_quantifier(rng):
