@@ -315,8 +315,9 @@ def _default(fn, name: str):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="msograph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    set_cap_help = ("largest graph, in vertices, whose subsets a set "
-                    f"quantifier may range over (default: {DEFAULT_SET_CAP})")
+    set_cap_help = ("most vertices whose subsets one set quantifier may "
+                    "range over, counted after its guards (default: "
+                    f"{DEFAULT_SET_CAP})")
 
     g = sub.add_parser("gen", help="generate a family member")
     g.add_argument("--family", required=True, choices=list(_FAMILIES))

@@ -10,8 +10,10 @@ variables (x̄, y) compiles to a function of x̄ that returns its *row*
 over y, the bitmask of every y at which it holds, and a library
 predicate is tabulated as a ``Table`` of such rows, one call per tuple
 of its leading arguments.  Vertex quantifiers range over V(G); set
-quantifiers enumerate subsets of V(G) and raise
-``SetQuantifierCapError`` when reached on a graph larger than the cap.
+quantifiers enumerate the subsets of V(G) that their guards allow (Z(v),
+!Z(v) and Z within a set variable or label, as ``relativize`` writes
+it) and raise ``SetQuantifierCapError`` when reached with more free
+vertices than the cap: all n of them when unguarded.
 TC is a first-class primitive computed by bitset fixpoint, once per
 valuation of its outer variables, so formulas built from it stay
 polynomial to evaluate.  Names are resolved while planning and binding:
@@ -199,14 +201,13 @@ def relativize(f: Formula, X: str) -> Formula:
         raise ValueError(f"{X!r} occurs in the formula")
 
     def enter(g: Formula, _):
-        # nodes are checked in preorder
-        if isinstance(g, (TrueF, FalseF, EdgeAtom, Eq, SetAtom)):
+        # nodes are checked in preorder; a quantifier-free subtree over
+        # the graph vocabulary (a unary call is a label) is kept whole
+        if g.qf and all(arity == 1 for _, arity in g.calls):
             return g
         if isinstance(g, App):
-            if len(g.args) != 1:  # a unary label atom is graph vocabulary
-                raise ValueError("relativization is defined on the graph "
-                                 "vocabulary only")
-            return g
+            raise ValueError("relativization is defined on the graph "
+                             "vocabulary only")
         if isinstance(g, TC):
             raise ValueError("relativization does not support the TC "
                              "primitive")

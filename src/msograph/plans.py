@@ -9,10 +9,17 @@ the plans in a fixed-size LRU cache keyed by the formula, its
 parameters and row variable, the label names of the graph, the names
 that have tables and the library's definitions.  ``Binding.compile``,
 the one entry point, builds that key for one graph and library and runs
-the plan's recipes on the graph: it supplies the full row, the set
-quantifiers' range under the set cap, label masks, table rows after
+the plan's recipes on the graph: it supplies the full row, the ranges
+of set quantifiers under the set cap, label masks, table rows after
 their arity is checked, and fresh memos for callees and TC, each
 compiled when first bound, so planning one formula never plans another.
+A set quantifier ranges over the sets its guards allow: its body's
+literals Z(v) and !Z(v), for a vertex variable v bound outside it, and
+forall w. (Z(w) -> M(w)), for a set variable or label M, fix v in or out
+of Z and confine Z to M (for forall Z, the literals of the negated
+body).  The set cap bounds the vertices the guards leave free, checked
+when the quantifier is reached; an unguarded quantifier leaves all of
+V(G) free.
 A binding keeps the functions it has made, up to ``PLAN_CACHE_SIZE`` of
 them, so compiling the same formula again on it costs one lookup.
 Names are resolved while planning and binding: an unassigned variable
@@ -39,9 +46,13 @@ class EvalError(ValueError):
 
 
 class SetQuantifierCapError(EvalError):
-    def __init__(self, n: int, cap: int):
-        super().__init__(
-            f"set quantifier over a {n}-vertex graph exceeds the cap {cap}")
+    """A set quantifier was reached whose range has more free vertices
+    than the set cap: the answer is unknown."""
+
+    def __init__(self, free: int, cap: int):
+        super().__init__(f"set quantifier ranges over the subsets of {free} "
+                         f"free vertices, more than the cap {cap}")
+        self.free = free
 
 
 # Evaluation is set at a time.  A formula becomes the source of one
@@ -163,14 +174,24 @@ def _exists(zs: int, row, full: int) -> int:
     return acc
 
 
-def _exists_set(subsets, row, full: int) -> int:
-    """The OR of row(Z) over the subsets Z of V(G), until full."""
+def _exists_set(sets, row, full: int) -> int:
+    """The OR of row(Z) over the sets Z, until full."""
     acc = 0
-    for Z in subsets():
+    for Z in sets:
         acc |= row(Z)
         if acc == full:
             break
     return acc
+
+
+def _submasks(must: int, free: int):
+    """must | s for every submask s of free, in ascending order."""
+    s = 0
+    while True:
+        yield must | s
+        if s == free:
+            return
+        s = (s - free) & free
 
 
 def _pointwise(test, full: int) -> int:
@@ -351,23 +372,9 @@ class _Planner:
                     f"{self.vertex(f.x, scope)}) & 1)")
         if kind in _CONNECTIVES:
             # an And holds if its literals do, an Or if one of theirs
-            # fails; the plain literals are tested first
+            # fails
             conj = kind is And or kind is Not
-            lits = _conjuncts(f, not conj)
-            if len(lits) == 1:  # a negation
-                return self._literal_test(*lits[0], scope, d)
-            unit, zero = ("True", "False") if conj else ("False", "True")
-            terms, then = [], []
-            for g, neg in lits:
-                t = self._literal_test(g, neg if conj else not neg, scope, d)
-                if t != unit:
-                    (terms if self.plain(g) else then).append(t)
-            terms += then
-            if zero in terms or not terms:
-                return zero if terms else unit
-            if len(terms) == 1:
-                return terms[0]
-            return f"({(' and ' if conj else ' or ').join(terms)})"
+            return self._junction(_conjuncts(f, not conj), conj, scope, d)
         if kind is ExistsV or kind is ForallV:
             return self._vertex_test(f, scope, d, False)
         if kind is App:
@@ -386,14 +393,33 @@ class _Planner:
             if right in ("True", "False"):
                 return left if right == "True" else _negation(left)
             return f"(bool({left}) == bool({right}))"
-        if kind is ExistsS or kind is ForallS:
-            test = "any" if kind is ExistsS else "all"
-            body = self.test(f.body, scope | {f.var}, d)
-            return f"{test}({body} for {_ident(f.var)} in _S())"
+        if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
+            sets, lits = self._set_range(f, scope)
+            body = self._junction(lits, True, scope | {f.var}, d)
+            found = f"any({body} for {_ident(f.var)} in {sets})"
+            return _negation(found) if kind is ForallS else found
         if kind is TC:
             return (f"(({self._tc(f, scope)}[{self.vertex(f.a, scope)}] >> "
                     f"{self.vertex(f.b, scope)}) & 1)")
         raise TypeError(f"unknown node {f!r}")
+
+    def _junction(self, lits: list[tuple[Formula, bool]], conj: bool,
+                  scope: frozenset, depth: int) -> str:
+        """Source of the truth value of the conjunction of the literals,
+        or if not conj of the disjunction of their negations.  The plain
+        literals are tested first, each part in its order."""
+        unit, zero = ("True", "False") if conj else ("False", "True")
+        terms, then = [], []
+        for g, neg in lits:
+            t = self._literal_test(g, neg if conj else not neg, scope, depth)
+            if t != unit:
+                (terms if self.plain(g) else then).append(t)
+        terms += then
+        if zero in terms or not terms:
+            return zero if terms else unit
+        if len(terms) == 1:
+            return terms[0]
+        return f"({(' and ' if conj else ' or ').join(terms)})"
 
     def _literal_test(self, g: Formula, negated: bool, scope: frozenset,
                       depth: int) -> str:
@@ -495,9 +521,10 @@ class _Planner:
                 return left, (lc == rc) != (right == "_F")
             return f"({left} ^ {right})", lc == rc
         if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
-            forall = kind is ForallS
-            body = self.row(f.body, scope | {f.var}, y, d, forall)
-            return f"_ES(_S, lambda {_ident(f.var)}: {body}, _F)", forall
+            sets, lits = self._set_range(f, scope)
+            body = _final(*self._conjunction(lits, scope | {f.var}, y, d))
+            return (f"_ES({sets}, lambda {_ident(f.var)}: {body}, _F)",
+                    kind is ForallS)
         if kind is TC:
             return self._tc_row(f, scope, y), False
         raise TypeError(f"unknown node {f!r}")
@@ -614,6 +641,58 @@ class _Planner:
         t = f"_t{self.temps}"
         return f"(({t} := {out}) and ({t} & {found}))", False
 
+    # -- set quantifiers ----------------------------------------------------
+
+    def _set_range(self, f: ExistsS | ForallS, scope: frozenset
+                   ) -> tuple[str, list[tuple[Formula, bool]]]:
+        """The source of the range of exists Z. g, or of forall Z. g as
+        !exists Z. !g, and the literals of g (of !g) left once its guards
+        are taken.  A guard is a literal Z(v) or !Z(v), v a vertex
+        variable in scope, or Z ⊆ M (``_subset_guard``).  Z then ranges
+        over must | s for each submask s of M & ~must & ~forbid: ``_S`` in
+        the binding, which counts those free vertices against the set
+        cap.  Unguarded, M is V(G) and must and forbid are empty."""
+        z = f.var
+        within, must, forbid, rest = [], [], [], []
+        for g, neg in _conjuncts(f.body, type(f) is ForallS):
+            if type(g) is SetAtom and g.set_name == z and g.x in scope:
+                part, mask = (forbid if neg else must), f"(1 << {_ident(g.x)})"
+            else:
+                part, mask = within, self._subset_guard(g, neg, z, scope)
+                if mask is None:
+                    rest.append((g, neg))
+                    continue
+            if mask not in part:
+                part.append(mask)
+        return (f"_S({_group(' & ', within) if within else '_F'}, "
+                f"{_group(' | ', must) if must else 0}, "
+                f"{_group(' | ', forbid) if forbid else 0})"), rest
+
+    def _subset_guard(self, g: Formula, negated: bool, z: str,
+                      scope: frozenset) -> Optional[str]:
+        """The source of M's mask if the literal g, or !g if negated, says
+        that Z ⊆ M: no w has Z(w) and !M(w), as forall w. (Z(w) -> M(w))
+        says.  M is a set variable in scope or a label."""
+        if type(g) is not (ExistsV if negated else ForallV):
+            return None
+        w = g.var
+        lits = _conjuncts(g.body, not negated)  # what a w outside M meets
+        if len(lits) != 2:
+            return None
+        for (a, a_neg), (m, m_neg) in (lits, lits[::-1]):
+            if not (type(a) is SetAtom and a.set_name == z and a.x == w and
+                    not a_neg and m_neg):
+                continue
+            if type(m) is SetAtom and m.x == w and m.set_name != z:
+                if m.set_name in scope:
+                    return _ident(m.set_name)
+                if m.set_name in self.labels:
+                    return self.label(m.set_name)
+            elif type(m) is App and m.args == (w,) and m.name in self.labels \
+                    and m.name not in self.tables and m.name not in self.lib:
+                return self.label(m.name)
+        return None
+
     def _app_row(self, f: App, scope: frozenset, y: str) -> str:
         at = tuple(i for i, a in enumerate(f.args) if a == y)
         key = [self.arg(a, scope) for a in f.args if a != y]
@@ -694,10 +773,17 @@ class Binding:
         self.defs = lib.key if lib else NO_DEFINITIONS
         n = G.n
 
-        def subsets():
-            if n > set_cap:
-                raise SetQuantifierCapError(n, set_cap)
-            return range(1 << n)
+        def subsets(within: int, must: int, forbid: int):
+            # the range of a set quantifier, checked against the cap
+            # when the quantifier is reached
+            free = within & ~forbid
+            if must & ~free:
+                return ()
+            free &= ~must
+            k = free.bit_count()
+            if k > set_cap:
+                raise SetQuantifierCapError(k, set_cap)
+            return _submasks(must, free)
 
         self.base = {"_F": (1 << n) - 1, "_S": subsets, "_E": _exists,
                      "_ES": _exists_set, "_P": _pointwise}

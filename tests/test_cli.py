@@ -289,6 +289,19 @@ def test_call_chain_past_the_recursion_limit_is_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_guarded_set_quantifier_answers_over_the_cap(tmp_path, capsys):
+    g = tmp_path / "g56.json"
+    g.write_text(grid(5, 6).to_json())  # 30 vertices, over the cap of 22
+    code, out, _ = run(capsys, "eval", str(g), "--formula",
+                       "exists S. ((forall w. (S(w) -> X(w))) & "
+                       "(exists v. (X(v) & S(v))))", "--assign", "X={0,1,2,3}")
+    assert code == 0 and out == "true\n"
+    code, out, err = run(capsys, "eval", str(g), "--formula", "exists S. true")
+    assert code == 3 and out == ""
+    assert err.startswith("budget: ") and "30 free vertices" in err
+    assert "Traceback" not in err
+
+
 def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
     # a vertex name containing "cap" must not turn the error into exit 3
     interp = tmp_path / "refl.interp"

@@ -2,6 +2,7 @@
 parser, library, relativization, and TC-encoding behavior."""
 
 import ast
+import functools
 import itertools
 import os
 import pickle
@@ -660,12 +661,20 @@ def test_cached_plans_rebind_labels_tc_memos_and_the_set_cap():
         assert materialize(G, lib, "reach") == {
             (s, t) for s in range(4) for t in range(4)
             if ref_eval(G, App("reach", ("s", "t")), {"s": s, "t": t}, lib)}
-    g = parse_formula("exists X. (X(x) & red(x))")
+    # unguarded, X ranges over all 2^n sets; guarded by X(x), over the
+    # 2^(n-1) that hold x
+    g = parse_formula("exists X. (red(x) & exists z. (z = x & X(z)))")
     assert evaluate(path, None, g, {"x": 2}, set_cap=4)
     with pytest.raises(SetQuantifierCapError):
         evaluate(path, None, g, {"x": 2}, set_cap=3)
     small = LabeledGraph.build(3, [], labels={"red": [2]})
     assert evaluate(small, None, g, {"x": 2}, set_cap=3)
+    guarded = parse_formula("exists X. (X(x) & red(x))")
+    assert evaluate(path, None, guarded, {"x": 2}, set_cap=3)
+    with pytest.raises(SetQuantifierCapError) as raised:
+        evaluate(path, None, guarded, {"x": 2}, set_cap=2)
+    assert raised.value.free == 3
+    assert evaluate(small, None, guarded, {"x": 2}, set_cap=2)
 
 
 def test_cached_plans_follow_the_library_and_the_tables():
@@ -780,10 +789,15 @@ def test_a_reused_binding_agrees_with_a_fresh_one():
             with pytest.raises(EvalError):
                 evaluate(G, lib, parse_formula("false & nosuch(x)"),
                          {"x": 0}, set_cap=cap)
-            g = parse_formula("exists X. X(x)")
+            g = parse_formula("exists X. exists z. (z = x & X(z))")
             with pytest.raises(SetQuantifierCapError):
                 evaluate(G, lib, g, {"x": 0}, set_cap=n - 1)
             assert evaluate(G, lib, g, {"x": 0}, set_cap=n)
+            guarded = parse_formula("exists X. X(x)")  # n - 1 free vertices
+            assert evaluate(G, lib, guarded, {"x": 0}, set_cap=n - 1)
+            if n > 1:
+                with pytest.raises(SetQuantifierCapError):
+                    evaluate(G, lib, guarded, {"x": 0}, set_cap=n - 2)
     assert reused > 200
     assert seen == {EvalError, SetQuantifierCapError}
 
@@ -928,8 +942,9 @@ def _beside_a_set_quantifier(rng):
     """A formula in which one set quantifier q sits among quantifier-free
     formulas under connectives, and the function that builds it with
     another formula in the place of q."""
-    q = rng.choice((ExistsS, ForallS))("S", _random_formula(
-        rng, rng.randrange(0, 2), ["x", "y"], ["S"]))
+    quantifier = rng.choice((ExistsS, ForallS))
+    body = _random_formula(rng, rng.randrange(0, 2), ["x", "y"], ["S"])
+    q = quantifier("S", body)
     steps = [(rng.choice((And, Or, Implies, Iff)), _random_qf(rng, ["x", "y"]),
               rng.random() < 0.5, rng.random() < 0.3)
              for _ in range(rng.randrange(1, 4))]
@@ -940,7 +955,8 @@ def _beside_a_set_quantifier(rng):
             f = op(f, atom) if left else op(atom, f)
             f = Not(f) if negated else f
         return f
-    return build(q), build
+    # q with its body under <-> true, where no literal is a guard
+    return build(q), build(quantifier("S", Iff(body, TrueF()))), build
 
 
 def test_an_atom_that_decides_skips_the_set_quantifier_beside_it():
@@ -949,7 +965,7 @@ def test_an_atom_that_decides_skips_the_set_quantifier_beside_it():
     rng = random.Random(47)
     seen = set()
     for _ in range(400):
-        f, build = _beside_a_set_quantifier(rng)
+        f, unguarded, build = _beside_a_set_quantifier(rng)
         G = _random_graph(rng, rng.randrange(2, 6))
         val = {"x": rng.randrange(G.n), "y": rng.randrange(G.n)}
         want = ref_eval(G, f, val)
@@ -958,9 +974,16 @@ def test_an_atom_that_decides_skips_the_set_quantifier_beside_it():
         seen.add(decided)
         if decided:  # no set quantifier is reached, and the answer is exact
             assert evaluate(G, None, f, val, set_cap=1) == want, f
+            assert evaluate(G, None, unguarded, val, set_cap=1) == want, f
         else:  # the quantifier is reached: unknown, never a wrong answer
             with pytest.raises(SetQuantifierCapError):
-                evaluate(G, None, f, val, set_cap=1)
+                evaluate(G, None, unguarded, val, set_cap=1)
+            # guards may leave at most one free vertex: then it answers
+            try:
+                assert evaluate(G, None, f, val, set_cap=1) == want, f
+                seen.add("guarded")
+            except SetQuantifierCapError as e:
+                assert e.free > 1
         # rows: where the cap is not hit, the table is exact
         lib = PredicateLibrary()
         lib.define("t", ("x", "y"), f)
@@ -971,7 +994,154 @@ def test_an_atom_that_decides_skips_the_set_quantifier_beside_it():
         seen.add("rows")
         assert got == {(a, b) for a in range(G.n) for b in range(G.n)
                        if ref_eval(G, f, {"x": a, "y": b})}
-    assert seen == {True, False, "rows"}
+    assert seen == {True, False, "rows", "guarded"}
+
+
+# ---------------------------------------------------------------------------
+# Guarded set quantifiers: the range is the sets the guards allow
+# ---------------------------------------------------------------------------
+
+def _guard(rng, z, vvars, svars):
+    """A literal that confines z: z(v), !z(v), or z within M written in
+    one of three ways, M a set variable of svars or the label red.  One
+    time in five it is a look-alike that confines nothing, or it goes
+    under ! or into a disjunction."""
+    kind = rng.choice(("in", "out", "within", "within", "like"))
+    if kind in ("within", "like"):
+        m = (SetAtom(rng.choice(svars), "w") if svars and rng.random() < .5
+             else App("red", ("w",)))
+        zw = SetAtom(z, "w")
+        if kind == "within":
+            g = rng.choice((ForallV("w", Implies(zw, m)),
+                            ForallV("w", Or(Not(zw), m)),
+                            Not(ExistsV("w", And(zw, Not(m))))))
+        else:  # one negation off or in the wrong place
+            g = rng.choice((ExistsV("w", Or(Not(zw), m)),
+                            Not(ForallV("w", And(zw, Not(m)))),
+                            ForallV("w", Or(zw, m)),
+                            ForallV("w", Implies(zw, Not(m)))))
+    else:
+        g = SetAtom(z, rng.choice(vvars))
+        g = Not(g) if kind == "out" else g
+    if rng.random() < 0.2:
+        h = _random_formula(rng, 1, vvars, svars + [z])
+        g = Or(g, h) if rng.random() < .5 else Not(And(g, h))
+    return g
+
+
+def _guarded_quantifier(rng, vvars, svars):
+    """exists Z or forall Z whose body holds guards of Z among its
+    literals, or among those of its negation for forall."""
+    guards = [_guard(rng, "Z", vvars, svars)
+              for _ in range(rng.randrange(1, 4))]
+    rest = _random_formula(rng, rng.randrange(0, 3), vvars, svars + ["Z"])
+    lits = guards + [rest]
+    rng.shuffle(lits)
+    body = functools.reduce(And, lits)
+    if rng.random() < 0.5:
+        return ExistsS("Z", body)
+    return ForallS("Z", rng.choice(
+        (Not(body), Implies(functools.reduce(And, guards), rest))))
+
+
+def test_guarded_set_quantifiers_match_reference():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        G = _random_graph(rng, n)
+        f = _guarded_quantifier(rng, ["x", "x_1"], ["S"])
+        if rng.random() < 0.3:
+            f = rng.choice((And, Or, Iff))(f, _random_formula(
+                rng, 1, ["x", "x_1"], ["S"]))
+        valuation = {"x": rng.randrange(n), "x_1": rng.randrange(n),
+                     "S": frozenset(v for v in range(n) if rng.random() < .5)}
+        assert evaluate(G, None, f, valuation) == ref_eval(G, f, valuation), f
+
+
+def test_guarded_set_quantifiers_match_reference_in_rows():
+    # y is the row variable, so a guard on y is not taken; M may be the
+    # set S of an outer quantifier
+    rng = random.Random(67)
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        G = _random_graph(rng, n)
+        f = _guarded_quantifier(rng, ["x", "y"], ["S"])
+        f = rng.choice((ExistsS, ForallS))("S", f)
+        lib = PredicateLibrary()
+        lib.define("t", ("x", "y"), f)
+        assert materialize(G, lib, "t") == {
+            (a, b) for a in range(n) for b in range(n)
+            if ref_eval(G, f, {"x": a, "y": b})}, f
+
+
+# (formula, valuation, the free vertices of its range on grid(2,3), or
+# None if the guards leave it empty)
+CAPPED = (
+    ("exists Z. true", {}, 6),
+    ("exists Z. (Z(x) | x = x)", {"x": 0}, 6),  # in a disjunction
+    ("exists Z. !(Z(x) & Z(y))", {"x": 0, "y": 1}, 6),  # under !
+    ("exists Z. (Z(x) & !Z(y))", {"x": 0, "y": 1}, 4),
+    ("exists Z. (Z(x) & !Z(y))", {"x": 2, "y": 2}, None),
+    ("forall Z. (Z(x) -> Z(y))", {"x": 0, "y": 5}, 4),
+    ("forall Z. (Z(x) -> Z(y))", {"x": 3, "y": 3}, None),
+    ("exists Z. ((forall w. (Z(w) -> X(w))) & exists v. (Z(v) & E(v, x)))",
+     {"x": 4, "X": {0, 1, 3}}, 3),
+    ("exists Z. ((forall w. (Z(w) -> X(w))) & Z(x))", {"x": 1, "X": {1, 2}},
+     1),
+    ("exists Z. ((forall w. (Z(w) -> X(w))) & Z(x))", {"x": 0, "X": {1, 2}},
+     None),
+    ("forall Z. ((forall w. (Z(w) -> red(w))) -> !Z(x) | E(x, x))",
+     {"x": 4}, 1),
+    ("forall Z. (!(exists w. (Z(w) & !red(w))) & Z(x) -> "
+     "forall w. (Z(w) -> X(w)) -> exists v. (Z(v) & v != x))",
+     {"x": 1, "X": {0, 1, 2}}, 1),
+)
+
+
+def test_the_set_cap_counts_the_free_vertices_of_the_range():
+    G = grid(2, 3).with_labels({"red": [1, 4]})
+    for text, valuation, free in CAPPED:
+        f = parse_formula(text)
+        want = ref_eval(G, f, _to_env(valuation))
+        if free is None:  # an empty range: exact at any cap
+            assert evaluate(G, None, f, valuation, set_cap=0) == want, text
+            continue
+        with pytest.raises(SetQuantifierCapError) as raised:
+            evaluate(G, None, f, valuation, set_cap=free - 1)
+        assert raised.value.free == free, text
+        assert evaluate(G, None, f, valuation, set_cap=free) == want, text
+    # a guard on the row variable is not taken
+    lib = parse_library("def t(x, y) := exists Z. (Z(y) & !Z(x))")
+    with pytest.raises(SetQuantifierCapError) as raised:
+        materialize(G, lib, "t", set_cap=4)
+    assert raised.value.free == 5
+    assert materialize(G, lib, "t", set_cap=5) == {
+        (a, b) for a in range(6) for b in range(6) if a != b}
+
+
+def test_relativized_sentences_over_the_cap_answer_as_on_the_subgraph():
+    G = grid(5, 6).with_labels({"red": range(0, 30, 4)})  # over the cap
+    f = parse_formula("exists S. ((forall w. (S(w) -> X(w))) & "
+                      "(exists v. (X(v) & S(v))))")
+    assert evaluate(G, None, f, {"X": {0, 1, 2, 3}})
+    with pytest.raises(SetQuantifierCapError):
+        evaluate(G, None, parse_formula("exists S. true"))
+    rng = random.Random(71)
+    tried = 0
+    while tried < 30:  # prenex: a set and two vertex quantifiers
+        f = _random_formula(rng, rng.randrange(1, 3), ["x", "y"], ["S"])
+        prefix = [(rng.choice((ExistsS, ForallS)), "S"),
+                  (rng.choice((ExistsV, ForallV)), "x"),
+                  (rng.choice((ExistsV, ForallV)), "y")]
+        rng.shuffle(prefix)
+        for quantifier, var in reversed(prefix):
+            f = quantifier(var, f)
+        if _mentions_tc(f):
+            continue
+        tried += 1
+        A = rng.sample(range(G.n), 4)
+        assert evaluate(G, None, relativize(f, "X"), {"X": set(A)}) == \
+            evaluate(induced_subgraph(G, A), None, f), f
 
 
 # ---------------------------------------------------------------------------
