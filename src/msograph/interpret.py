@@ -193,7 +193,6 @@ def _pair_vars(f: Formula, what: str) -> tuple[str, str]:
 
 def apply_all_params(I: Interpretation, G: LabeledGraph, *,
                      dedupe: bool = False,
-                     enum_cap: int = DEFAULT_ENUM_CAP,
                      set_cap: int = DEFAULT_SET_CAP
                      ) -> Iterator[LabeledGraph]:
     """One output per parameter tuple (all subsets of V(G) per parameter),
@@ -205,13 +204,14 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
     skipped unapplied: its output is isomorphic to that earlier tuple's,
     so the filtered stream is the same.  The filter reads each output's
     adjacency rows; only the first output of a class is built as a
-    graph, with its names and labels.
+    graph, with its names and labels.  More than ``DEFAULT_ENUM_CAP``
+    vertices times parameters raises InterpretationError.
     """
     p = len(I.params)
-    if G.n * p > enum_cap:
+    if G.n * p > DEFAULT_ENUM_CAP:
         raise InterpretationError(
             f"parameter enumeration needs 2^({G.n}*{p}) tuples; cap is "
-            f"n*p <= {enum_cap}")
+            f"n*p <= {DEFAULT_ENUM_CAP}")
     subsets = [sum(1 << v for v in c) for r in range(G.n + 1)
                for c in itertools.combinations(range(G.n), r)]
     tuples = itertools.product(subsets, repeat=p)

@@ -20,8 +20,9 @@ of Z and confine Z to M (for forall Z, the literals of the negated
 body).  The set cap bounds the vertices the guards leave free, checked
 when the quantifier is reached; an unguarded quantifier leaves all of
 V(G) free.
-A binding keeps the functions it has made, up to ``PLAN_CACHE_SIZE`` of
-them, so compiling the same formula again on it costs one lookup.
+A binding keeps the functions it has made in the one store of its
+recipe values, which a compile empties when it holds ``PLAN_CACHE_SIZE``
+values, so compiling the same formula again on it costs one lookup.
 Names are resolved while planning and binding: an unassigned variable
 or an unknown predicate raises ``EvalError`` before anything is
 evaluated.  ``logic`` calls this module and re-exports its errors.
@@ -30,6 +31,7 @@ evaluated.  ``logic`` calls this module and re-exports its errors.
 from __future__ import annotations
 
 import functools
+import weakref
 from types import CodeType, FunctionType
 from typing import Iterable, Optional, Sequence
 
@@ -53,6 +55,10 @@ class SetQuantifierCapError(EvalError):
         super().__init__(f"set quantifier ranges over the subsets of {free} "
                          f"free vertices, more than the cap {cap}")
         self.free = free
+        self.cap = cap
+
+    def __reduce__(self):
+        return type(self), (self.free, self.cap)
 
 
 # Evaluation is set at a time.  A formula becomes the source of one
@@ -754,15 +760,14 @@ class _Planner:
 
 
 class Binding:
-    """Formulas compiled for one graph and library.  Every plan bound here
-    shares the values of its recipes: label masks, adjacency, table rows,
-    and one memo per callee and per TC body, all fresh for this binding
-    until ``forget`` empties the memos.  ``compile`` keeps the last
-    ``PLAN_CACHE_SIZE`` functions it made, keyed by formula, parameters,
-    row variable and the names that have tables, so a binding used for
-    many calls plans and binds each formula once.  A table's rows are
-    read once, when first bound, so a caller that replaces a table it
-    has bound needs a new binding."""
+    """Formulas compiled for one graph and library.  One store, ``made``,
+    keeps the functions compiled and the values of their recipes (label
+    masks, adjacency, table rows, one memo per callee and per TC body),
+    each made once; a compile that misses while the store holds
+    ``PLAN_CACHE_SIZE`` values empties it first.  ``memos`` holds the
+    memos weakly, so ``forget`` empties every memo a live function
+    reads.  A caller that replaces a table it has bound needs a new
+    binding."""
 
     def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
                  set_cap: int, tables: Optional[dict] = None):
@@ -789,8 +794,7 @@ class Binding:
                      "_ES": _exists_set, "_P": _pointwise}
         self.set_cap = set_cap
         self.made: dict[tuple, object] = {}
-        self.memos: list = []
-        self.compiled: dict[tuple, FunctionType] = {}
+        self.memos = weakref.WeakSet()
 
     def compile(self, f: Formula, params: Sequence[str],
                 row: Optional[str] = None):
@@ -800,53 +804,49 @@ class Binding:
         label names of G, the names that have tables now and the library.
         An unknown name in f or in a callee or TC body it reaches raises
         EvalError here, before anything is evaluated.  The same f,
-        params, row and table names return the same function, from a
-        memo of the last ``PLAN_CACHE_SIZE`` functions made."""
-        key = (f, tuple(params), row, frozenset(self.tables))
-        fn = self.compiled.get(key)
-        if fn is not None:
-            return fn
-        p = plan(f, key[1], row, self.labels, key[3], self.defs)
-        g = dict(self.base)
-        for name, recipe in p.recipes:
-            g[name] = (FunctionType(recipe[1], g) if recipe[0] == "F"
-                       else self.make(recipe))
-        fn = FunctionType(p.code, g)
-        if len(self.compiled) == PLAN_CACHE_SIZE:
-            del self.compiled[next(iter(self.compiled))]  # the oldest
-        self.compiled[key] = fn
-        return fn
+        params, row and table names return the same function while the
+        store keeps it."""
+        return self.make(("P", f, tuple(params), row, frozenset(self.tables)))
 
     def make(self, recipe: tuple):
-        """The value of a recipe on this graph, made once."""
-        if recipe in self.made:
-            return self.made[recipe]
+        """The value of a recipe on this graph, made once while the store
+        keeps it; ("P", f, params, row, tables) is a compiled function."""
+        value = self.made.get(recipe)
+        if value is not None:
+            return value
         kind, *args = recipe
-        if kind == "A":
+        if kind == "P":
+            if len(self.made) >= PLAN_CACHE_SIZE:
+                self.made.clear()
+            f, params, row, tables = args
+            p = plan(f, params, row, self.labels, tables, self.defs)
+            g = dict(self.base)
+            for name, r in p.recipes:
+                g[name] = (FunctionType(r[1], g) if r[0] == "F"
+                           else self.make(r))
+            value = FunctionType(p.code, g)
+        elif kind == "A":
             value = self.G.adjacency_masks()
         elif kind == "L":
             value = _mask(self.G.labels[args[0]])
         elif kind == "R":
             name, positions, arity = args
-            t = self.made.get(("T", name))
-            if t is None:
-                t = self.tables[name]
-                if not isinstance(t, Table):  # plain sets: converted once
-                    t = Table.of(t, arity, self.G.n)
-                self.made[("T", name)] = t
+            t = self.tables[name]
+            if not isinstance(t, Table):  # plain sets: converted here
+                t = Table.of(t, arity, self.G.n)
             if t.arity != arity:
                 raise EvalError(f"{name!r} called with arity {arity}, "
                                 f"tabulated with {t.arity}")
             value = t.rows(positions)
-        elif kind == "D":
-            value = functools.cache(self.compile(*args))
-        elif kind == "C":
-            value = _tc_rows(self.compile(*args), self.G.n)
-        else:  # "K"
+        elif kind == "K":
             rows = self.make(("C", *args))
             value = functools.cache(lambda *val: _transpose(rows(*val)))
+        else:  # "D" or "C", compiled when first bound
+            fn = self.make(("P", *args, frozenset(self.tables)))
+            value = (functools.cache(fn) if kind == "D"
+                     else _tc_rows(fn, self.G.n))
         if kind in "DCK":
-            self.memos.append(value)
+            self.memos.add(value)
         self.made[recipe] = value
         return value
 
@@ -855,5 +855,3 @@ class Binding:
         to the same functions would otherwise fill without end."""
         for memo in self.memos:
             memo.cache_clear()
-
-

@@ -48,6 +48,9 @@ class CheckRecord:
 class VerificationReport:
     suite: str
     records: list[CheckRecord] = field(default_factory=list)
+    # the end of the last check, or the making of the report
+    _t0: float = field(default_factory=time.perf_counter, init=False,
+                       repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -65,15 +68,11 @@ class VerificationReport:
         }, indent=2)
 
     def check(self, id: str, parameters: dict, expected, observed) -> None:
-        t = getattr(self, "_t0", None)
-        dt = time.perf_counter() - t if t is not None else 0.0
+        dt = time.perf_counter() - self._t0
         self._t0 = time.perf_counter()
         self.records.append(CheckRecord(
             id, parameters, str(expected), str(observed),
             expected == observed, dt))
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,6 @@ def suite_relativize(trials: int = 200, seed: int = 2026) -> VerificationReport:
     """Confining quantifiers to A equals evaluating on the induced G[A]."""
     rng = random.Random(seed)
     rep = VerificationReport("relativize")
-    rep.start()
     for t in range(trials):
         n = rng.randrange(1, 7)
         G = _random_graph(rng, n)
@@ -152,7 +150,6 @@ def suite_tc(seed: int = 2026, graphs: int = 30, max_n: int = 10,
     between predicate vs the explicit path-set form on the power graphs."""
     rng = random.Random(seed)
     rep = VerificationReport("tc")
-    rep.start()
     for t in range(graphs):
         n = rng.randrange(1, max_n + 1)
         G = _random_graph(rng, n, n_labels=1)
@@ -191,7 +188,6 @@ def suite_word(max_n: int = 2, words: tuple[str, ...] = WORDS
     contracts (by formula and by the combinatorial oracle, agreeing) to
     the upper triangular grid, which contains the square grid."""
     rep = VerificationReport("word")
-    rep.start()
     for pattern in words:
         for n in range(1, max_n + 1):
             reps = -(-(2 * n + 4) // sum(c != "0" for c in pattern))
@@ -223,7 +219,6 @@ def suite_word(max_n: int = 2, words: tuple[str, ...] = WORDS
 def suite_bichain(max_n: int = 5) -> VerificationReport:
     """The marker-label interpretation of Z_{n+2} is the n x n grid."""
     rep = VerificationReport("bichain")
-    rep.start()
     for n in range(4, max_n + 3):
         Z = bf.build_Zn(n)
         tabs = materialize_all(Z, bf.bichain_predicates(), set_cap=22)
@@ -241,7 +236,6 @@ def suite_split(max_n: int = 6) -> VerificationReport:
     """Completing one side into a clique and deleting it again is the
     identity on the bichain edge set."""
     rep = VerificationReport("split")
-    rep.start()
     for n in range(1, max_n + 1):
         Z = bf.build_Zn(n)
         A, _ = bf.zn_parts(n)
@@ -258,7 +252,6 @@ def suite_bpg(max_n: int = 5) -> VerificationReport:
     """The universal bipartite permutation graph is the all-2s member of
     the word family."""
     rep = VerificationReport("bpg")
-    rep.start()
     for n in range(1, max_n + 1):
         P = bf.build_Pn(n)
         W = wf.palpha_segment("2" * n, n, n)
@@ -271,7 +264,6 @@ def suite_power(max_n: int = 20) -> VerificationReport:
     """Tables against 2-adic ground truth; the parameterless
     interpretation realizes the expected bipartite permutation patch."""
     rep = VerificationReport("power")
-    rep.start()
     names = ["odd", "pathedge", "clique", "linord", "cliquemin",
              "one", "succ", "cliqueord", "cliquemin_succ", "forward"]
     for n in range(10, max_n + 1, 2):
@@ -307,7 +299,6 @@ def suite_widths(seed: int = 2026) -> VerificationReport:
     and Corneil & Rotics' cw <= 3 * 2^(tw-1) on a corpus."""
     rng = random.Random(seed)
     rep = VerificationReport("widths")
-    rep.start()
     tree7 = LabeledGraph.build(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5),
                                    (2, 6)])
     K4 = LabeledGraph.build(4, [e for e in itertools.combinations(range(4), 2)])
@@ -345,7 +336,6 @@ def suite_gamma_class(max_n: int = 8) -> VerificationReport:
     """The 3-regular gadget family, the two antichain families, and the
     branch-vertex bookkeeping on subdivisions."""
     rep = VerificationReport("gamma-class")
-    rep.start()
     for n in range(3, max_n + 1):
         T = make_Tn(n)
         degs = set(T.degree_sequence())

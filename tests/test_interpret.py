@@ -211,6 +211,13 @@ def test_apply_all_params_yields_all_induced_subgraphs():
     assert sizes == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def test_apply_all_params_refuses_more_tuples_than_its_cap():
+    over = grid(1, interpret.DEFAULT_ENUM_CAP + 1)  # one parameter
+    with pytest.raises(InterpretationError, match=re.escape(
+            f"cap is n*p <= {interpret.DEFAULT_ENUM_CAP}")):
+        next(apply_all_params(builtin_induced(), over))
+
+
 def _quadratic_dedupe(graphs):
     """Each graph not isomorphic to one kept before it, in order."""
     seen = []

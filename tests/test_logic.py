@@ -3,6 +3,7 @@ parser, library, relativization, and TC-encoding behavior."""
 
 import ast
 import functools
+import gc
 import itertools
 import os
 import pickle
@@ -622,6 +623,15 @@ def test_deep_formulas_pickle_without_recursion():
     assert node == Eq("x", "y")
 
 
+def test_the_set_cap_error_pickles():
+    error = SetQuantifierCapError(3, 2)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is SetQuantifierCapError
+    assert (copy.free, copy.cap, str(copy)) == (3, 2, str(error))
+    assert str(copy) == ("set quantifier ranges over the subsets of 3 free "
+                         "vertices, more than the cap 2")
+
+
 def test_cached_plans_match_reference_on_many_graphs():
     rng = random.Random(31)
     calls = [("p", "vv"), ("q", "vS")]
@@ -817,14 +827,37 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
             ref_eval(G, f, {"x": 0, "S": S_set}, lib)
         binding = logic._last[0]
         assert binding.G is G and held(binding) == held(one) > 0
-    # the function memo is bounded; a function it dropped is made again
+    # the store is bounded; a function it dropped is made again
     first = parse_formula("exists z0. (E(x, z0) & S(z0))")
+    bound = plans.PLAN_CACHE_SIZE + _values_of_one_compile(G, first,
+                                                           ("x", "S"))
     for i in range(3 * plans.PLAN_CACHE_SIZE):
         g = parse_formula(f"exists z{i}. (E(x, z{i}) & S(z{i}))")
         assert evaluate(G, lib, g, {"x": 0, "S": 0b10})
         assert logic._last[0] is binding
-        assert len(binding.compiled) <= plans.PLAN_CACHE_SIZE
+        assert len(binding.made) <= bound
     assert evaluate(G, lib, first, {"x": 0, "S": 0b10})
+
+
+def _values_of_one_compile(G, f, params):
+    """How many values compiling f alone puts in a fresh binding's store."""
+    one = plans.Binding(G, None, logic.DEFAULT_SET_CAP)
+    one.compile(f, params)
+    return len(one.made)
+
+
+def test_ever_new_formulas_keep_a_reused_binding_bounded():
+    G = grid(3, 3)
+    bound = plans.PLAN_CACHE_SIZE + _values_of_one_compile(
+        G, parse_formula("TC[a, b: E(a, b)](x, y)"), ("x", "y"))
+    for i in range(3 * plans.PLAN_CACHE_SIZE):
+        f = parse_formula(f"TC[a_{i}, b: E(a_{i}, b)](x, y)")
+        assert evaluate(G, None, f, {"x": 0, "y": 8})
+    binding = logic._last[0]
+    assert binding.G is G
+    assert len(binding.made) <= bound
+    gc.collect()  # the functions of a cleared store, and their memos
+    assert 0 < len(binding.memos) <= len(binding.made)
 
 
 # ---------------------------------------------------------------------------
