@@ -42,6 +42,10 @@ class LabeledGraph:
                 raise GraphError(f"edge ({u},{v}) out of range or not canonical")
         for name, verts in self.labels.items():
             self._check_label(name, verts)
+        for v in self.names:
+            if not (0 <= v < self.n):
+                raise GraphError(f"name {self.names[v]!r} given to "
+                                 f"out-of-range vertex {v}")
 
     def _check_label(self, name: str, verts: frozenset[int]) -> None:
         for v in verts:

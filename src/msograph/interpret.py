@@ -26,7 +26,6 @@ from .logic import (
     is_set_var,
     parse_formula,
     parse_library,
-    tabulate_reached,
 )
 from .search import _automorphisms, _first_of_classes, _mask_map
 from .table import bits
@@ -38,7 +37,7 @@ class InterpretationError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interpretation:
     """(domain formula in x, edge formula in x,y) over set parameters."""
 
@@ -47,6 +46,11 @@ class Interpretation:
     edge: Formula
     library: PredicateLibrary = field(default_factory=PredicateLibrary)
     name: str = ""
+
+    def __post_init__(self):
+        repeated = sorted({p for p in self.params if self.params.count(p) > 1})
+        if repeated:
+            raise InterpretationError(f"parameters {repeated} are repeated")
 
 
 def apply(I: Interpretation, G: LabeledGraph,
@@ -95,9 +99,9 @@ def _sweep(I: Interpretation, G: LabeledGraph,
     called = {name for f in (I.domain, I.edge) for name, _ in app_refs(f)}
     reached = I.library.reach(called)
     params = I.params
-    if len(set(params)) == len(params) and all(map(is_set_var, params)) \
-            and not any(set(params) & (free_vars(d.body) - set(d.params))
-                        for d in reached):
+    if all(map(is_set_var, params)) and \
+            not any(set(params) & (free_vars(d.body) - set(d.params))
+                    for d in reached):
         binding, dom_row, edge_row = _bind(I, G, called, params, set_cap)
         for masks in tuples:
             binding.forget()  # memos keyed by the last tuple's masks
@@ -117,7 +121,7 @@ def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
     tabulated, and in it the domain row and the edge row function, both
     taking params first."""
     binding = Binding(G, I.library, set_cap)
-    tabulate_reached(binding, called)
+    binding.tabulate(called)
     dom_row = binding.compile(I.domain, params,
                               _single_var(I.domain, "domain"))
     x, y = _pair_vars(I.edge, "edge")

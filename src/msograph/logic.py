@@ -5,35 +5,36 @@ relativization and the pure-MSO encoding of TC.
 formula through ``plans.Binding.compile`` into a Python function over
 vertex indices and set bitmasks on one graph: its plan, cached by
 ``plans`` and shared by every graph with the same label names, bound to
-that graph.  A formula with free vertex
-variables (x̄, y) compiles to a function of x̄ that returns its *row*
-over y, the bitmask of every y at which it holds, and a library
-predicate is tabulated as a ``Table`` of such rows, one call per tuple
-of its leading arguments.  Vertex quantifiers range over V(G); set
-quantifiers enumerate the subsets of V(G) that their guards allow (Z(v),
-!Z(v) and Z within a set variable or label, as ``relativize`` writes
-it) and raise ``SetQuantifierCapError`` when reached with more free
-vertices than the cap: all n of them when unguarded.
+that graph.  A formula with free vertex variables (x̄, y) compiles to a
+function of x̄ that returns its *row* over y, the bitmask of every y at
+which it holds.  ``Binding.tabulate`` turns library predicates into
+``Table``s of such rows, one call per tuple of their leading arguments;
+the binding owns its tables, and ``materialize`` returns one of them.
+Vertex quantifiers range over V(G); set quantifiers enumerate the
+subsets of V(G) that their guards allow (Z(v), !Z(v) and Z within a set
+variable or label, as ``relativize`` writes it) and raise
+``SetQuantifierCapError`` when reached with more free vertices than the
+cap: all n of them when unguarded.
 TC is a first-class primitive computed by bitset fixpoint, once per
 valuation of its outer variables, so formulas built from it stay
 polynomial to evaluate.  Names are resolved while planning and binding:
 an unassigned variable or an unknown predicate, in the formula or in a
 callee or TC body it reaches, raises ``EvalError`` before evaluation,
 and so does a valuation that gives a vertex outside V(G).
-``evaluate`` keeps the binding of its last call without tables and
-reuses it while the graph object, the library's definitions and the set
-cap stay the same, so calls at many points of one graph plan, bind and
-close TC once; that binding holds its graph until another one comes.
+``evaluate`` keeps the binding of its last call and reuses it while the
+graph object, the library's definitions and the set cap stay the same,
+so calls at many points of one graph plan, bind and close TC once; that
+binding holds its graph until another one comes.
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graphs import LabeledGraph
-from .plans import Binding, EvalError, SetQuantifierCapError
+from .plans import (MAX_MATERIALIZE_ARITY, Binding, EvalError,
+                    SetQuantifierCapError, _tabulatable)
 from .syntax import (  # re-exported: the dialect's public names
     TC, And, App, Definition, EdgeAtom, Eq, ExistsS, ExistsV, FalseF,
     ForallS, ForallV, Formula, FormulaSyntaxError, Iff, Implies,
@@ -44,9 +45,6 @@ from .syntax import NO_DEFINITIONS, _rewrite
 from .table import Table
 
 DEFAULT_SET_CAP = 22
-
-
-Tables = dict[str, AbstractSet[tuple[int, ...]]]
 
 
 def _argument(n: int, name: str, val) -> int:
@@ -71,9 +69,9 @@ def _argument(n: int, name: str, val) -> int:
     return mask
 
 
-# The binding of the last call of evaluate without tables, and the set
-# masks that call was given.  It holds its graph until evaluate is
-# called on another graph, library definitions or set cap.
+# The binding of the last call of evaluate, and the set masks that call
+# was given.  It holds its graph until evaluate is called on another
+# graph, library definitions or set cap.
 _last: Optional[tuple[Binding, tuple[int, ...]]] = None
 
 
@@ -98,48 +96,32 @@ def _binding(G: LabeledGraph, lib: Optional[PredicateLibrary], set_cap: int,
 
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
              valuation: Optional[dict] = None, *,
-             set_cap: int = DEFAULT_SET_CAP,
-             tables: Optional[Tables] = None) -> bool:
+             set_cap: int = DEFAULT_SET_CAP) -> bool:
     """Evaluate f on G under the valuation (vertex vars -> vertex index,
     set vars -> vertex set or bitmask).  A value outside V(G) raises
     EvalError.
 
-    Without ``tables``, successive calls on the same graph object, with
-    the same library definitions and set cap, share one binding: each
-    formula is planned and bound once, and label masks, adjacency, TC
-    rows and callee memos are made once per graph.  The binding is
-    dropped for another graph, other definitions or another set cap, and
-    it keeps the last graph alive until then.  With ``tables`` a fresh
-    binding is made, because the caller's dict may change between
-    calls."""
+    Successive calls on the same graph object, with the same library
+    definitions and set cap, share one binding: each formula is planned
+    and bound once, and label masks, adjacency, TC rows and callee memos
+    are made once per graph.  The binding is dropped for another graph,
+    other definitions or another set cap, and it keeps the last graph
+    alive until then."""
     valuation = valuation or {}
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
-    if tables is None:
-        sets = tuple(a for name, a in zip(valuation, args) if is_set_var(name))
-        binding = _binding(G, lib, set_cap, sets)
-    else:
-        binding = Binding(G, lib, set_cap, tables)
-    return binding.compile(f, list(valuation))(*args)
-
-
-MAX_MATERIALIZE_ARITY = 3
-
-
-def _tabulatable(d: Definition) -> bool:
-    return len(d.params) <= MAX_MATERIALIZE_ARITY and \
-        not any(is_set_var(p) for p in d.params)
+    sets = tuple(a for name, a in zip(valuation, args) if is_set_var(name))
+    return _binding(G, lib, set_cap, sets).compile(f, list(valuation))(*args)
 
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
-                set_cap: int = DEFAULT_SET_CAP,
-                tables: Optional[Tables] = None) -> Table:
+                set_cap: int = DEFAULT_SET_CAP) -> Table:
     """Full extension of a library predicate over G, computed bottom-up,
     one row per tuple of its leading arguments.
 
-    Tables for the predicate's dependencies are computed first (in library
-    order) and reused; pass a ``tables`` dict to keep them across calls.
-    A dependency that cannot be tabulated (arity above 3 or set
-    parameters) is called through its compiled function instead.
+    The tables of the predicate's dependencies are computed first, in
+    library order, in the same binding.  A dependency that cannot be
+    tabulated (arity above 3 or set parameters) is called through its
+    compiled function instead.
     """
     if name not in lib:
         raise EvalError(f"no definition for {name!r}")
@@ -147,41 +129,14 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
         raise EvalError(
             f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
             f"parameters and cannot be tabulated; evaluate it pointwise")
-    return tabulate_reached(Binding(G, lib, set_cap, tables), [name])[name]
-
-
-def tabulate_reached(binding: Binding, names: Iterable[str]) -> Tables:
-    """The binding's tables, extended by every tabulatable definition of
-    its library that the definitions ``names`` reach, tabulated in
-    library order after one walk of the call graph."""
-    tables = binding.tables
-    for d in binding.lib.reach(names):
-        if d.name not in tables and _tabulatable(d):
-            tables[d.name] = _tabulate(binding, d)
-    return tables
-
-
-def _tabulate(binding: Binding, d: Definition) -> Table:
-    """The table of d, one call of its row function per tuple of its
-    leading arguments."""
-    n, k = binding.G.n, len(d.params)
-    if k == 0:
-        return Table(n, 0, int(binding.compile(d.body, ())()))
-    fn = binding.compile(d.body, d.params[:-1], d.params[-1])
-
-    def rows(prefix):
-        if len(prefix) == k - 1:
-            return fn(*prefix)
-        return [rows(prefix + (v,)) for v in range(n)]
-    return Table(n, k, rows(()))
+    return Binding(G, lib, set_cap).tabulate([name])[name]
 
 
 def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
                     set_cap: int = DEFAULT_SET_CAP) -> dict[str, Table]:
     """Tables for every tabulatable definition in the library, all bound
     in one binding of G."""
-    return tabulate_reached(Binding(G, lib, set_cap),
-                            [d.name for d in lib.defs])
+    return Binding(G, lib, set_cap).tabulate([d.name for d in lib.defs])
 
 
 # ---------------------------------------------------------------------------

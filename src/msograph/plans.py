@@ -23,6 +23,9 @@ V(G) free.
 A binding keeps the functions it has made in the one store of its
 recipe values, which a compile empties when it holds ``PLAN_CACHE_SIZE``
 values, so compiling the same formula again on it costs one lookup.
+A binding also owns the tables of its library predicates, which only
+``Binding.tabulate`` makes; a compile after it reads their rows in
+place of calling the definitions.
 Names are resolved while planning and binding: an unassigned variable
 or an unknown predicate raises ``EvalError`` before anything is
 evaluated.  ``logic`` calls this module and re-exports its errors.
@@ -36,10 +39,10 @@ from types import CodeType, FunctionType
 from typing import Iterable, Optional, Sequence
 
 from .graphs import LabeledGraph
-from .syntax import (NO_DEFINITIONS, TC, And, App, Definitions, EdgeAtom,
-                     Eq, ExistsS, ExistsV, FalseF, ForallS, ForallV, Formula,
-                     Iff, Implies, Not, Or, PredicateLibrary, SetAtom, TrueF,
-                     is_set_var)
+from .syntax import (NO_DEFINITIONS, TC, And, App, Definition, Definitions,
+                     EdgeAtom, Eq, ExistsS, ExistsV, FalseF, ForallS, ForallV,
+                     Formula, Iff, Implies, Not, Or, PredicateLibrary, SetAtom,
+                     TrueF, is_set_var)
 from .table import Table, bits
 
 
@@ -200,6 +203,16 @@ def _submasks(must: int, free: int):
         s = (s - free) & free
 
 
+def _all_rows(fn, n: int, depth: int, prefix: tuple[int, ...] = ()):
+    """fn at every tuple of depth vertices after prefix, as nested lists
+    indexed by the tuple; the last level calls fn directly."""
+    if depth == 0:
+        return fn(*prefix)
+    if depth == 1:
+        return [fn(*prefix, v) for v in range(n)]
+    return [_all_rows(fn, n, depth - 1, (*prefix, v)) for v in range(n)]
+
+
 def _pointwise(test, full: int) -> int:
     """The row of the vertices in full at which test holds."""
     return _mask(v for v in bits(full) if test(v))
@@ -248,6 +261,12 @@ class Plan:
 
 
 PLAN_CACHE_SIZE = 128
+MAX_MATERIALIZE_ARITY = 3
+
+
+def _tabulatable(d: Definition) -> bool:
+    return len(d.params) <= MAX_MATERIALIZE_ARITY and \
+        not any(is_set_var(p) for p in d.params)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -760,20 +779,20 @@ class _Planner:
 
 
 class Binding:
-    """Formulas compiled for one graph and library.  One store, ``made``,
-    keeps the functions compiled and the values of their recipes (label
-    masks, adjacency, table rows, one memo per callee and per TC body),
-    each made once; a compile that misses while the store holds
-    ``PLAN_CACHE_SIZE`` values empties it first.  ``memos`` holds the
-    memos weakly, so ``forget`` empties every memo a live function
-    reads.  A caller that replaces a table it has bound needs a new
-    binding."""
+    """Formulas compiled for one graph and library, and the tables of the
+    library predicates it has tabulated, which only ``tabulate`` writes.
+    One store, ``made``, keeps the functions compiled and the values of
+    their recipes (label masks, adjacency, table rows, one memo per
+    callee and per TC body), each made once; a compile that misses while
+    the store holds ``PLAN_CACHE_SIZE`` values empties it first.
+    ``memos`` holds the memos weakly, so ``forget`` empties every memo a
+    live function reads."""
 
     def __init__(self, G: LabeledGraph, lib: Optional[PredicateLibrary],
-                 set_cap: int, tables: Optional[dict] = None):
+                 set_cap: int):
         self.G = G
         self.lib = lib
-        self.tables = tables if tables is not None else {}
+        self.tables: dict[str, Table] = {}
         self.labels = frozenset(G.labels)
         self.defs = lib.key if lib else NO_DEFINITIONS
         n = G.n
@@ -795,6 +814,26 @@ class Binding:
         self.set_cap = set_cap
         self.made: dict[tuple, object] = {}
         self.memos = weakref.WeakSet()
+
+    def tabulate(self, names: Iterable[str]) -> dict[str, Table]:
+        """The binding's tables, extended by every tabulatable definition
+        (arity at most ``MAX_MATERIALIZE_ARITY``, no set parameters) that
+        the definitions ``names`` reach, in library order after one walk
+        of the call graph.  A table is one call of the definition's row
+        function per tuple of its leading arguments; later compiles read
+        its rows instead of calling the definition."""
+        n = self.G.n
+        for d in self.lib.reach(names):
+            if d.name in self.tables or not _tabulatable(d):
+                continue
+            k = len(d.params)
+            if k == 0:
+                rows = int(self.compile(d.body, ())())
+            else:
+                fn = self.compile(d.body, d.params[:-1], d.params[-1])
+                rows = _all_rows(fn, n, k - 1)
+            self.tables[d.name] = Table(n, k, rows)
+        return self.tables
 
     def compile(self, f: Formula, params: Sequence[str],
                 row: Optional[str] = None):
@@ -832,8 +871,6 @@ class Binding:
         elif kind == "R":
             name, positions, arity = args
             t = self.tables[name]
-            if not isinstance(t, Table):  # plain sets: converted here
-                t = Table.of(t, arity, self.G.n)
             if t.arity != arity:
                 raise EvalError(f"{name!r} called with arity {arity}, "
                                 f"tabulated with {t.arity}")

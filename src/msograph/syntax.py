@@ -51,8 +51,8 @@ class Formula:
     def __post_init__(self):
         free, calls, sets, qf = self._facts()
         keep = object.__setattr__
-        keep(self, "free", _SHARED.setdefault(free, free))
-        keep(self, "calls", _SHARED.setdefault(calls, calls))
+        keep(self, "free", _shared(free))
+        keep(self, "calls", _shared(calls))
         keep(self, "sets", sets)
         keep(self, "qf", qf)
         # the class by name: the hash of a class is its address, which
@@ -117,9 +117,14 @@ def _from_post_order(nodes: list) -> Formula:
 
 
 _NONE: frozenset = frozenset()
-# one kept copy of each set of facts, so that equal ``free`` and ``calls``
-# of many nodes take the memory of one
-_SHARED: dict[frozenset, frozenset] = {}
+
+
+@functools.lru_cache(maxsize=1024)
+def _shared(facts: frozenset) -> frozenset:
+    """The kept set equal to facts, so that equal ``free`` and ``calls``
+    of many nodes take the memory of one; only the sets met most recently
+    are kept."""
+    return facts
 
 
 def _joined(f) -> tuple[frozenset, frozenset, bool, bool]:

@@ -1,11 +1,12 @@
 """Relation tables over the vertices of one graph, stored as rows of
 bitmasks: for each tuple of the leading arguments, the bitmask of the
-last one.  ``logic.materialize`` returns them."""
+last one.  ``plans.Binding.tabulate`` makes them and
+``logic.materialize`` returns them."""
 
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 def bits(m: int) -> Iterator[int]:
@@ -54,16 +55,6 @@ class Table(AbstractSet):
         self._rows = rows
         self._by_positions: dict[tuple[int, ...], object] = {}
         self._len: Optional[int] = None
-
-    @classmethod
-    def of(cls, tuples: Iterable[tuple[int, ...]], arity: int,
-           n: int) -> "Table":
-        """The table of the tuples of the given arity over 0..n-1."""
-        rows = _empty_rows(n, max(arity - 1, 0))
-        for t in tuples:
-            if len(t) == arity and all(0 <= v < n for v in t):
-                rows = _add(rows, t[:-1], t[-1]) if arity else 1
-        return cls(n, arity, rows)
 
     @classmethod
     def _from_iterable(cls, it):

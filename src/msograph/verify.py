@@ -181,14 +181,13 @@ def suite_tc(seed: int = 2026, graphs: int = 30, max_n: int = 10,
 WORDS = ("12", "2", "102", "01")
 
 
-def suite_word(max_n: int = 2, words: tuple[str, ...] = WORDS
-               ) -> VerificationReport:
+def suite_word(max_n: int = 2) -> VerificationReport:
     """Tables against coordinate ground truth, and the full pipeline:
     the domain-restricted interpretation of the labeled word graph
     contracts (by formula and by the combinatorial oracle, agreeing) to
     the upper triangular grid, which contains the square grid."""
     rep = VerificationReport("word")
-    for pattern in words:
+    for pattern in WORDS:
         for n in range(1, max_n + 1):
             reps = -(-(2 * n + 4) // sum(c != "0" for c in pattern))
             alpha = pattern * reps

@@ -175,7 +175,7 @@ def test_malformed_labels_and_names_are_usage_errors(tmp_path, capsys):
     g = tmp_path / "g.json"
     for extra in ('"labels": {"a": 5}', '"labels": {"a": [0, "1"]}',
                   '"labels": [[0]]', '"names": ["a"]', '"names": {"x": "a"}',
-                  '"names": {"0": 7}'):
+                  '"names": {"0": 7}', '"names": {"7": "ghost"}'):
         g.write_text(f'{{"n": 2, "edges": [], {extra}}}')
         code, _, err = run(capsys, "width", str(g), "--measure", "twd")
         assert code == 2 and err.startswith("error:"), extra
@@ -313,6 +313,18 @@ def test_interpretation_errors_exit_1_whatever_their_text(tmp_path, capsys):
         code, _, err = run(capsys, "apply", str(g), "--interp", str(interp))
         assert code == 1, name
         assert err == f"error: edge formula is reflexive at {name}\n"
+
+
+def test_repeated_interpretation_parameters_exit_1(tmp_path, capsys):
+    interp = tmp_path / "zz.interp"
+    interp.write_text("params: [Z, Z]\ndomain(x) := Z(x)\n"
+                      "edge(x,y) := E(x,y)\n")
+    g = tmp_path / "g.json"
+    g.write_text(grid(1, 3).to_json())
+    code, out, err = run(capsys, "apply", str(g), "--interp", str(interp),
+                         "--params", "Z={0,1}")
+    assert code == 1 and not out
+    assert err == "error: parameters ['Z'] are repeated\n"
 
 
 def test_width_cap_is_exit_3(tmp_path, capsys):

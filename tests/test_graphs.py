@@ -20,6 +20,14 @@ def test_loops_rejected():
         LabeledGraph.build(2, [(1, 1)])
 
 
+def test_names_outside_the_vertices_rejected():
+    with pytest.raises(GraphError, match="out-of-range vertex 7"):
+        LabeledGraph.from_json(
+            '{"n": 2, "edges": [[0,1]], "names": {"7": "ghost"}}')
+    with pytest.raises(GraphError):
+        LabeledGraph.build(2, [], names={-1: "ghost"})
+
+
 def test_json_round_trip():
     G = grid(2, 3).with_labels({"mark": [0, 5]})
     H = LabeledGraph.from_json(G.to_json())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -11,9 +12,9 @@ from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
                                 apply, apply_all_params, builtin_complement,
                                 builtin_induced, compose_pipeline,
                                 parse_interpretation)
-from msograph.logic import (PredicateLibrary, SetQuantifierCapError, evaluate,
-                            materialize, materialize_all, parse_formula,
-                            parse_library)
+from msograph.logic import (EvalError, PredicateLibrary, SetQuantifierCapError,
+                            evaluate, materialize, materialize_all,
+                            parse_formula, parse_library)
 from msograph.search import (_automorphisms, is_isomorphic,
                              isomorphism_classes)
 from msograph.word_family import gamma_contract_interp
@@ -56,6 +57,25 @@ def test_apply_tabulates_only_the_definitions_it_reaches():
                              parse_formula("adj(x, y)"), lib)
     with pytest.raises(SetQuantifierCapError):
         apply(reached, grid(5, 5), set_cap=10)
+
+
+def test_repeated_parameters_are_rejected_where_made():
+    text = "params: [Z, Z]\ndomain(x) := Z(x)\nedge(x,y) := E(x,y)"
+    with pytest.raises(InterpretationError, match="repeated"):
+        parse_interpretation(text)
+    with pytest.raises(InterpretationError, match=r"\['Y', 'Z'\]"):
+        Interpretation(("Z", "Y", "W", "Y", "Z"), parse_formula("Z(x)"),
+                       parse_formula("E(x, y)"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        builtin_induced().params = ("Z", "Z")
+
+
+def test_a_tabulated_predicate_called_with_the_wrong_arity():
+    lib = parse_library("def adj(x, y) := E(x, y)")
+    I = Interpretation((), parse_formula("adj(x)"),
+                       parse_formula("adj(x, y)"), lib)
+    with pytest.raises(EvalError, match="arity 1, tabulated with 2"):
+        apply(I, grid(2, 2))
 
 
 def test_a_long_chain_of_calls():
