@@ -216,8 +216,9 @@ def apply_all_params(I: Interpretation, G: LabeledGraph, *,
         raise InterpretationError(
             f"parameter enumeration needs 2^({G.n}*{p}) tuples; cap is "
             f"n*p <= {DEFAULT_ENUM_CAP}")
-    subsets = [sum(1 << v for v in c) for r in range(G.n + 1)
-               for c in itertools.combinations(range(G.n), r)]
+    singletons = [1 << v for v in range(G.n)]
+    subsets = [sum(c) for r in range(G.n + 1)
+               for c in itertools.combinations(singletons, r)]
     tuples = itertools.product(subsets, repeat=p)
     if not dedupe:
         for _, build in _sweep(I, G, tuples, set_cap):
@@ -245,20 +246,18 @@ def _orbit_leaders(tuples: Iterable[tuple[int, ...]],
     maps = [_mask_map(s) for s in automorphisms
             if s != sorted(s)]  # the identity moves nothing
     for masks in tuples:
-        if not any(_moves_earlier(image, masks) for image in maps):
-            yield masks
-
-
-def _moves_earlier(image: Callable[[int], int],
-                   masks: tuple[int, ...]) -> bool:
-    """Whether the automorphism of the mask map image maps the tuple onto
-    an earlier one."""
-    for S in masks:
-        moved = image(S)
-        if moved != S:
+        for image in maps:
+            for S in masks:
+                moved = image(S)
+                if moved != S:
+                    break
+            else:  # this automorphism fixes the tuple
+                continue
             d = moved ^ S
-            return moved & d & -d != 0
-    return False
+            if moved & d & -d:  # it maps the tuple onto an earlier one
+                break
+        else:
+            yield masks
 
 
 @dataclass

@@ -807,6 +807,8 @@ class Binding:
             k = free.bit_count()
             if k > set_cap:
                 raise SetQuantifierCapError(k, set_cap)
+            if not must and not free & (free + 1):  # the low k bits
+                return range(free + 1)
             return _submasks(must, free)
 
         self.base = {"_F": (1 << n) - 1, "_S": subsets, "_E": _exists,
@@ -890,5 +892,7 @@ class Binding:
     def forget(self):
         """Empty the memos, which a caller that passes ever new set masks
         to the same functions would otherwise fill without end."""
+        if not self.memos:  # iterating even an empty WeakSet is slow
+            return
         for memo in self.memos:
             memo.cache_clear()

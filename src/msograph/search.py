@@ -1,32 +1,40 @@
-"""Backtracking search for induced-subgraph containment and isomorphism.
+"""Forward-checking search for induced-subgraph containment and
+isomorphism, as one loop with no recursion.
 
 A graph, or bare adjacency rows, is read once into a private ``_Graph``
 record: its adjacency as bitmasks, a key per vertex (its degree, and
 with ``respect_labels`` also the names of the labels it lies in), the
 isomorphism invariant (vertex count, edge count, sorted keys, and with
-``respect_labels`` the label names) and, on first use, the order in
-which the search places its vertices as a pattern: connected to the
-placed prefix, then descending degree, then index, so failing runs are
-reproducible.  One forward-checking core, ``_search``, maps a pattern
-record into a host record.  Its callers differ only in the candidate
-domains they pass: ``is_induced_subgraph_of`` and ``is_antichain`` let
-v go to any vertex of degree at least deg(v); ``is_isomorphic`` to
-vertices of equal key.  ``isomorphism_classes`` keeps the record of each
-class it has yielded, bucketed by invariant, and searches each kept
-record that shares a new graph's invariant, as the pattern, into the
-new graph; isomorphism is symmetric, so a duplicate never sorts its
-vertices.  Its core, ``_first_of_classes``, takes bare rows with an item
-each, so the census of ``interpret`` builds only the graphs it keeps.
-The search core stops at the first map or, given a visit callback,
-passes it every map: ``_automorphisms`` lists the automorphisms of a
-graph that way, the label-keeping ones by default, under a fixed
-expansion budget, and falls back to the identity alone when the budget
-runs out (the trivial group serves its callers as well, only slower).
-``_mask_map`` maps vertex sets, as masks, through them by lookup in
-byte tables, for the census of ``interpret`` and the clique-width
-search of ``widths``.  An optional budget of node expansions per call
-turns a long search into an explicit ``BudgetExhausted`` outcome, never
-a negative answer.
+``respect_labels`` the label names) and, on first use as a pattern, the
+order in which the search places its vertices (connected to the placed
+prefix, then descending degree, then index, so failing runs are
+reproducible) and, for each position of that order, the mask of the
+later positions that are its neighbours: n ints per record.  One core,
+``_search``, maps a pattern record into a host record.  It walks the
+positions in a single loop, keeping each level's domains, its candidates
+left and the bit it placed in arrays, so its stack depth does not grow
+with the pattern: ``is_isomorphic`` answers on two copies of grid(40,40).
+Placing a vertex narrows the domains of the later positions at once
+(forward checking), candidates are tried lowest bit first, and every
+candidate tried counts one expansion.  Its callers differ only in the
+candidate domains they pass: ``is_induced_subgraph_of`` and
+``is_antichain`` let v go to any vertex of degree at least deg(v);
+``is_isomorphic`` to vertices of equal key.  ``isomorphism_classes``
+keeps the record of each class it has yielded, bucketed by invariant,
+and searches each kept record that shares a new graph's invariant, as
+the pattern, into the new graph; isomorphism is symmetric, so a
+duplicate never sorts its vertices.  Its core, ``_first_of_classes``,
+takes bare rows with an item each, so the census of ``interpret``
+builds only the graphs it keeps.  The search core stops at the first
+map or, given a visit callback, passes it every map: ``_automorphisms``
+lists the automorphisms of a graph that way, the label-keeping ones by
+default, under a fixed expansion budget, and falls back to the identity
+alone when the budget runs out (the trivial group serves its callers as
+well, only slower).  ``_mask_map`` maps vertex sets, as masks, through
+them by lookup in byte tables, for the census of ``interpret`` and the
+clique-width search of ``widths``.  An optional budget of node
+expansions per call turns a long search into an explicit
+``BudgetExhausted`` outcome, never a negative answer.
 """
 
 from __future__ import annotations
@@ -69,10 +77,10 @@ def _pattern_order(adj: Sequence[int]) -> list[int]:
 
 class _Graph:
     """What the searches need of one graph, computed once: its pattern
-    order on first use, since a record searched only as the target never
-    needs it."""
+    order and the later neighbours of each position in it on first use,
+    since a record searched only as the target never needs them."""
 
-    __slots__ = ("n", "adj", "key", "invariant", "_order")
+    __slots__ = ("n", "adj", "key", "invariant", "_order", "_later")
 
     def __init__(self, adj: Sequence[int],
                  labels: Optional[Mapping[str, frozenset[int]]] = None):
@@ -93,12 +101,29 @@ class _Graph:
         if labels is not None:  # an empty label set still has to match
             self.invariant += (tuple(sorted(labels)),)
         self._order: Optional[list[int]] = None
+        self._later: Optional[list[int]] = None
 
     @property
     def order(self) -> list[int]:
         if self._order is None:
             self._order = _pattern_order(self.adj)
         return self._order
+
+    @property
+    def later(self) -> list[int]:
+        """For each position of the pattern order, the mask of the later
+        positions whose vertices are its neighbours."""
+        if self._later is None:
+            order, adj = self.order, self.adj
+            later = []
+            for i, v in enumerate(order):
+                row, mask = adj[v], 0
+                for j in range(i + 1, len(order)):
+                    if (row >> order[j]) & 1:
+                        mask |= 1 << j
+                later.append(mask)
+            self._later = later
+        return self._later
 
 
 def _record(G: LabeledGraph, respect_labels: bool = False) -> _Graph:
@@ -113,51 +138,73 @@ def _search(P: _Graph, T: _Graph, domains: list[int],
     """An injective map V(P) -> V(T) preserving edges and non-edges that
     sends each v into the bitmask ``domains[v]``, or None.  Given visit,
     every such map is passed to it instead and None is returned.  Raises
-    ``BudgetExhausted`` after ``budget`` node expansions."""
+    ``BudgetExhausted`` after ``budget`` node expansions.
+
+    One loop walks the positions of P's pattern order, with the state of
+    each level in arrays: its domains, its candidates left and the bit
+    of the vertex placed there.  Candidates are tried lowest bit first."""
     if not all(domains):  # fail before searching the vertices ahead of it
         return None
-    hadj, gadj, order = P.adj, T.adj, P.order
+    n = P.n
+    order = P.order
+    if n == 0:
+        if visit is None:
+            return {}
+        visit({})
+        return None
+    later, gadj = P.later, T.adj
     gall = (1 << T.n) - 1
+    doms: list = [None] * n
+    doms[0] = [domains[v] for v in order]
+    cands = [0] * n
+    placed = [0] * n
+    last = n - 1
     expanded = 0
-    mapping: dict[int, int] = {}
-
-    def backtrack(pos: int, used: int, doms: list[int]) -> bool:
-        nonlocal expanded
-        if pos == len(order):
+    pos = 0
+    used = 0
+    cands[0] = doms[0][0]
+    while True:
+        cand = cands[pos]
+        if not cand:  # every candidate tried: back to the level above
+            if pos == 0:
+                return None
+            pos -= 1
+            used ^= placed[pos]
+            continue
+        w_bit = cand & -cand
+        cands[pos] = cand ^ w_bit
+        expanded += 1
+        if budget is not None and expanded > budget:
+            raise BudgetExhausted(expanded)
+        if pos == last:
+            placed[pos] = w_bit
+            images = [0] * n
+            for v, b in zip(order, placed):
+                images[v] = b.bit_length() - 1
             if visit is None:
-                return True
-            visit({v: mapping[v] for v in range(P.n)})
-            return False
-        v = order[pos]
-        cand = doms[pos] & ~used
-        while cand:
-            w_bit = cand & -cand
-            cand ^= w_bit
-            w = w_bit.bit_length() - 1
-            expanded += 1
-            if budget is not None and expanded > budget:
-                raise BudgetExhausted(expanded)
-            mapping[v] = w
-            # forward restriction: future pattern neighbours of v must map
-            # into N(w); future non-neighbours must avoid N(w) and w.  So
-            # every candidate drawn from a domain agrees with all placed
-            # vertices, and none needs checking against them.
-            non_nbrs = gall & ~gadj[w] & ~w_bit
-            new_doms = list(doms)
-            for later_pos in range(pos + 1, len(order)):
-                new_doms[later_pos] &= (gadj[w] if (hadj[v] >> order[later_pos]) & 1
-                                        else non_nbrs)
-                if new_doms[later_pos] & ~used == 0:
-                    break
-            else:
-                if backtrack(pos + 1, used | w_bit, new_doms):
-                    return True
-            del mapping[v]
-        return False
-
-    if backtrack(0, 0, [domains[v] for v in order]):
-        return {v: mapping[v] for v in range(P.n)}
-    return None
+                return dict(enumerate(images))
+            visit(dict(enumerate(images)))
+            continue
+        # forward restriction: later pattern neighbours of the vertex at
+        # pos must map into N(w); later non-neighbours must avoid N(w)
+        # and w.  So every candidate drawn from a domain agrees with all
+        # placed vertices, and none needs checking against them.
+        nbrs = gadj[w_bit.bit_length() - 1]
+        non_nbrs = gall & ~nbrs & ~w_bit
+        nbr_pos = later[pos]
+        new = doms[pos][:]
+        free = ~used
+        for q in range(pos + 1, n):
+            d = new[q] & (nbrs if (nbr_pos >> q) & 1 else non_nbrs)
+            if not d & free:
+                break
+            new[q] = d
+        else:
+            doms[pos + 1] = new
+            placed[pos] = w_bit
+            used |= w_bit
+            pos += 1
+            cands[pos] = new[pos] & ~used
 
 
 def _embedding(P: _Graph, T: _Graph,

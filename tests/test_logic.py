@@ -869,6 +869,36 @@ def test_ever_new_formulas_keep_a_reused_binding_bounded():
     assert 0 < len(binding.memos) <= len(binding.made)
 
 
+def test_set_ranges_list_each_allowed_set_once_in_ascending_order():
+    rng = random.Random(67)
+    for n in range(7):
+        S = plans.Binding(LabeledGraph.build(n, []), None, 22).base["_S"]
+        full = (1 << n) - 1
+        assert isinstance(S(full, 0, 0), range)  # unguarded: a range
+        for _ in range(40):
+            within = rng.choice((full, rng.getrandbits(n)))
+            must = rng.choice((0, rng.getrandbits(n) & rng.getrandbits(n)))
+            forbid = rng.choice((0, rng.getrandbits(n)))
+            allowed = within & ~forbid
+            assert list(S(within, must, forbid)) == [
+                Z for Z in range(full + 1)
+                if Z & must == must and not Z & ~allowed]
+
+
+def test_forget_empties_a_live_callee_memo():
+    lib = parse_library("def near(x, S) := exists z. (E(x, z) & S(z))")
+    binding = plans.Binding(grid(3, 3), lib, logic.DEFAULT_SET_CAP)
+    binding.forget()  # nothing memoized yet
+    fn = binding.compile(parse_formula("near(x, S)"), ("x", "S"))
+    assert fn(0, 0b10) and not fn(0, 0b100)
+    (memo,) = binding.memos
+    assert memo.cache_info().currsize == 2
+    binding.forget()
+    assert memo.cache_info().currsize == 0
+    assert fn(0, 0b10)  # recomputed, not lost
+    assert memo.cache_info().currsize == 1
+
+
 # ---------------------------------------------------------------------------
 # Generated code: its shape, and the order it tests literals in
 # ---------------------------------------------------------------------------

@@ -339,3 +339,141 @@ def test_mask_maps_send_each_vertex_to_its_image():
             mask = rng.getrandbits(n)
             assert image(mask) == sum(1 << perm[v] for v in range(n)
                                       if mask >> v & 1)
+
+
+# ---------------------------------------------------------------------------
+# The search core against the recursive backtracker it replaced
+# ---------------------------------------------------------------------------
+
+def _recursive_search(P, T, domains, budget, visit=None):
+    """The forward-checking search as one recursive call per pattern
+    vertex: the oracle for ``search._search``, which loops instead."""
+    if not all(domains):
+        return None
+    hadj, gadj, order = P.adj, T.adj, P.order
+    gall = (1 << T.n) - 1
+    expanded = 0
+    mapping = {}
+
+    def backtrack(pos, used, doms):
+        nonlocal expanded
+        if pos == len(order):
+            if visit is None:
+                return True
+            visit({v: mapping[v] for v in range(P.n)})
+            return False
+        v = order[pos]
+        cand = doms[pos] & ~used
+        while cand:
+            w_bit = cand & -cand
+            cand ^= w_bit
+            w = w_bit.bit_length() - 1
+            expanded += 1
+            if budget is not None and expanded > budget:
+                raise BudgetExhausted(expanded)
+            mapping[v] = w
+            non_nbrs = gall & ~gadj[w] & ~w_bit
+            new_doms = list(doms)
+            for later_pos in range(pos + 1, len(order)):
+                new_doms[later_pos] &= (gadj[w]
+                                        if (hadj[v] >> order[later_pos]) & 1
+                                        else non_nbrs)
+                if new_doms[later_pos] & ~used == 0:
+                    break
+            else:
+                if backtrack(pos + 1, used | w_bit, new_doms):
+                    return True
+            del mapping[v]
+        return False
+
+    if backtrack(0, 0, [domains[v] for v in order]):
+        return {v: mapping[v] for v in range(P.n)}
+    return None
+
+
+def _outcome(run):
+    """What run() gives: its map as (vertex, image) pairs in key order,
+    or the expansion count at which its budget ran out."""
+    try:
+        m = run()
+    except BudgetExhausted as exc:
+        return "budget", exc.expanded
+    return "map", None if m is None else list(m.items())
+
+
+_LOOP = search._search
+
+
+def _both_cores(monkeypatch, run):
+    """The outcome of run() and the maps it visits, under the search core
+    and under the recursive oracle."""
+    out = []
+    for core in (_LOOP, _recursive_search):
+        monkeypatch.setattr(search, "_search", core)
+        visited = []
+        out.append((_outcome(lambda: run(visited.append)), visited))
+    return out
+
+
+def test_the_search_loop_agrees_with_the_recursion(monkeypatch):
+    rng = random.Random(61)
+    cases = 0
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        p = rng.random()
+        G = LabeledGraph.build(n, [e for e in itertools.combinations(
+            range(n), 2) if rng.random() < p])
+        if rng.random() < 0.5:
+            G = _random_labels(rng, G)
+        H = _relabel(G, rng.sample(range(n), n))
+        if rng.random() < 0.5:
+            H = _toggle_two_pairs(rng, H)
+        host = LabeledGraph.build(
+            n + 2, [e for e in itertools.combinations(range(n + 2), 2)
+                    if rng.random() < p])
+        for respect in (False, True):
+            a, b = _record(G, respect), _record(H, respect)
+            e, t = _record(G), _record(host)
+            # a listing keeps a budget: 9! automorphisms are too many
+            runs = [lambda visit: search._isomorphism(a, b, None),
+                    lambda visit: search._isomorphism(a, a, 2000, visit),
+                    lambda visit: search._embedding(e, t, None)]
+            for budget in (1, 2, 5, 20):
+                runs += [
+                    lambda visit, k=budget: search._isomorphism(a, b, k),
+                    lambda visit, k=budget: search._isomorphism(a, a, k,
+                                                                visit),
+                    lambda visit, k=budget: search._embedding(e, t, k)]
+            for run in runs:
+                new, old = _both_cores(monkeypatch, run)
+                assert new == old, (G, H, respect)
+                cases += 1
+    assert cases == 200 * 2 * 15
+
+
+def test_the_search_loop_visits_every_embedding_in_order(monkeypatch):
+    rng = random.Random(62)
+    for _ in range(100):
+        P = _record(_random_graph(rng, rng.randint(1, 5)))
+        T = _record(_random_graph(rng, rng.randint(5, 8)))
+        domains = [(1 << T.n) - 1] * P.n
+
+        def run(visit):
+            return search._search(P, T, domains, None, visit)
+        (new, new_maps), (old, old_maps) = _both_cores(monkeypatch, run)
+        assert new == old == ("map", None)
+        assert new_maps == old_maps
+        for m in new_maps:
+            assert list(m) == list(range(P.n))
+
+
+def test_a_deep_isomorphism_takes_no_recursion():
+    # one recursive call per vertex would pass Python's recursion limit
+    G, H = grid(40, 40), grid(40, 40)
+    m = is_isomorphic(G, H)
+    assert m is not None and sorted(m) == list(range(G.n))
+    assert sorted(m.values()) == list(range(H.n))
+    # a bijection that maps the edges onto the edges of a graph with as
+    # many edges also maps the non-edges onto the non-edges
+    assert len(G.edges) == len(H.edges)
+    assert {tuple(sorted((m[u], m[v]))) for u, v in G.edges} == H.edges
