@@ -4,7 +4,8 @@ suites.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 a size cap,
 a search budget or Python's recursion limit was hit (the answer is
-unknown, not wrong).
+unknown, not wrong).  Every syntax error in a text input (a formula, a
+library, an interpretation file, a valuation or a JSON file) exits 2.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -25,10 +25,11 @@ from .graphs import (LabeledGraph, SubdivisionPlan, antichain_member_In,
 from .interpret import (Interpretation, InterpretationError, Pipeline,
                         builtin_complement, builtin_induced, compose_pipeline,
                         parse_interpretation)
-from .logic import (DEFAULT_SET_CAP, SetQuantifierCapError, is_set_var,
-                    materialize, parse_formula, parse_library,
+from .logic import (DEFAULT_SET_CAP, App, SetQuantifierCapError,
+                    is_set_var, materialize, parse_formula, parse_library,
                     PredicateLibrary, evaluate)
 from .search import BudgetExhausted
+from .syntax import _Parser
 from .verify import SUITES, run_suite
 from .widths import (KExpression, SizeCapExceeded, TreeDecomposition,
                      cliquewidth_exact, treewidth_exact, verify_k_expression,
@@ -111,44 +112,21 @@ def cmd_gen(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-_ASSIGN_RE = re.compile(r"\s*(\w+)\s*=\s*(\{[^}]*\}|\d+)\s*$")
-
-
 def parse_assignment(text: str) -> dict:
     """Parse ``x=3, Y={1,2}`` into a valuation dict."""
+    p = _Parser(text)
     out: dict = {}
-    if not text.strip():
-        return out
-    # split on commas not inside braces
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    for part in parts:
-        m = _ASSIGN_RE.match(part)
-        if not m:
-            raise UsageError(f"bad assignment {part.strip()!r}; "
-                             f"expected name=3 or Name={{1,2}}")
-        name, val = m.groups()
-        if val.startswith("{"):
-            inner = val[1:-1].strip()
-            out[name] = frozenset(int(x) for x in inner.split(",") if x.strip())
-            if not is_set_var(name):
-                raise UsageError(f"{name!r} gets a set but is lowercase; "
-                                 f"set variables start uppercase")
-        else:
-            out[name] = int(val)
-            if is_set_var(name):
-                raise UsageError(f"{name!r} is a set variable but gets a vertex")
+    while not p.at_end():
+        if out:
+            p.expect(",")
+        name, value = p.binding()
+        if isinstance(value, frozenset) and not is_set_var(name.text):
+            raise UsageError(f"{name.text!r} gets a set but is lowercase; "
+                             f"set variables start uppercase")
+        if isinstance(value, int) and is_set_var(name.text):
+            raise UsageError(
+                f"{name.text!r} is a set variable but gets a vertex")
+        out[name.text] = value
     return out
 
 
@@ -169,9 +147,8 @@ def cmd_eval(args) -> int:
             d = lib.by_name.get(args.pred)
             if d is None:
                 raise UsageError(f"no predicate {args.pred!r} in the library")
-            body = parse_formula(
-                f"{args.pred}({', '.join(d.params)})")
-            res = evaluate(G, lib, body, val, set_cap=args.set_cap)
+            res = evaluate(G, lib, App(d.name, d.params), val,
+                           set_cap=args.set_cap)
             print("true" if res else "false")
         else:
             table = materialize(G, lib, args.pred, set_cap=args.set_cap)

@@ -17,6 +17,17 @@ class GraphError(ValueError):
     """Raised for malformed graphs or invalid construction parameters."""
 
 
+def _load_json(text: str, error: type[ValueError], what: str):
+    """The value of a JSON text; one that is not JSON, or nests deeper
+    than the decoder's recursion reaches, raises error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{what} nested too deeply to parse") from None
+    except ValueError as exc:
+        raise error(f"{what} is not JSON: {exc}") from None
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """An undirected simple graph with named unary label sets.
@@ -143,7 +154,7 @@ class LabeledGraph:
 
     @staticmethod
     def from_json(text: str) -> "LabeledGraph":
-        obj = json.loads(text)
+        obj = _load_json(text, GraphError, "graph JSON")
         if not isinstance(obj, dict):
             raise GraphError("graph JSON must be an object")
         n, edges = obj.get("n"), obj.get("edges")

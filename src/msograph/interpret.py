@@ -10,7 +10,6 @@ disjunctions, so asymmetry signals a wrong formula.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -25,9 +24,9 @@ from .logic import (
     free_vars,
     is_set_var,
     parse_formula,
-    parse_library,
 )
 from .search import _automorphisms, _first_of_classes, _mask_map
+from .syntax import FormulaSyntaxError, _Parser
 from .table import bits
 
 DEFAULT_ENUM_CAP = 22
@@ -298,47 +297,38 @@ def builtin_induced() -> Interpretation:
 # File format
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^params:\s*\[([^\]]*)\]\s*$")
-_RULE_RE = re.compile(r"^(domain|edge)\s*\(([^)]*)\)\s*:=\s*(.*)$", re.DOTALL)
+# each rule and the number of vertex variables it declares
+_RULES = {"domain": 1, "edge": 2}
 
 
 def parse_interpretation(text: str) -> Interpretation:
-    """Parse an interpretation file.
-
-    Layout: optional ``params: [Z1, Z2]`` header, inline ``def`` blocks,
-    then ``domain(x) := ...`` and ``edge(x,y) := ...`` blocks.
-    """
-    lines = [re.sub(r"#.*", "", line) for line in text.splitlines()]
+    """Parse an interpretation file: an optional ``params: [Z1, Z2]``
+    header, ``def`` definitions, and the rules ``domain(x) := ...`` and
+    ``edge(x, y) := ...``, in any order; a rule declares the free vertex
+    variables of its formula."""
+    p = _Parser(text)
     params: tuple[str, ...] = ()
-    blocks: list[list[str]] = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        m = _HEADER_RE.match(stripped)
-        if m:
-            params = tuple(p.strip() for p in m.group(1).split(",") if p.strip())
-            continue
-        if re.match(r"^(def |domain\s*\(|edge\s*\()", stripped):
-            blocks.append([line])
-        elif blocks:
-            blocks[-1].append(line)
+    rules: dict[str, Formula] = {}
+    lib = PredicateLibrary()
+    while not p.at_end():
+        word = p.peek()
+        if word.text == "def":
+            lib.define(*p.definition())
+        elif word.text == "params":
+            params = p.header()
+        elif word.text in _RULES:
+            _, declared, body = p.rule()
+            free = {v for v in free_vars(body) if not is_set_var(v)}
+            if len(declared) != _RULES[word.text] or free - set(declared):
+                raise InterpretationError(
+                    f"rule {word.text!r} (at position {word.pos}) must "
+                    f"declare {_RULES[word.text]} variables, its free vertex "
+                    f"variables {sorted(free)} among them, not {list(declared)}")
+            rules[word.text] = body
         else:
-            raise InterpretationError(f"unexpected line: {stripped!r}")
-    lib_blocks, domain_f, edge_f = [], None, None
-    for block in blocks:
-        joined = "\n".join(block).strip()
-        m = _RULE_RE.match(joined)
-        if m:
-            which, _, body = m.groups()
-            f = parse_formula(body)
-            if which == "domain":
-                domain_f = f
-            else:
-                edge_f = f
-        else:
-            lib_blocks.append(joined)
-    if domain_f is None or edge_f is None:
+            raise FormulaSyntaxError(
+                f"expected 'def', 'params', 'domain' or 'edge', found {word}",
+                word.pos)
+    if len(rules) < len(_RULES):
         raise InterpretationError("file must define both domain and edge")
-    lib = parse_library("\n".join(lib_blocks)) if lib_blocks else PredicateLibrary()
-    return Interpretation(params, domain_f, edge_f, lib)
+    return Interpretation(params, rules["domain"], rules["edge"], lib)

@@ -10,10 +10,12 @@ Concrete syntax
   closure            TC[u,v: body](a,b)
   predicate calls    name(x,y)  (defined in a library)
 
-Library files are sequences of ``def name(x,y) := <formula>`` blocks (a
-formula may span lines, up to the next ``def``); ``#`` starts a comment.
-Definitions may only reference earlier definitions.  ``logic`` evaluates
-what this module parses and re-exports its names.
+Library files are sequences of ``def name(x,y) := <formula>``, each
+ending where its formula ends; ``#`` comments run to the end of the line.
+The one parser here reads every text input (``interpret`` and ``cli``
+loop over its productions), so any syntax error is a ``FormulaSyntaxError``
+at an offset into the whole text.  ``logic`` evaluates what this module
+parses and re-exports its names.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 
 class FormulaSyntaxError(ValueError):
@@ -384,16 +386,19 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<arrow2><->)
   | (?P<arrow>->)
-  | (?P<neq>!=)
-  | (?P<sym>[()\[\],.:=!&|])
+  | (?P<sym>:=|!=|[()\[\]{},.:=!&|])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<num>[0-9]+)
 """, re.VERBOSE)
 
 @dataclass
 class _Token:
-    kind: str   # 'ident', 'sym', 'arrow', 'arrow2', 'neq', 'eof'
+    kind: str   # 'ident', 'num', 'sym', 'arrow', 'arrow2', 'eof'
     text: str
     pos: int
+
+    def __str__(self) -> str:
+        return repr(self.text) if self.kind != "eof" else "end of input"
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -427,7 +432,7 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
+            raise FormulaSyntaxError(f"expected {text!r}, found {tok}", tok.pos)
         return tok
 
     def at_end(self) -> bool:
@@ -490,9 +495,7 @@ class _Parser:
         if kw.text == "exists" and self.peek().text == "!":
             self.next()
             unique = True
-        var_tok = self.next()
-        if var_tok.kind != "ident":
-            raise FormulaSyntaxError("expected a variable after quantifier", var_tok.pos)
+        var_tok = self.take("ident", "a variable after the quantifier")
         var = var_tok.text
         self.expect(".")
         body = self.formula()
@@ -511,22 +514,18 @@ class _Parser:
     def tc(self) -> Formula:
         self.next()  # TC
         self.expect("[")
-        u = self.next()
+        u = self._var_arg()
         self.expect(",")
-        v = self.next()
-        if u.kind != "ident" or v.kind != "ident":
-            raise FormulaSyntaxError("TC binder must be two vertex variables", u.pos)
+        v = self._var_arg()
         self.expect(":")
         body = self.formula()
         self.expect("]")
         self.expect("(")
-        a = self.next()
+        a = self._var_arg()
         self.expect(",")
-        b = self.next()
+        b = self._var_arg()
         self.expect(")")
-        if a.kind != "ident" or b.kind != "ident":
-            raise FormulaSyntaxError("TC arguments must be vertex variables", a.pos)
-        return TC(u.text, v.text, body, a.text, b.text)
+        return TC(u, v, body, a, b)
 
     def atom(self) -> Formula:
         tok = self.next()
@@ -539,15 +538,12 @@ class _Parser:
         if tok.text == "false":
             return FalseF()
         if tok.kind != "ident":
-            raise FormulaSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+            raise FormulaSyntaxError(f"expected a formula, found {tok}", tok.pos)
         name = tok.text
         if self.peek().text == "(":
-            self.next()
-            args = [self._var_arg()]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self._var_arg())
-            self.expect(")")
+            args = self.bracketed("(", ")", self._var_arg)
+            if not args:
+                raise FormulaSyntaxError(f"{name} takes arguments", tok.pos)
             if name == "E":
                 if len(args) != 2:
                     raise FormulaSyntaxError("E takes two arguments", tok.pos)
@@ -559,37 +555,87 @@ class _Parser:
                 return SetAtom(name, args[0])
             return App(name, tuple(args))
         # bare identifier: must be x = y / x != y
-        if self.peek().text == "=":
+        op = self.peek().text
+        if op in ("=", "!="):
             self.next()
-            rhs = self.next()
-            if rhs.kind != "ident":
-                raise FormulaSyntaxError("expected a variable after '='", rhs.pos)
-            return Eq(name, rhs.text)
-        if self.peek().kind == "neq":
-            self.next()
-            rhs = self.next()
-            if rhs.kind != "ident":
-                raise FormulaSyntaxError("expected a variable after '!='", rhs.pos)
-            return Not(Eq(name, rhs.text))
+            eq = Eq(name, self._var_arg())
+            return eq if op == "=" else Not(eq)
         raise FormulaSyntaxError(
             f"expected '(', '=' or '!=' after identifier {name!r}",
             self.peek().pos)
 
-    def _var_arg(self) -> str:
+    def take(self, kind: str, what: str) -> _Token:
         tok = self.next()
-        if tok.kind != "ident":
-            raise FormulaSyntaxError("expected a variable argument", tok.pos)
-        return tok.text
+        if tok.kind != kind:
+            raise FormulaSyntaxError(f"expected {what}, found {tok}", tok.pos)
+        return tok
+
+    def _var_arg(self) -> str:
+        return self.take("ident", "a variable").text
+
+    def _number(self) -> int:
+        return int(self.take("num", "a vertex number").text)
+
+    def bracketed(self, open: str, close: str,
+                  item: Callable[[], object]) -> list:
+        """``open item, ..., item close``, with no items as well."""
+        self.expect(open)
+        out = []
+        if self.peek().text != close:
+            out.append(item())
+            while self.peek().text == ",":
+                self.next()
+                out.append(item())
+        self.expect(close)
+        return out
+
+    # the productions that the readers loop over; each stops after its
+    # last token
+
+    def sentence(self) -> Formula:
+        """A formula, or a syntax error where it nests too deeply."""
+        try:
+            return self.formula()
+        except RecursionError:
+            raise FormulaSyntaxError("formula nested too deeply to parse",
+                                     self.peek().pos) from None
+
+    def rule(self) -> tuple[_Token, tuple[str, ...], Formula]:
+        """``name(x, y) := formula``: the name, its variables, the body."""
+        name = self.take("ident", "a name")
+        params = tuple(self.bracketed("(", ")", self._var_arg))
+        self.expect(":=")
+        return name, params, self.sentence()
+
+    def definition(self) -> tuple[str, tuple[str, ...], Formula]:
+        """``def name(x, y) := formula``, for ``PredicateLibrary.define``."""
+        self.expect("def")
+        name, params, body = self.rule()
+        if not name.text[0].islower():
+            raise FormulaSyntaxError(
+                f"a defined name starts lowercase, not {name.text!r}",
+                name.pos)
+        return name.text, params, body
+
+    def header(self) -> tuple[str, ...]:
+        """``params: [Z1, Z2]``"""
+        self.expect("params")
+        self.expect(":")
+        return tuple(self.bracketed("[", "]", self._var_arg))
+
+    def binding(self) -> tuple[_Token, int | frozenset[int]]:
+        """``name = n`` or ``Name = {n, ...}``: the name and its value."""
+        name = self.take("ident", "a name")
+        self.expect("=")
+        if self.peek().text == "{":
+            return name, frozenset(self.bracketed("{", "}", self._number))
+        return name, self._number()
 
 
 def parse_formula(text: str) -> Formula:
     """Parse the DSL; xor and exists! are desugared during parsing."""
     p = _Parser(text)
-    try:
-        f = p.formula()
-    except RecursionError:
-        raise FormulaSyntaxError("formula nested too deeply to parse",
-                                 p.peek().pos) from None
+    f = p.sentence()
     if not p.at_end():
         tok = p.peek()
         raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
@@ -733,36 +779,12 @@ def app_refs(f: Formula) -> set[tuple[str, int]]:
     return set(f.calls)
 
 
-_DEF_RE = re.compile(r"^def\s+([a-z][A-Za-z0-9_']*)\s*\(([^)]*)\)\s*:=\s*(.*)$",
-                     re.DOTALL)
-
-
 def parse_library(text: str) -> PredicateLibrary:
-    """Parse a library file: ``def name(x,y) := formula`` blocks."""
-    # strip comments, then split into def blocks
-    lines = [re.sub(r"#.*", "", line) for line in text.splitlines()]
-    blocks: list[str] = []
-    current: list[str] = []
-    for line in lines:
-        if line.lstrip().startswith("def "):
-            if current:
-                blocks.append("\n".join(current))
-            current = [line]
-        elif line.strip():
-            if not current:
-                raise LibraryError(f"content before first def: {line.strip()!r}")
-            current.append(line)
-    if current:
-        blocks.append("\n".join(current))
+    """Parse a library file: ``def name(x,y) := formula``, repeated."""
+    p = _Parser(text)
     lib = PredicateLibrary()
-    for block in blocks:
-        m = _DEF_RE.match(block.strip())
-        if m is None:
-            raise LibraryError(f"malformed definition block: {block.strip()[:60]!r}")
-        name, params_text, body_text = m.groups()
-        params = tuple(p.strip() for p in params_text.split(",") if p.strip())
-        body = parse_formula(body_text)
-        lib.define(name, params, body)
+    while not p.at_end():
+        lib.define(*p.definition())
     return lib
 
 

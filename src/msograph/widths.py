@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .graphs import GraphError, LabeledGraph, subdivide
+from .graphs import GraphError, LabeledGraph, _load_json, subdivide
 from .search import (BudgetExhausted, _automorphisms, _mask_map,
                      is_isomorphic)
 from .table import bits
@@ -48,11 +48,7 @@ class SizeCapExceeded(WidthError):
 
 
 def _load_certificate(text: str, kind: str) -> dict:
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise WidthError(
-            f"{kind} certificate nested too deeply to parse") from None
+    data = _load_json(text, WidthError, f"{kind} certificate")
     if not isinstance(data, dict) or data.get("type") != kind:
         raise WidthError(f"not a {kind} certificate")
     return data

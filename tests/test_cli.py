@@ -18,6 +18,7 @@ def run(capsys, *argv):
 def test_parse_assignment():
     assert parse_assignment("x=3, Y={1,2}") == {"x": 3, "Y": frozenset({1, 2})}
     assert parse_assignment("Y={}") == {"Y": frozenset()}
+    assert parse_assignment("x'=0, y = 1") == {"x'": 0, "y": 1}
     with pytest.raises(Exception):
         parse_assignment("X=3")  # set variable given a vertex
     with pytest.raises(Exception):
@@ -60,13 +61,18 @@ def test_eval_formula_and_pred(tmp_path, capsys):
     g = tmp_path / "d12.json"
     run(capsys, "gen", "--family", "power", "--n", "12", "-o", str(g))
     lib = tmp_path / "lib.mso"
-    lib.write_text("def deg1(x) := exists! y. E(x, y)\n")
+    lib.write_text("def deg1(x) := exists! y. E(x, y)\n"
+                   "def isolated() := exists x. !exists y. E(x, y)\n")
     code, out, _ = run(capsys, "eval", str(g), "--formula",
                        "exists x. (forall y. (x = y | E(x, y)))")
     assert code == 0 and out.strip() == "false"
     code, out, _ = run(capsys, "eval", str(g), "--library", str(lib),
                        "--pred", "deg1")
     assert code == 0 and out.split() == []  # no degree-1 vertices in D_12
+    # a predicate without parameters, under a valuation that it ignores
+    code, out, _ = run(capsys, "eval", str(g), "--library", str(lib),
+                       "--pred", "isolated", "--assign", "x=0")
+    assert code == 0 and out.strip() == "false"
 
 
 def test_eval_rejects_values_outside_the_graph(tmp_path, capsys):
@@ -165,10 +171,13 @@ def test_width_exact_and_certify(tmp_path, capsys):
 def test_malformed_graph_is_usage_error(tmp_path, capsys):
     g = tmp_path / "g.json"
     for text in ('{"edges": []}', '{"n": 3}', '{"n": "3", "edges": []}',
-                 '{"n": 3, "edges": [[0]]}', '[]'):
+                 '{"n": 3, "edges": [[0]]}', '[]', "[" * 100_000):
         g.write_text(text)
-        code, _, err = run(capsys, "width", str(g), "--measure", "twd")
-        assert code == 2 and err.startswith("error:")
+        for argv in (("width", str(g), "--measure", "twd"),
+                     ("eval", str(g), "--formula", "x = x",
+                      "--assign", "x=0")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error:"), (text[:20], err)
 
 
 def test_malformed_labels_and_names_are_usage_errors(tmp_path, capsys):
