@@ -110,7 +110,8 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     valuation = valuation or {}
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
     sets = tuple(a for name, a in zip(valuation, args) if is_set_var(name))
-    return _binding(G, lib, set_cap, sets).compile(f, list(valuation))(*args)
+    fn = _binding(G, lib, set_cap, sets).compile(f, list(valuation))
+    return bool(fn(*args))  # a compiled test returns 0, 1 or a bool
 
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from msograph import logic, plans, syntax
+from msograph import logic, planner, plans, syntax
 from msograph.bichain_family import bichain_predicates, build_Zn
 from msograph.graphs import LabeledGraph, grid, induced_subgraph
 from msograph.logic import (And, EdgeAtom, Eq, EvalError, ExistsS, ExistsV,
@@ -221,7 +221,8 @@ def test_evaluator_matches_reference():
         G = _random_graph(rng, n)
         f = ExistsV("x", ExistsV(
             "y", _random_formula(rng, rng.randrange(0, 3), ["x", "y"], [])))
-        assert evaluate(G, None, f) == ref_eval(G, f, {})
+        got = evaluate(G, None, f)
+        assert type(got) is bool and got == ref_eval(G, f, {})
 
 
 def test_evaluator_matches_reference_with_sets():
@@ -230,7 +231,8 @@ def test_evaluator_matches_reference_with_sets():
         n = rng.randrange(1, 5)
         G = _random_graph(rng, n)
         f = ExistsS("S", _random_formula(rng, rng.randrange(0, 3), [], ["S"]))
-        assert evaluate(G, None, f) == ref_eval(G, f, {})
+        got = evaluate(G, None, f)
+        assert type(got) is bool and got == ref_eval(G, f, {})
 
 
 def test_evaluator_matches_reference_with_calls_and_free_variables():
@@ -244,7 +246,8 @@ def test_evaluator_matches_reference_with_calls_and_free_variables():
                             calls)
         valuation = {"x": rng.randrange(n), "x_1": rng.randrange(n),
                      "S": frozenset(v for v in range(n) if rng.random() < .5)}
-        assert evaluate(G, lib, f, valuation) == ref_eval(G, f, valuation, lib)
+        got = evaluate(G, lib, f, valuation)
+        assert type(got) is bool and got == ref_eval(G, f, valuation, lib)
         assert materialize(G, lib, "p") == {
             (a, b) for a in range(n) for b in range(n)
             if ref_eval(G, App("p", ("a", "b")), {"a": a, "b": b}, lib)}
@@ -871,18 +874,41 @@ def test_ever_new_formulas_keep_a_reused_binding_bounded():
 
 def test_set_ranges_list_each_allowed_set_once_in_ascending_order():
     rng = random.Random(67)
+    empty = 0
     for n in range(7):
-        S = plans.Binding(LabeledGraph.build(n, []), None, 22).base["_S"]
+        base = plans.Binding(LabeledGraph.build(n, []), None, 22).base
+        S, N = base["_S"], base["_N"]
         full = (1 << n) - 1
-        assert isinstance(S(full, 0, 0), range)  # unguarded: a range
+        assert isinstance(S(), range) and list(S()) == list(S(full, 0, 0))
+        assert N() and N(full) and N(full, 0, 0)  # the empty set, at least
         for _ in range(40):
             within = rng.choice((full, rng.getrandbits(n)))
             must = rng.choice((0, rng.getrandbits(n) & rng.getrandbits(n)))
             forbid = rng.choice((0, rng.getrandbits(n)))
             allowed = within & ~forbid
-            assert list(S(within, must, forbid)) == [
-                Z for Z in range(full + 1)
-                if Z & must == must and not Z & ~allowed]
+            want = [Z for Z in range(full + 1)
+                    if Z & must == must and not Z & ~allowed]
+            assert list(S(within, must, forbid)) == want
+            # _N says whether the range is empty without listing it
+            assert N(within, must, forbid) is bool(want)
+            empty += not want
+    assert empty > 20
+
+
+def test_an_empty_range_is_empty_under_any_cap():
+    G = grid(3, 3)
+    full = (1 << G.n) - 1
+    base = plans.Binding(G, None, 0).base
+    S, N = base["_S"], base["_N"]
+    for v in range(G.n):
+        # Z(v) & !Z(v): no set, so no free vertex to count
+        assert list(S(full, 1 << v, 1 << v)) == []
+        assert not N(full, 1 << v, 1 << v)
+        # Z(v) & Z within {v}: one set, and no free vertex
+        assert list(S(1 << v, 1 << v)) == [1 << v] and N(1 << v, 1 << v)
+        for made in (S, N):  # Z(v) alone: 8 free vertices
+            with pytest.raises(SetQuantifierCapError):
+                made(full, 1 << v)
 
 
 def test_forget_empties_a_live_callee_memo():
@@ -910,7 +936,7 @@ def _plan_sources(monkeypatch):
     def spy(src, namespace):
         sources.append(src)
         exec(src, namespace)
-    monkeypatch.setattr(plans, "exec", spy, raising=False)
+    monkeypatch.setattr(planner, "exec", spy, raising=False)
     return sources
 
 
@@ -980,7 +1006,8 @@ def test_iff_of_equal_sides_folds_in_boolean_mode(monkeypatch):
     S_x = SetAtom("S", "x")
     plans.plan.__wrapped__(Iff(S_x, S_x), ("x", "S"), None, frozenset(),
                            frozenset(), NO_DEFINITIONS)
-    assert sources == ["def _f(Vx, VS):\n    return bool(True)\n"]
+    # evaluate applies bool() once; the source returns the test itself
+    assert sources == ["def _f(Vx, VS):\n    return True\n"]
     rng = random.Random(59)
     calls = [("p", "vv"), ("q", "vS")]
     folded = 0
@@ -993,7 +1020,7 @@ def test_iff_of_equal_sides_folds_in_boolean_mode(monkeypatch):
         del sources[:]
         plans.plan.__wrapped__(Iff(g, g), ("x", "x_1", "S"), None,
                                frozenset({"red"}), frozenset(), lib.key)
-        folded += sources[0].endswith("return bool(True)\n")
+        folded += sources[0].endswith("return True\n")
         plans.plan.__wrapped__(f, ("x", "x_1", "S"), None,
                                frozenset({"red"}), frozenset(), lib.key)
         for src in sources:
@@ -1008,6 +1035,173 @@ def test_iff_of_equal_sides_folds_in_boolean_mode(monkeypatch):
                                     if rng.random() < .5)}
         assert evaluate(G, lib, f, valuation) == ref_eval(G, f, valuation, lib)
     assert folded > 150
+
+
+def _plan_random_formulas(seed: int, count: int = 300):
+    """Plan seeded random formulas with calls, a label and sometimes a
+    table, as tests and as rows, and the library definitions as rows."""
+    rng = random.Random(seed)
+    calls = [("p", "vv"), ("q", "vS")]
+    for _ in range(count):
+        lib = _random_library(rng)
+        f = _random_formula(rng, rng.randrange(1, 5), ["x", "x_1"], ["S"],
+                            calls)
+        tables = rng.choice((frozenset(), frozenset({"p"})))
+        for params, row in ((("x", "x_1", "S"), None), (("x", "S"), "x_1")):
+            plans.plan.__wrapped__(f, params, row, frozenset({"red"}),
+                                   tables, lib.key)
+        for d in lib.defs:
+            plans.plan.__wrapped__(d.body, d.params[1:], d.params[0],
+                                   frozenset({"red"}), tables, lib.key)
+
+
+def test_brackets_by_precedence_parse_as_full_brackets(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    _plan_random_formulas(73)
+    lean = sources[:]
+    del sources[:]
+    # every operand in brackets: the parse that the planner means
+    monkeypatch.setattr(planner._Planner, "_at",
+                        lambda self, src, level: f"({src})")
+    _plan_random_formulas(73)
+    assert len(lean) == len(sources) > 900
+    for src, full in zip(lean, sources):
+        assert ast.dump(ast.parse(src)) == ast.dump(ast.parse(full)), src
+    assert sum(map(len, lean)) < sum(map(len, sources))
+
+
+def test_no_emitted_lambda_or_generator_ignores_its_name(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    _plan_random_formulas(79)
+    binders = 0
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Lambda):
+                (arg,) = node.args.args
+                name, body = arg.arg, node.body
+            elif isinstance(node, ast.GeneratorExp):
+                name, body = node.generators[0].target.id, node.elt
+            else:
+                continue
+            binders += 1
+            assert any(isinstance(n, ast.Name) and n.id == name
+                       for n in ast.walk(body)), src
+    assert binders > 150
+
+
+def _idle(rng, quantifier, body: Formula) -> Formula:
+    """quantifier over a name that body lacks, with a body that reads it
+    only in literals the planner folds away."""
+    if quantifier in (ExistsV, ForallV):
+        v = "v"
+        dead = rng.choice((EdgeAtom(v, v), Not(Iff(Eq(v, "x"), Eq(v, "x")))))
+    else:
+        v = "T"
+        dead = Not(Iff(SetAtom(v, "x"), SetAtom(v, "x")))
+    return quantifier(v, rng.choice((Or(dead, body), Or(body, dead),
+                                     And(Not(dead), body))))
+
+
+def test_idle_quantifiers_match_the_reference(monkeypatch):
+    sources = _plan_sources(monkeypatch)
+    rng = random.Random(83)
+    quantifiers = (ExistsV, ForallV, ExistsS, ForallS)
+    for i in range(240):
+        G = _random_graph(rng, rng.randrange(0, 5))
+        q = quantifiers[i % 4]
+        f = _idle(rng, q, _random_formula(rng, rng.randrange(0, 3),
+                                          ["x", "y"], ["S"]))
+        S = frozenset(v for v in range(G.n) if rng.random() < .5)
+        for a in range(G.n):  # boolean mode
+            for b in range(G.n):
+                valuation = {"x": a, "y": b, "S": S}
+                got = evaluate(G, None, f, valuation)
+                assert type(got) is bool
+                assert got == ref_eval(G, f, valuation), f
+        # row mode, over y
+        fn = plans.Binding(G, None, 22).compile(f, ("x", "S"), "y")
+        for a in range(G.n):
+            want = sum(1 << b for b in range(G.n)
+                       if ref_eval(G, f, {"x": a, "y": b, "S": S}))
+            assert fn(a, _mask_of(S)) == want, f
+    folded = "\n".join(sources)  # set and vertex quantifiers, folded
+    assert folded.count(" if _N(") > 100 and folded.count(" if _F else 0") > 10
+
+
+def test_idle_quantifiers_on_the_empty_graph():
+    E0 = LabeledGraph.build(0, [])
+    for text, want in (("exists z. true", False), ("exists Z. true", True),
+                       ("forall z. false", True), ("forall Z. false", False),
+                       ("exists z. (E(z, z) | true)", False),
+                       ("exists Z. forall z. (Z(z) <-> Z(z))", True),
+                       ("forall z. (E(z, z) & false)", True),
+                       ("exists z. exists Z. (E(z, z) | true)", False)):
+        f = parse_formula(text)
+        assert evaluate(E0, None, f) is want == ref_eval(E0, f, {}), text
+    lib = parse_library("def p(x) := exists z. (E(z, z) | x = x)\n"
+                        "def q(x) := exists Z. x = x\n")
+    assert materialize(E0, lib, "p") == materialize(E0, lib, "q") == set()
+
+
+def test_idle_quantifiers_over_an_empty_guarded_range():
+    G = grid(3, 3)
+    none = parse_formula("exists Z. (Z(x) & !Z(x) & x = x)")
+    every = parse_formula("forall Z. ((Z(x) & !Z(x)) -> false)")
+    one = parse_formula("exists Z. (Z(x) & (forall w. (Z(w) -> X(w))) "
+                        "& x = x)")
+    for x in range(G.n):
+        for cap in (0, 22):  # an empty range leaves no free vertex
+            assert evaluate(G, None, none, {"x": x}, set_cap=cap) is False
+            assert evaluate(G, None, every, {"x": x}, set_cap=cap) is True
+            assert evaluate(G, None, one, {"x": x, "X": {x}},
+                            set_cap=cap) is True
+    rows = parse_formula("exists Z. (Z(x) & !Z(x) & E(x, y))")
+    guarded = parse_formula("exists Z. (Z(x) & (forall w. (Z(w) -> X(w))) "
+                            "& E(x, y))")
+    binding = plans.Binding(G, None, 0)
+    assert [binding.compile(rows, ("x",), "y")(x) for x in range(G.n)] == \
+        [0] * G.n
+    adj = G.adjacency_masks()
+    assert [binding.compile(guarded, ("x", "X"), "y")(x, 1 << x)
+            for x in range(G.n)] == adj
+
+
+def test_an_idle_set_quantifier_over_the_cap_is_unknown():
+    G = grid(2, 3)
+    for text in ("exists Z. x = x", "forall Z. x = x",
+                 "exists Z. (E(x, y) | (Z(x) & !Z(x)))",
+                 "forall Z. (E(x, y) & !(Z(x) & !Z(x)))"):
+        f = parse_formula(text)
+        val = {"x": 0, "y": 1}
+        assert evaluate(G, None, f, val, set_cap=G.n) == ref_eval(G, f, val)
+        with pytest.raises(SetQuantifierCapError):  # boolean mode
+            evaluate(G, None, f, val, set_cap=G.n - 1)
+        fn = plans.Binding(G, None, G.n - 1).compile(f, ("x",), "y")
+        with pytest.raises(SetQuantifierCapError):  # row mode
+            fn(0)
+
+
+def test_evaluate_answers_a_bool_through_eval_pred(tmp_path, monkeypatch,
+                                                   capsys):
+    from msograph import cli
+    answers = []
+
+    def spy(*args, **kwargs):
+        answers.append(evaluate(*args, **kwargs))
+        return answers[-1]
+    monkeypatch.setattr(cli, "evaluate", spy)
+    g = tmp_path / "p3.json"
+    g.write_text(grid(1, 3).to_json())
+    lib = tmp_path / "lib.mso"
+    lib.write_text("def adj(x, y) := E(x, y)\n"
+                   "def some(x) := exists Z. x = x\n")
+    for pred, assign, out in (("adj", "x=0, y=1", "true"),
+                              ("adj", "x=0, y=2", "false"),
+                              ("some", "x=1", "true")):
+        assert cli.main(["eval", str(g), "--library", str(lib), "--pred",
+                         pred, "--assign", assign]) == 0
+        assert capsys.readouterr().out.strip() == out
+    assert [type(a) for a in answers] == [bool] * 3
 
 
 def _beside_a_set_quantifier(rng):
