@@ -24,7 +24,12 @@ and so does a valuation that gives a vertex outside V(G).
 ``evaluate`` keeps the binding of its last call and reuses it while the
 graph object, the library's definitions and the set cap stay the same,
 so calls at many points of one graph plan, bind and close TC once; that
-binding holds its graph until another one comes.
+binding holds its graph until another one comes.  Under a valuation
+with a vertex variable it answers from the row of f over the last one,
+a callee recipe of the binding memoized per tuple of the other names,
+so the n² points of one graph cost n rows; a row that reaches a set
+quantifier over the cap falls back to the plan of the point, and the
+answer is unknown only when both reach it.
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
@@ -80,7 +85,7 @@ def _binding(G: LabeledGraph, lib: Optional[PredicateLibrary], set_cap: int,
     """The binding of the last call if it was made for G (this object),
     the definitions of lib and set_cap, else a new one.  Its memos are
     emptied when the set masks differ from the last call's, so they hold
-    what one call leaves, however many calls there are."""
+    what the calls since the set masks last changed leave."""
     global _last
     defs = lib.key if lib else NO_DEFINITIONS
     if _last is not None and _last[0].G is G and \
@@ -106,11 +111,29 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     and bound once, and label masks, adjacency, TC rows and callee memos
     are made once per graph.  The binding is dropped for another graph,
     other definitions or another set cap, and it keeps the last graph
-    alive until then."""
+    alive until then.
+
+    With a vertex variable in the valuation, the answer is the point's
+    bit of the row of f over the last such variable, memoized in the
+    binding for the values of the other names.  If that row reaches a
+    set quantifier over the cap, f is evaluated at the point alone;
+    SetQuantifierCapError is raised only when that plan reaches one
+    too."""
     valuation = valuation or {}
+    names = tuple(valuation)
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
-    sets = tuple(a for name, a in zip(valuation, args) if is_set_var(name))
-    fn = _binding(G, lib, set_cap, sets).compile(f, list(valuation))
+    sets = tuple(a for name, a in zip(names, args) if is_set_var(name))
+    binding = _binding(G, lib, set_cap, sets)
+    i = len(names) - 1
+    while i >= 0 and is_set_var(names[i]):
+        i -= 1
+    if i >= 0:  # the row over the last vertex variable, memoized
+        rows = binding.make(("D", f, names[:i] + names[i + 1:], names[i]))
+        try:
+            return bool(rows(*args[:i], *args[i + 1:]) >> args[i] & 1)
+        except SetQuantifierCapError:
+            pass  # the point plan may not reach the capped quantifier
+    fn = binding.compile(f, names)
     return bool(fn(*args))  # a compiled test returns 0, 1 or a bool
 
 

@@ -585,6 +585,8 @@ class _Planner:
         """Source of the OR of the row body over the vertices z in zs."""
         if not _reads(body, z):  # idle: the same row at every z
             return "_F" if body == zs == "_F" else self._idle(body, zs)
+        if body == f"1 << {z}":  # the OR of the z in zs
+            return zs
         rows, _, index = body.rpartition("[")
         if index == f"{z}]" and not _reads(rows, z) and _lookup(rows):
             return f"_I({zs}, {rows})"  # body is rows[z]

@@ -21,8 +21,9 @@ candidate domains they pass: ``is_induced_subgraph_of`` and
 ``is_antichain`` let v go to any vertex of degree at least deg(v);
 ``is_isomorphic`` to vertices of equal key.  ``isomorphism_classes``
 keeps the record of each class it has yielded, bucketed by invariant,
-and searches each kept record that shares a new graph's invariant, as
-the pattern, into the new graph; isomorphism is symmetric, so a
+and its rows; a new graph with the rows of a kept one is skipped
+unsearched, and otherwise each kept record that shares its invariant is
+searched, as the pattern, into it; isomorphism is symmetric, so a
 duplicate never sorts its vertices.  Its core, ``_first_of_classes``,
 takes bare rows with an item each, so the census of ``interpret``
 builds only the graphs it keeps.  The search core stops at the first
@@ -310,22 +311,27 @@ def isomorphism_classes(graphs: Iterable[LabeledGraph]
     return _first_of_classes((G._adjacency_rows(), G) for G in graphs)
 
 
-def _first_of_classes(items: Iterable[tuple[Sequence[int], T]]
+def _first_of_classes(items: Iterable[tuple[tuple[int, ...], T]]
                       ) -> Iterator[T]:
     """Of (adjacency rows, item) pairs, the item of the first rows of
     each isomorphism class, in input order.
 
-    The rows are searched only against the kept records with their
-    invariant, each kept record as the pattern, and a match is always
-    confirmed by the search.
+    Rows equal to those of a kept graph are skipped unsearched, since
+    the identity maps them.  Other rows are searched only against the
+    kept records with their invariant, each kept record as the pattern,
+    and a match is always confirmed by the search.
     """
     kept: dict[tuple, list[_Graph]] = {}
+    rows: set[tuple[int, ...]] = set()  # of the kept graphs
     for adj, item in items:
+        if adj in rows:
+            continue
         g = _Graph(adj)
         bucket = kept.setdefault(g.invariant, [])
         if any(_isomorphism(K, g, None) is not None for K in bucket):
             continue
         bucket.append(g)
+        rows.add(adj)
         yield item
 
 

@@ -832,8 +832,10 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
     def held(binding):
         return sum(memo.cache_info().currsize for memo in binding.memos)
     for S in range(1 << G.n):
+        # evaluate answers from the memoized row over x, the last vertex
+        # variable: one call leaves what making that row leaves
         one = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
-        want = one.compile(f, ("x", "S"))(0, S)
+        want = one.make(("D", f, ("S",), "x"))(S) & 1
         S_set = frozenset(v for v in range(G.n) if S >> v & 1)
         assert evaluate(G, lib, f, {"x": 0, "S": S}) == want == \
             ref_eval(G, f, {"x": 0, "S": S_set}, lib)
@@ -923,6 +925,94 @@ def test_forget_empties_a_live_callee_memo():
     assert memo.cache_info().currsize == 0
     assert fn(0, 0b10)  # recomputed, not lost
     assert memo.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------------------------
+# evaluate at a point: the memoized row over the last vertex variable
+# ---------------------------------------------------------------------------
+
+def _capped(fn):
+    """fn's result, or None if it reaches a set quantifier over the cap."""
+    try:
+        return fn()
+    except SetQuantifierCapError:
+        return None
+
+
+def test_a_point_is_read_from_the_row_of_the_last_vertex_variable():
+    rng = random.Random(89)
+    calls = [("p", "vv"), ("q", "vS")]
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        G = _random_graph(rng, n)
+        lib = rng.choice((None, _random_library(rng)))
+        vvars = rng.sample(VERTEX_NAMES, rng.randrange(1, 4))
+        svars = rng.sample(SET_NAMES, rng.randrange(0, 2))
+        names = vvars + svars
+        rng.shuffle(names)
+        row = [v for v in names if not is_set_var(v)][-1]
+        i = names.index(row)
+        # a valuated vertex variable, the row variable too, may be unused
+        used = [v for v in vvars if len(vvars) == 1 or rng.random() < .8]
+        f = _random_formula(rng, rng.randrange(1, 5), used or vvars, svars,
+                            calls if lib else ())
+        if rng.random() < 0.25:  # f binds the row variable again inside
+            f = rng.choice((And, Or))(f, ExistsV(row, _random_formula(
+                rng, rng.randrange(0, 2), [row], svars)))
+            seen.add("bound again")
+        if row not in free_vars(f):
+            seen.add("row not free")
+        cap = rng.choice((22, 3, 1, 0))
+        S = frozenset(v for v in range(n) if rng.random() < .5)
+        for _ in range(3):  # points of one graph share a binding
+            valuation = {name: S if is_set_var(name) else rng.randrange(n)
+                         for name in names}
+            args = [_mask_of(v) for v in valuation.values()]
+            rows = _capped(lambda: plans.Binding(G, lib, cap).make(
+                ("D", f, (*names[:i], *names[i + 1:]), row))(
+                    *args[:i], *args[i + 1:]) >> args[i] & 1)
+            point = _capped(lambda: plans.Binding(G, lib, cap).compile(
+                f, names)(*args))
+            got = _capped(lambda: evaluate(G, lib, f, valuation,
+                                           set_cap=cap))
+            assert got is None or type(got) is bool
+            if rows is None and point is None:
+                assert got is None, f
+                seen.add("neither")
+                continue
+            want = ref_eval(G, f, valuation, lib)
+            assert got == want, f
+            for answer in (rows, point):
+                assert answer is None or bool(answer) == want, f
+            seen.add("both" if rows is not None and point is not None else
+                     "row only" if point is None else "point only")
+    assert seen == {"both", "row only", "point only", "neither",
+                    "bound again", "row not free"}
+
+
+def test_a_row_skips_the_set_quantifier_that_an_atom_decides():
+    # the row path answers here itself: without the short-circuit it
+    # would hit the cap and leave the answer to the point plan
+    f = parse_formula("(exists S. S(x)) | x = x")
+    G = grid(1, 3)
+    assert plans.Binding(G, None, 1).compile(f, (), "x")() == 0b111
+    assert evaluate(G, None, f, {"x": 0}, set_cap=1)
+
+
+def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
+    G = grid(5, 6)
+    f = parse_formula("x = y | exists S. E(x, y)")
+    binding = plans.Binding(G, None, logic.DEFAULT_SET_CAP)
+    with pytest.raises(SetQuantifierCapError):  # the row over y
+        binding.compile(f, ("x",), "y")(0)
+    assert evaluate(G, None, f, {"x": 0, "y": 0})
+    with pytest.raises(SetQuantifierCapError):
+        evaluate(G, None, f, {"x": 0, "y": 1})
+    # a row that hit the cap is not kept
+    rows = logic._last[0].made[("D", f, ("x",), "y")]
+    assert rows.cache_info().currsize == 0
+    assert evaluate(G, None, f, {"x": 0, "y": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -1106,18 +1196,26 @@ def test_idle_quantifiers_match_the_reference(monkeypatch):
     sources = _plan_sources(monkeypatch)
     rng = random.Random(83)
     quantifiers = (ExistsV, ForallV, ExistsS, ForallS)
-    for i in range(240):
+    for i in range(300):
         G = _random_graph(rng, rng.randrange(0, 5))
-        q = quantifiers[i % 4]
-        f = _idle(rng, q, _random_formula(rng, rng.randrange(0, 3),
-                                          ["x", "y"], ["S"]))
+        if i % 5 == 4:
+            # exists z. (g & z = y) is the row of g over z: _E(zs, lambda
+            # z: 1 << z) is zs itself
+            eq = rng.choice((Eq("z", "y"), Eq("y", "z")))
+            g = _random_formula(rng, rng.randrange(0, 3), ["x", "z"], ["S"])
+            f = ExistsV("z", rng.choice((And(g, eq), And(eq, g))))
+        else:
+            f = _idle(rng, quantifiers[i % 5], _random_formula(
+                rng, rng.randrange(0, 3), ["x", "y"], ["S"]))
         S = frozenset(v for v in range(G.n) if rng.random() < .5)
-        for a in range(G.n):  # boolean mode
+        test = plans.Binding(G, None, 22).compile(f, ("x", "y", "S"))
+        for a in range(G.n):  # boolean mode, and evaluate
             for b in range(G.n):
                 valuation = {"x": a, "y": b, "S": S}
                 got = evaluate(G, None, f, valuation)
                 assert type(got) is bool
-                assert got == ref_eval(G, f, valuation), f
+                assert got == bool(test(a, b, _mask_of(S))) == \
+                    ref_eval(G, f, valuation), f
         # row mode, over y
         fn = plans.Binding(G, None, 22).compile(f, ("x", "S"), "y")
         for a in range(G.n):
@@ -1126,6 +1224,11 @@ def test_idle_quantifiers_match_the_reference(monkeypatch):
             assert fn(a, _mask_of(S)) == want, f
     folded = "\n".join(sources)  # set and vertex quantifiers, folded
     assert folded.count(" if _N(") > 100 and folded.count(" if _F else 0") > 10
+    for src in sources:  # no lambda z: 1 << z is left
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Lambda):
+                assert ast.dump(node.body) != ast.dump(ast.parse(
+                    f"1 << {node.args.args[0].arg}", mode="eval").body), src
 
 
 def test_idle_quantifiers_on_the_empty_graph():

@@ -243,6 +243,24 @@ def test_isomorphism_classes_keep_the_first_of_each_class():
     assert [id(G) for G in kept] == [id(G) for G in firsts]
 
 
+def test_rows_of_a_kept_graph_are_skipped_unsearched(monkeypatch):
+    # equal rows are the same graph, whatever their names and labels
+    first = LabeledGraph.build(4, [(0, 1), (1, 2)], labels={"a": [3]})
+    same = LabeledGraph.build(4, [(1, 2), (0, 1)], names={3: "d"})
+    other = LabeledGraph.build(4, [(2, 3), (1, 2)])  # isomorphic, moved
+    assert same._adjacency_rows() == first._adjacency_rows()
+    made, searched = [], []
+    record, isomorphism = search._Graph, search._isomorphism
+    monkeypatch.setattr(search, "_Graph",
+                        lambda adj: made.append(adj) or record(adj))
+    monkeypatch.setattr(search, "_isomorphism", lambda *args: searched.append(
+        args) or isomorphism(*args))
+    kept = list(isomorphism_classes([first, same, other, same, first]))
+    assert [id(G) for G in kept] == [id(first)]
+    assert made == [first._adjacency_rows(), other._adjacency_rows()]
+    assert len(searched) == 1
+
+
 def test_records_from_rows_equal_records_from_the_graph():
     rng = random.Random(15)
     for _ in range(40):
