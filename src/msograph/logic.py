@@ -24,22 +24,24 @@ and so does a valuation that gives a vertex outside V(G).
 ``evaluate`` keeps the binding of its last call and reuses it while the
 graph object, the library's definitions and the set cap stay the same,
 so calls at many points of one graph plan, bind and close TC once; that
-binding holds its graph until another one comes.  Under a valuation
-with a vertex variable it answers from the row of f over the last one,
-a callee recipe of the binding memoized per tuple of the other names,
-so the n² points of one graph cost n rows; a row that reaches a set
-quantifier over the cap falls back to the plan of the point, and the
-answer is unknown only when both reach it.
+binding holds its graph until another one comes.  A formula asked at
+one point of a binding runs the plan of that point; from the second
+point on, it is answered from its row over the last vertex variable,
+memoized for the last n tuples of the other arguments, so the n²
+points of one graph cost n rows.  Either plan falls back to the other when it
+reaches a set quantifier over the cap, so the answer is unknown only
+when both reach one.
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .graphs import LabeledGraph
-from .plans import (MAX_MATERIALIZE_ARITY, Binding, EvalError,
-                    SetQuantifierCapError, _tabulatable)
+from .plans import (MAX_MATERIALIZE_ARITY, PLAN_CACHE_SIZE, Binding,
+                    EvalError, SetQuantifierCapError, _tabulatable)
 from .syntax import (  # re-exported: the dialect's public names
     TC, And, App, Definition, EdgeAtom, Eq, ExistsS, ExistsV, FalseF,
     ForallS, ForallV, Formula, FormulaSyntaxError, Iff, Implies,
@@ -74,29 +76,75 @@ def _argument(n: int, name: str, val) -> int:
     return mask
 
 
-# The binding of the last call of evaluate, and the set masks that call
-# was given.  It holds its graph until evaluate is called on another
-# graph, library definitions or set cap.
-_last: Optional[tuple[Binding, tuple[int, ...]]] = None
+# The binding of the last call of evaluate, the set masks that call was
+# given, and what ``_at_point`` keeps of the formulas asked at a point
+# since those masks were set.  It holds its graph until evaluate is
+# called on another graph, library definitions or set cap.
+_last: Optional[tuple[Binding, tuple[int, ...], dict]] = None
 
 
 def _binding(G: LabeledGraph, lib: Optional[PredicateLibrary], set_cap: int,
-             sets: tuple[int, ...]) -> Binding:
+             sets: tuple[int, ...]) -> tuple[Binding, dict]:
     """The binding of the last call if it was made for G (this object),
-    the definitions of lib and set_cap, else a new one.  Its memos are
-    emptied when the set masks differ from the last call's, so they hold
-    what the calls since the set masks last changed leave."""
+    the definitions of lib and set_cap, else a new one, and the formulas
+    asked at a point on it.  Both are emptied of their memos when the
+    set masks differ from the last call's, so these hold values for the
+    current set masks only."""
     global _last
     defs = lib.key if lib else NO_DEFINITIONS
     if _last is not None and _last[0].G is G and \
             _last[0].set_cap == set_cap and _last[0].defs == defs:
-        binding, last_sets = _last
+        binding, last_sets, asked = _last
         if last_sets != sets:
             binding.forget()
+            asked = {}
     else:
-        binding = Binding(G, lib, set_cap)
-    _last = binding, sets
-    return binding
+        binding, asked = Binding(G, lib, set_cap), {}
+    _last = binding, sets, asked
+    return binding, asked
+
+
+_CAPPED = "capped"  # the row reached a set quantifier over the cap
+
+
+def _at_point(binding: Binding, asked: dict, f: Formula,
+              names: tuple[str, ...], args: list[int], i: int) -> bool:
+    """Whether f holds at args, the values of names, of which names[i] is
+    the last vertex variable.
+
+    While f and names have been asked at one point only, the plan of the
+    point runs, which is all a one-shot or repeated query needs.  From
+    the second point on, the point's bit is read from the row of f over
+    names[i], memoized for the last n tuples of the other arguments,
+    until that row once reaches a set quantifier over the cap.
+    Whichever plan runs first, the other runs if it raises
+    SetQuantifierCapError, so the answer is known whenever either plan
+    stays under the cap; if neither does, the point's error is raised."""
+    key, point = (f, names), tuple(args)
+    state = asked.get(key)  # the point asked, the row memo or _CAPPED
+    others, y = names[:i] + names[i + 1:], names[i]
+    rest = (*args[:i], *args[i + 1:])
+    if state is None:
+        if len(asked) >= PLAN_CACHE_SIZE:
+            asked.clear()
+        state = asked[key] = point
+    elif type(state) is tuple and state != point:  # a second point
+        state = asked[key] = functools.lru_cache(maxsize=binding.G.n)(
+            binding.compile(f, others, y))
+    if not callable(state):
+        try:
+            return bool(binding.compile(f, names)(*args))
+        except SetQuantifierCapError as error:
+            capped = error  # the row may not reach the capped quantifier
+        try:
+            return bool(binding.compile(f, others, y)(*rest) >> args[i] & 1)
+        except SetQuantifierCapError:
+            raise capped from None
+    try:
+        return bool(state(*rest) >> args[i] & 1)
+    except SetQuantifierCapError:
+        asked[key] = _CAPPED  # the plan of the point runs first again
+    return bool(binding.compile(f, names)(*args))
 
 
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
@@ -113,28 +161,24 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     other definitions or another set cap, and it keeps the last graph
     alive until then.
 
-    With a vertex variable in the valuation, the answer is the point's
-    bit of the row of f over the last such variable, memoized in the
-    binding for the values of the other names.  If that row reaches a
-    set quantifier over the cap, f is evaluated at the point alone;
-    SetQuantifierCapError is raised only when that plan reaches one
-    too."""
+    With a vertex variable in the valuation, f is evaluated at the point
+    alone while it has been asked at one point of the binding with these
+    names; from the second point on, the answer is the point's bit of
+    the row of f over the last vertex variable, memoized for the last n
+    tuples of the other values.
+    SetQuantifierCapError is raised only when both plans reach a set
+    quantifier over the cap, whatever was asked before."""
     valuation = valuation or {}
     names = tuple(valuation)
     args = [_argument(G.n, name, val) for name, val in valuation.items()]
     sets = tuple(a for name, a in zip(names, args) if is_set_var(name))
-    binding = _binding(G, lib, set_cap, sets)
+    binding, asked = _binding(G, lib, set_cap, sets)
     i = len(names) - 1
     while i >= 0 and is_set_var(names[i]):
         i -= 1
-    if i >= 0:  # the row over the last vertex variable, memoized
-        rows = binding.make(("D", f, names[:i] + names[i + 1:], names[i]))
-        try:
-            return bool(rows(*args[:i], *args[i + 1:]) >> args[i] & 1)
-        except SetQuantifierCapError:
-            pass  # the point plan may not reach the capped quantifier
-    fn = binding.compile(f, names)
-    return bool(fn(*args))  # a compiled test returns 0, 1 or a bool
+    if i >= 0:
+        return _at_point(binding, asked, f, names, args, i)
+    return bool(binding.compile(f, names)(*args))  # 0, 1 or a bool
 
 
 def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,

@@ -832,10 +832,8 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
     def held(binding):
         return sum(memo.cache_info().currsize for memo in binding.memos)
     for S in range(1 << G.n):
-        # evaluate answers from the memoized row over x, the last vertex
-        # variable: one call leaves what making that row leaves
         one = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
-        want = one.make(("D", f, ("S",), "x"))(S) & 1
+        want = one.compile(f, ("x", "S"))(0, S)
         S_set = frozenset(v for v in range(G.n) if S >> v & 1)
         assert evaluate(G, lib, f, {"x": 0, "S": S}) == want == \
             ref_eval(G, f, {"x": 0, "S": S_set}, lib)
@@ -850,7 +848,20 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
         assert evaluate(G, lib, g, {"x": 0, "S": 0b10})
         assert logic._last[0] is binding
         assert len(binding.made) <= bound
+        assert len(logic._last[2]) <= plans.PLAN_CACHE_SIZE
     assert evaluate(G, lib, first, {"x": 0, "S": 0b10})
+    # at many points under one set mask, the row of a formula is kept
+    # for the last n tuples of the other vertices only
+    g = parse_formula("TC[a, b: E(a, b) & S(b)](w, x) & E(x, y)")
+    for w in range(G.n):
+        for y in range(G.n):
+            for x in range(G.n):
+                valuation = {"w": w, "y": y, "x": x, "S": 0b110111}
+                assert evaluate(G, lib, g, valuation) == ref_eval(
+                    G, g, {**valuation, "S": {0, 1, 2, 4, 5}}, lib)
+    rows = logic._last[2][(g, ("w", "y", "x", "S"))]
+    assert rows.cache_info().maxsize == rows.cache_info().currsize == G.n
+    assert rows.cache_info().hits == G.n ** 3 - G.n ** 2 - 1
 
 
 def _values_of_one_compile(G, f, params):
@@ -965,7 +976,7 @@ def test_a_point_is_read_from_the_row_of_the_last_vertex_variable():
             seen.add("row not free")
         cap = rng.choice((22, 3, 1, 0))
         S = frozenset(v for v in range(n) if rng.random() < .5)
-        for _ in range(3):  # points of one graph share a binding
+        for j in range(4):  # points of one graph share a binding
             valuation = {name: S if is_set_var(name) else rng.randrange(n)
                          for name in names}
             args = [_mask_of(v) for v in valuation.values()]
@@ -985,10 +996,14 @@ def test_a_point_is_read_from_the_row_of_the_last_vertex_variable():
             assert got == want, f
             for answer in (rows, point):
                 assert answer is None or bool(answer) == want, f
-            seen.add("both" if rows is not None and point is not None else
-                     "row only" if point is None else "point only")
-    assert seen == {"both", "row only", "point only", "neither",
-                    "bound again", "row not free"}
+            # the first call runs the point first, a later one at
+            # another point the row
+            seen.add(("both" if rows is not None and point is not None else
+                      "row only" if point is None else "point only",
+                      "first" if j == 0 else "later"))
+    assert seen == {"neither", "bound again", "row not free"} | {
+        (answered, call) for answered in ("both", "row only", "point only")
+        for call in ("first", "later")}
 
 
 def test_a_row_skips_the_set_quantifier_that_an_atom_decides():
@@ -997,7 +1012,9 @@ def test_a_row_skips_the_set_quantifier_that_an_atom_decides():
     f = parse_formula("(exists S. S(x)) | x = x")
     G = grid(1, 3)
     assert plans.Binding(G, None, 1).compile(f, (), "x")() == 0b111
-    assert evaluate(G, None, f, {"x": 0}, set_cap=1)
+    assert evaluate(G, None, f, {"x": 0}, set_cap=1)  # the point
+    assert evaluate(G, None, f, {"x": 1}, set_cap=1)  # the row
+    assert logic._last[2][(f, ("x",))].cache_info().currsize == 1
 
 
 def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
@@ -1006,13 +1023,45 @@ def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
     binding = plans.Binding(G, None, logic.DEFAULT_SET_CAP)
     with pytest.raises(SetQuantifierCapError):  # the row over y
         binding.compile(f, ("x",), "y")(0)
-    assert evaluate(G, None, f, {"x": 0, "y": 0})
-    with pytest.raises(SetQuantifierCapError):
+    assert evaluate(G, None, f, {"x": 0, "y": 0})  # the point
+    assert logic._last[2][(f, ("x", "y"))] == (0, 0)
+    with pytest.raises(SetQuantifierCapError):  # the row, then the point
         evaluate(G, None, f, {"x": 0, "y": 1})
-    # a row that hit the cap is not kept
-    rows = logic._last[0].made[("D", f, ("x",), "y")]
-    assert rows.cache_info().currsize == 0
+    # the row that reached the cap is not asked again
+    assert logic._last[2][(f, ("x", "y"))] is logic._CAPPED
     assert evaluate(G, None, f, {"x": 0, "y": 0})
+    # on its first call, a point its own plan cannot reach: the closure
+    # is reflexive, so the row is full without the closure's body
+    g = parse_formula("TC[u, v: exists S. E(u, v)](y, y)")
+    with pytest.raises(SetQuantifierCapError):
+        plans.Binding(G, None, logic.DEFAULT_SET_CAP).compile(g, ("y",))(3)
+    assert evaluate(G, None, g, {"y": 3})
+    assert logic._last[2][(g, ("y",))] == (3,)
+
+
+def test_a_point_asked_once_runs_the_plan_of_the_point(monkeypatch):
+    # a guarded set quantifier whose body, at the point, does not read
+    # its set: the point tests that its range has a set, while the row
+    # over y has one free vertex more and a body that reads S
+    f = parse_formula("exists S. (S(x) & S(y) & !(x = y))")
+    G = LabeledGraph.build(12, [])
+    visited = []
+    evaluate(G, None, parse_formula("true"))  # the binding of G
+    helpers = logic._last[0].base
+    subsets = helpers["_S"]
+
+    def counted(*args):
+        for Z in subsets(*args):
+            visited.append(Z)
+            yield Z
+    monkeypatch.setitem(helpers, "_S", counted)
+    for _ in range(3):
+        assert evaluate(G, None, f, {"x": 0, "y": 1})
+    assert visited == []  # one point, however often, visits no set
+    assert not evaluate(G, None, f, {"x": 0, "y": 0})
+    assert len(visited) == 1 << G.n - 1  # the row over y, at x = 0
+    assert evaluate(G, None, f, {"x": 0, "y": 5})
+    assert len(visited) == 1 << G.n - 1  # read from the kept row
 
 
 # ---------------------------------------------------------------------------
