@@ -126,6 +126,9 @@ def parse_assignment(text: str) -> dict:
         if isinstance(value, int) and is_set_var(name.text):
             raise UsageError(
                 f"{name.text!r} is a set variable but gets a vertex")
+        if name.text in out:
+            raise UsageError(f"{name.text!r} is assigned twice "
+                             f"(at position {name.pos})")
         out[name.text] = value
     return out
 

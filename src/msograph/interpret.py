@@ -310,11 +310,17 @@ def parse_interpretation(text: str) -> Interpretation:
     params: tuple[str, ...] = ()
     rules: dict[str, Formula] = {}
     lib = PredicateLibrary()
+    given: set[str] = set()  # the header and the rules read so far
     while not p.at_end():
         word = p.peek()
         if word.text == "def":
             lib.define(*p.definition())
-        elif word.text == "params":
+            continue
+        if word.text in given:
+            raise InterpretationError(f"{word.text!r} is given twice (again "
+                                      f"at position {word.pos})")
+        given.add(word.text)
+        if word.text == "params":
             params = p.header()
         elif word.text in _RULES:
             _, declared, body = p.rule()

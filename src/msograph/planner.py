@@ -49,25 +49,27 @@ class EvalError(ValueError):
 # _S does.  A fragment is bracketed only where Python's precedence
 # needs it (``_at``).
 #
-# Order.  A literal is *plain* when it is quantifier-free (the node's
-# ``qf`` fact) and calls only labels and tables.  A conjunction in row
-# mode puts its plain literals first: those without y become a guard,
-# and the rows of those with y one mask, a & b & ~c, with no
-# temporary, or a | b complemented when every one is a complement.
-# Then come the tests of the pure literals without y (no set quantifier
-# reached), then the others in their order, each ANDed into a
-# temporary, stopping at the first one whose row is 0.  In boolean mode
-# a conjunction, disjunction or implication is spread into its literals
-# the same way, and the plain ones are tested first, each part in its
-# order, so an atom that decides the connective skips the quantified
-# literals beside it.  Either way a set quantifier is reached only from
-# a live branch, and an idle one makes its range and reads its body
-# once, in the order its loop did.  The constant rows 0 and _F and the
-# constant tests fold away.  The tables of library predicates are rows
-# too (Table).  A TC body and a definition called without a table each
-# have a plan of their own, planned and bound when the binding first
-# binds them and memoized per argument tuple; TC rows are reachability
-# masks, built from one successor row per vertex.
+# Order.  Every connective orders its literals by rank (``_rank``),
+# each rank in its written order: 0 for a *plain* literal (quantifier-
+# free, the node's ``qf`` fact, and calling only labels and tables), 1
+# for one that reaches no set quantifier, 2 for the others.  In boolean
+# mode a conjunction, disjunction or implication is spread into its
+# literals, tested rank by rank, so an atom that decides the connective
+# skips the quantified literals beside it.  A conjunction in row mode
+# makes its plain tests, then its tests of rank 1, a guard, and the rows
+# of its plain literals one mask, a & b & ~c, with no temporary, or
+# a | b complemented when every one is a complement; its rows of rank 1,
+# then its literals of rank 2, follow, each ANDed into a temporary,
+# stopping at the first one whose row is 0.  So a set quantifier is
+# reached only from a live branch, and one that a row skips is rarely
+# reached at a point (``evaluate``).  An idle set quantifier makes its
+# range and reads its body once, in the order its loop did.  Constant
+# rows and tests fold away, the reflexive closure TC[..](a, a) too.  The
+# tables of library predicates are rows too (Table).  A TC body and a
+# definition called without a table each have a plan of their own,
+# planned and bound when the binding first binds them and memoized per
+# argument tuple; TC rows are reachability masks, built from one
+# successor row per vertex.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -171,7 +173,7 @@ class _Planner:
         elif is_set_var(row):
             raise EvalError(f"row variable {row!r} is a set variable")
         else:
-            expr = self.row(f, scope, row)
+            expr = self._final(*self._row(f, scope, row, 0))
         src = (f"def _f({', '.join(map(_ident, params))}):\n"
                f"    return {expr}\n")
         namespace: dict = {}
@@ -231,19 +233,15 @@ class _Planner:
             self.recipes.append((g, recipe))
         return g
 
-    def pure(self, f: Formula) -> bool:
-        """f reaches no set quantifier: it has none and calls no
-        definition without a table."""
-        return not f.sets and self._direct(f)
-
-    def plain(self, f: Formula) -> bool:
-        """f is quantifier-free and calls no definition without a table:
-        its row is mask algebra on arguments, labels and table rows."""
-        return f.qf and self._direct(f)
-
-    def _direct(self, f: Formula) -> bool:
-        return not f.calls or all(name in self.tables or name not in self.lib
-                                  for name, _ in f.calls)
+    def _rank(self, g: Formula) -> int:
+        """Where the literal g goes in its connective: 0 if it is plain
+        (quantifier-free, its row mask algebra on arguments, labels and
+        table rows), 1 if it reaches no set quantifier, else 2.  A call
+        of a definition without a table counts as reaching one."""
+        if g.calls and any(name in self.lib and name not in self.tables
+                           for name, _ in g.calls):
+            return 2
+        return 0 if g.qf else 2 if g.sets else 1
 
     def adjacency(self) -> str:
         return self._global(("A",))
@@ -337,22 +335,25 @@ class _Planner:
                          self._idle(body, f"_N{args}"))
             return self._negation(found) if kind is ForallS else found
         if kind is TC:
-            rows = f"{self._tc(f, scope)}[{self.vertex(f.a, scope)}]"
-            return self._bit(rows, self.vertex(f.b, scope))
+            rows = self._tc(f, scope)  # bound for its names if it folds
+            a, b = self.vertex(f.a, scope), self.vertex(f.b, scope)
+            if a == b:
+                return "True"  # the closure is reflexive
+            return self._bit(f"{rows}[{a}]", b)
         raise TypeError(f"unknown node {f!r}")
 
     def _junction(self, lits: list[tuple[Formula, bool]], conj: bool,
                   scope: frozenset, depth: int) -> str:
         """Source of the truth value of the conjunction of the literals,
-        or if not conj of the disjunction of their negations.  The plain
-        literals are tested first, each part in its order."""
+        or if not conj of the disjunction of their negations, tested by
+        rank (``_rank``), each rank in its order."""
         unit, zero = ("True", "False") if conj else ("False", "True")
-        terms, then = [], []
+        ranked = ([], [], [])
         for g, neg in lits:
             t = self._literal_test(g, neg if conj else not neg, scope, depth)
             if t != unit:
-                (terms if self.plain(g) else then).append(t)
-        terms += then
+                ranked[self._rank(g)].append(t)
+        terms = ranked[0] + ranked[1] + ranked[2]
         if zero in terms or not terms:
             return zero if terms else unit
         return (self._join(terms, " and ", _AND) if conj else
@@ -392,20 +393,13 @@ class _Planner:
 
     # -- row mode -----------------------------------------------------------
 
-    def row(self, f: Formula, scope: frozenset, y: str, depth: int = 0,
-            negated: bool = False) -> str:
-        """Source of the row of f, or of !f if negated, over the vertex
-        variable y: the bitmask of the values of y at which it holds.
-        Every other free variable of f is in scope; a binding of y in
-        scope is shadowed."""
-        src, comp = self._row(f, scope, y, depth)
-        return self._final(src, comp != negated)
-
     def _row(self, f: Formula, scope: frozenset, y: str,
              depth: int) -> tuple[str, bool]:
-        """The row of f over y as (source, complemented): the row is the
-        value of the source, or its complement if complemented, so that
-        a negation costs nothing.  The constant rows are "0" and "_F"."""
+        """The row of f over y, the mask of the y at which it holds, as
+        (source, complemented): the row is the value of the source, or its
+        complement if complemented, so that a negation costs nothing.  The
+        constant rows are "0" and "_F".  The other free variables of f are
+        in scope; a y there is shadowed."""
         scope = scope - {y}
         if y not in f.free:
             t = self.test(f, scope, depth)
@@ -475,42 +469,42 @@ class _Planner:
                      scope: frozenset, y: str,
                      depth: int) -> tuple[str, bool]:
         """The row over y of the conjunction of the literals, as ``_row``
-        gives it.  The plain literals come first: those without y are
-        tested, and the rows of those with y are ANDed into one mask.
-        Then the pure literals without y are tested, and the others
-        follow in order; the first whose row is 0 skips the rest.  Tests
-        before the first row guard the whole conjunction.  A literal that
-        is constantly false makes it "0", one constantly true drops out."""
-        guard, pos, neg, tests, chain = [], [], [], [], []
+        gives it, by rank (``_rank``).  Those of rank 0 come first: those
+        without y are tested, and the rows of those with y are ANDed into
+        one mask.  Then come the tests of rank 1, the rows of rank 1, and
+        the literals of rank 2, each part in its order; the first whose
+        row is 0 skips the rest.  Tests before the first row guard the
+        whole conjunction.  A literal that is constantly false makes it
+        "0", one constantly true drops out."""
+        guard, pos, neg, tests, rows, chain = [], [], [], [], [], []
         zero = False  # a literal is constantly false
         for g, n in lits:
+            rank = self._rank(g)
             if y in g.free:
                 src, comp = self._row(g, scope, y, depth)
                 comp = comp != n
                 if src == "0" or src == "_F":
                     zero = zero or (src == "_F") == comp
-                elif not self.plain(g):
-                    chain.append((src, comp))
+                elif rank:
+                    (rows if rank == 1 else chain).append((src, comp))
                 elif src not in (neg if comp else pos):
                     (neg if comp else pos).append(src)
                 continue
             t = self._literal_test(g, n, scope, depth)
             if t == "True" or t == "False":
                 zero = zero or t == "False"
-            elif self.plain(g):
-                if t not in guard:
-                    guard.append(t)
-            else:
-                (tests if self.pure(g) else chain).append(t)
+            elif rank:
+                (tests if rank == 1 else chain).append(t)
+            elif t not in guard:
+                guard.append(t)
         if zero or pos and neg and not set(pos).isdisjoint(neg):
             return "0", False
         if pos:
             inverted = [self._op(_INV, f"~{self._at(m, _INV)}") for m in neg]
-            chain.insert(0, (self._join(pos + inverted, " & ", _BAND), False))
+            rows.insert(0, (self._join(pos + inverted, " & ", _BAND), False))
         elif neg:
-            chain.insert(0, (self._join(neg, " | ", _BOR), True))
-        if tests:
-            chain[:0] = tests
+            rows.insert(0, (self._join(neg, " | ", _BOR), True))
+        chain[:0] = tests + rows
         while chain and type(chain[0]) is str:
             guard.append(chain.pop(0))
         if not chain:
@@ -553,14 +547,15 @@ class _Planner:
                     scope: frozenset, y: str,
                     depth: int) -> tuple[str, bool]:
         """The row over y of exists z. (the conjunction of lits), as
-        ``_row`` gives it.  The pure literals without y give the z to
-        visit, those without z are taken once, outside the loop, and the
-        OR over the visited z takes the rows of the others."""
+        ``_row`` gives it.  The literals of rank 0 or 1 (``_rank``)
+        without y give the z to visit, those without z are taken once,
+        outside the loop, and the OR over the visited z takes the rows of
+        the others."""
         guard, outside, rest = [], [], []
         for g, neg in lits:
-            pure = self.pure(g)
-            (guard if pure and y not in g.free else
-             outside if pure and z not in g.free else rest).append((g, neg))
+            low = self._rank(g) < 2
+            (guard if low and y not in g.free else
+             outside if low and z not in g.free else rest).append((g, neg))
         # an empty conjunction is "_F": every z, or the row _F at each
         zs = self._final(*self._conjunction(guard, scope - {z}, z, depth))
         body = self._final(*self._conjunction(rest, scope | {z}, y, depth))
@@ -666,8 +661,12 @@ class _Planner:
 
     def _pointwise(self, f: Formula, scope: frozenset, y: str) -> str:
         """The row of f over y built one vertex at a time, for the calls
-        and TC bodies whose row cannot be taken whole."""
-        return f"_P(lambda {_ident(y)}: {self.test(f, scope | {y})})"
+        and TC bodies whose row cannot be taken whole; a constant test is
+        the row _F or 0."""
+        t = self.test(f, scope | {y})
+        if t == "True" or t == "False":
+            return "_F" if t == "True" else "0"
+        return f"_P(lambda {_ident(y)}: {t})"
 
     # -- tables, definitions and TC -----------------------------------------
 
@@ -700,7 +699,7 @@ class _Planner:
         return f"{g}({', '.join(map(_ident, outer))})"
 
     def _tc_row(self, f: TC, scope: frozenset, y: str) -> str:
-        if y in f.body.free - {f.u, f.v}:
+        if y in f.body.free - {f.u, f.v}:  # first: its recipe reads y
             return self._pointwise(f, scope, y)
         if f.a == f.b:
             self._tc(f, scope)  # bound for its names only

@@ -246,6 +246,33 @@ def test_rules_declare_their_free_vertex_variables(rules, bad):
         parse_interpretation(text)
 
 
+def test_a_repeated_name_is_an_error_not_the_last_value(tmp_path, capsys):
+    with pytest.raises(UsageError, match="'x' is assigned twice"):
+        parse_assignment("x=1, x=2")
+    with pytest.raises(UsageError, match=r"'Y' .* \(at position 11\)"):
+        parse_assignment("Y={}, x=0, Y={1}")  # the second Y
+    header = "params: [Z]\n"
+    domain, edge = "domain(x) := Z(x)\n", "edge(x, y) := E(x, y)\n"
+    for text, twice in ((header + domain + header + edge, "params"),
+                        (header + domain + edge + domain, "domain"),
+                        (edge + header + edge + domain, "edge")):
+        at = text.index(twice, text.index(twice) + 1)
+        with pytest.raises(InterpretationError, match=re.escape(
+                f"{twice!r} is given twice (again at position {at})")):
+            parse_interpretation(text)
+    # through the command line: exit 2 for a valuation, 1 for a file
+    host, interp = tmp_path / "p3.json", tmp_path / "twice.interp"
+    host.write_text(grid(1, 3).to_json())
+    interp.write_text(header + domain + edge + domain)
+    for argv, code in ((["eval", host, "--formula", "x = x", "--assign",
+                         "x=0, x=1"], 2),
+                       (["apply", host, "--interp", interp, "--params",
+                         "Z={0}"], 1)):
+        assert main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:"), err
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing
 # ---------------------------------------------------------------------------
