@@ -9,8 +9,9 @@ defined in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
+
+from .records import Frozen
 
 
 class GraphError(ValueError):
@@ -28,22 +29,29 @@ def _load_json(text: str, error: type[ValueError], what: str):
         raise error(f"{what} is not JSON: {exc}") from None
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Frozen):
     """An undirected simple graph with named unary label sets.
 
     ``edges`` is stored canonically as sorted ``(u, v)`` pairs with
-    ``u < v``; the edge relation is irreflexive and symmetric.
+    ``u < v``; the edge relation is irreflexive and symmetric.  Graphs
+    compare by their fields; the labels are a dict, so a graph has no
+    hash.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    labels: Mapping[str, frozenset[int]] = field(default_factory=dict)
-    names: Mapping[int, str] = field(default_factory=dict)
+    __match_args__ = ("n", "edges", "labels", "names")
     # The adjacency rows, made once per graph on first use and handed on
     # by with_labels; an attribute outside the fields, set only through
     # object.__setattr__, so the instance dict is never materialized.
     _adj = None
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]],
+                 labels: Optional[Mapping[str, frozenset[int]]] = None,
+                 names: Optional[Mapping[int, str]] = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", {} if labels is None else labels)
+        object.__setattr__(self, "names", {} if names is None else names)
+        self.__post_init__()
 
     def __post_init__(self):
         for (u, v) in self.edges:
@@ -246,18 +254,18 @@ def upper_tri_grid(t: int) -> LabeledGraph:
     return LabeledGraph.build(len(idx), edges, names=names)
 
 
-@dataclass(frozen=True)
-class SubdivisionPlan:
+class SubdivisionPlan(Frozen):
     """Which columns of U_r get their horizontal edges replaced by paths.
 
     ``path_sizes[j]`` is the number of vertices on the replacing path,
     endpoints included; 2 means the edge is left alone.
     """
 
-    r: int
-    path_sizes: Mapping[int, int]  # column j in 1..r-1 -> k_j >= 2
+    __match_args__ = ("r", "path_sizes")
 
-    def __post_init__(self):
+    def __init__(self, r: int, path_sizes: Mapping[int, int]):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "path_sizes", path_sizes)  # j -> k_j >= 2
         for j, k in self.path_sizes.items():
             if not (1 <= j <= self.r - 1):
                 raise GraphError(f"subdivided column {j} out of range for r={self.r}")

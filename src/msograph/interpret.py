@@ -10,7 +10,6 @@ disjunctions, so asymmetry signals a wrong formula.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -25,6 +24,7 @@ from .logic import (
     is_set_var,
     parse_formula,
 )
+from .records import Frozen, Record
 from .search import _automorphisms, _first_of_classes, _mask_map
 from .syntax import FormulaSyntaxError, _Parser
 from .table import bits
@@ -36,17 +36,20 @@ class InterpretationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Frozen):
     """(domain formula in x, edge formula in x,y) over set parameters."""
 
-    params: tuple[str, ...]
-    domain: Formula
-    edge: Formula
-    library: PredicateLibrary = field(default_factory=PredicateLibrary)
-    name: str = ""
+    __match_args__ = ("params", "domain", "edge", "library", "name")
 
-    def __post_init__(self):
+    def __init__(self, params: tuple[str, ...], domain: Formula,
+                 edge: Formula, library: Optional[PredicateLibrary] = None,
+                 name: str = ""):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "library", PredicateLibrary()
+                           if library is None else library)
+        object.__setattr__(self, "name", name)
         repeated = sorted({p for p in self.params if self.params.count(p) > 1})
         if repeated:
             raise InterpretationError(f"parameters {repeated} are repeated")
@@ -259,15 +262,16 @@ def _orbit_leaders(tuples: Iterable[tuple[int, ...]],
             yield masks
 
 
-@dataclass
-class Pipeline:
+class Pipeline(Record):
     """Ordered interpretations; each stage either carries explicit
     parameter values or binds its parameters from the stage input's
     labels."""
 
-    stages: list[tuple[Interpretation, Optional[Sequence[Iterable[int]]]]]
+    __match_args__ = ("stages",)
 
-    def __post_init__(self):
+    def __init__(self, stages: list[tuple[
+            Interpretation, Optional[Sequence[Iterable[int]]]]]):
+        self.stages = stages
         if not self.stages:
             raise InterpretationError("pipeline must be nonempty")
 

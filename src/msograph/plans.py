@@ -99,10 +99,13 @@ def _tc_rows(succ, n: int):
     return rows
 
 
+@functools.lru_cache(maxsize=64)
 def _helpers(n: int, set_cap: int) -> dict:
     """The globals that every plan function of a graph on n vertices
     reads: the full row _F, and helpers that close over it and the set
-    cap, so that the generated source passes neither."""
+    cap, so that the generated source passes neither.  They depend on
+    nothing else, so bindings with equal n and cap share one dict, and
+    no code may change it: ``Binding.make`` copies it."""
     full = (1 << n) - 1
 
     def free_of(within: int, must: int, forbid: int) -> int:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
+
+from .records import Frozen, Record
 
 
 class FormulaSyntaxError(ValueError):
@@ -36,36 +37,19 @@ class FormulaSyntaxError(ValueError):
 # AST
 # ---------------------------------------------------------------------------
 
-class Formula:
+class Formula(Frozen):
     """A node of the AST.  Nodes are immutable values: equality is
     structural, compared on a stack so that a deep formula needs no
     recursion, and so is the hash, as formulas key the plan cache of
-    ``plans``.  A node is built after its children and computes from
-    their facts, once, the facts it keeps: ``free``, its free vertex- and
-    set-variable names (call names excluded); ``calls``, the (name,
-    arity) of every call in it; ``sets``, whether it holds a set
-    quantifier; ``qf``, whether it holds no quantifier and no TC; and
-    its hash."""
+    ``plans``.  A node is built after its children, and its constructor
+    computes from their facts, once, the facts it keeps: ``free``, its
+    free vertex- and set-variable names (call names excluded);
+    ``calls``, the (name, arity) of every call in it; ``sets``, whether
+    it holds a set quantifier; ``qf``, whether it holds no quantifier and
+    no TC; and its hash.  A node's fields are its ``__match_args__``."""
 
     # the node classes are slotted too: a node has no __dict__ to pay for
     __slots__ = ("free", "calls", "sets", "qf", "_hash")
-
-    def __post_init__(self):
-        free, calls, sets, qf = self._facts()
-        keep = object.__setattr__
-        keep(self, "free", _shared(free))
-        keep(self, "calls", _shared(calls))
-        keep(self, "sets", sets)
-        keep(self, "qf", qf)
-        # the class by name: the hash of a class is its address, which
-        # moves from process to process; then the fields, in the order
-        # __match_args__ lists them
-        keep(self, "_hash", hash((type(self).__name__, *map(
-            self.__getattribute__, self.__match_args__))))
-
-    def _facts(self) -> tuple[frozenset, frozenset, bool, bool]:
-        """free, calls, sets and qf of this node, from its children's."""
-        return _NONE, _NONE, False, True
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,7 +66,7 @@ class Formula:
                 continue
             if type(a) is not type(b):
                 return False
-            for name in a.__dataclass_fields__:
+            for name in a.__match_args__:
                 x, y = getattr(a, name), getattr(b, name)
                 if isinstance(x, Formula):
                     stack.append((x, y))
@@ -92,15 +76,14 @@ class Formula:
 
     def __reduce__(self):
         # string hashes differ between processes: a copy is built from
-        # the fields alone and computes its facts where it lands (slotted
-        # dataclasses bring their own __getstate__, which would not).  The
+        # the fields alone and computes its facts where it lands.  The
         # nodes go as a flat post-order list, so a deep formula pickles
         # without recursion.
         pre = []  # preorder, the last subformula first
         stack = [self]
         while stack:
             g = stack.pop()
-            fields = tuple(getattr(g, name) for name in g.__dataclass_fields__)
+            fields = tuple(map(g.__getattribute__, g.__match_args__))
             pre.append((type(g), tuple(
                 ... if isinstance(x, Formula) else x for x in fields)))
             stack += [x for x in fields if isinstance(x, Formula)]
@@ -119,6 +102,7 @@ def _from_post_order(nodes: list) -> Formula:
 
 
 _NONE: frozenset = frozenset()
+_set = object.__setattr__  # how a constructor sets what a node keeps
 
 
 @functools.lru_cache(maxsize=1024)
@@ -129,155 +113,165 @@ def _shared(facts: frozenset) -> frozenset:
     return facts
 
 
-def _joined(f) -> tuple[frozenset, frozenset, bool, bool]:
-    """The facts of a connective of two subformulas."""
-    l, r = f.left, f.right
-    return (l.free | r.free, l.calls | r.calls, l.sets or r.sets,
-            l.qf and r.qf)
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, as a itself or b itself where one holds the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return _shared(a | b)
 
 
-def _bound(f) -> tuple[frozenset, frozenset, bool, bool]:
-    """The facts of a quantifier."""
-    b = f.body
-    return (b.free - {f.var}, b.calls,
-            b.sets or isinstance(f, (ExistsS, ForallS)), False)
+def _keep(node: Formula, free: frozenset, calls: frozenset, sets: bool,
+          qf: bool, fields: tuple) -> None:
+    """Set the facts of node, and its hash: that of its class by name
+    (the hash of a class is its address, which moves from process to
+    process) and its fields, in the order of ``__match_args__``."""
+    _set(node, "free", free)
+    _set(node, "calls", calls)
+    _set(node, "sets", sets)
+    _set(node, "qf", qf)
+    _set(node, "_hash", hash((type(node).__name__, *fields)))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+def _constant(self) -> None:
+    _keep(self, _NONE, _NONE, False, True, ())
+
+
+def _pair(self, x: str, y: str) -> None:
+    _set(self, "x", x)
+    _set(self, "y", y)
+    _keep(self, _shared(frozenset((x, y))), _NONE, False, True, (x, y))
+
+
+def _junction(self, left: Formula, right: Formula) -> None:
+    """The constructor of a connective of two subformulas."""
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _keep(self, _union(left.free, right.free),
+          _union(left.calls, right.calls), left.sets or right.sets,
+          left.qf and right.qf, (left, right))
+
+
+def _vertex_quantifier(self, var: str, body: Formula) -> None:
+    _set(self, "var", var)
+    _set(self, "body", body)
+    free = body.free
+    _keep(self, _shared(free - {var}) if var in free else free, body.calls,
+          body.sets, False, (var, body))
+
+
+def _set_quantifier(self, var: str, body: Formula) -> None:
+    _set(self, "var", var)
+    _set(self, "body", body)
+    free = body.free
+    _keep(self, _shared(free - {var}) if var in free else free, body.calls,
+          True, False, (var, body))
+
+
 class TrueF(Formula):
-    pass
+    __slots__ = ()
+    __init__ = _constant
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
+    __init__ = _constant
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class EdgeAtom(Formula):
-    x: str
-    y: str
-
-    def _facts(self):
-        return frozenset((self.x, self.y)), _NONE, False, True
+    __slots__ = __match_args__ = ("x", "y")
+    __init__ = _pair
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Eq(Formula):
-    x: str
-    y: str
-
-    def _facts(self):
-        return frozenset((self.x, self.y)), _NONE, False, True
+    __slots__ = __match_args__ = ("x", "y")
+    __init__ = _pair
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class SetAtom(Formula):
-    set_name: str
-    x: str
+    __slots__ = __match_args__ = ("set_name", "x")
 
-    def _facts(self):
-        return frozenset((self.set_name, self.x)), _NONE, False, True
+    def __init__(self, set_name: str, x: str):
+        _set(self, "set_name", set_name)
+        _set(self, "x", x)
+        _keep(self, _shared(frozenset((set_name, x))), _NONE, False, True,
+              (set_name, x))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class App(Formula):
     """Reference to a named unary label or library predicate."""
-    name: str
-    args: tuple[str, ...]
+    __slots__ = __match_args__ = ("name", "args")
 
-    def _facts(self):
-        return (frozenset(self.args),
-                frozenset(((self.name, len(self.args)),)), False, True)
+    def __init__(self, name: str, args: tuple[str, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _keep(self, _shared(frozenset(args)),
+              _shared(frozenset(((name, len(args)),))), False, True,
+              (name, args))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
 
-    def _facts(self):
-        b = self.body
-        return b.free, b.calls, b.sets, b.qf
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+        _keep(self, body.free, body.calls, body.sets, body.qf, (body,))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
-
-    _facts = _joined
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _junction
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
-
-    _facts = _joined
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _junction
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    _facts = _joined
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _junction
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
-
-    _facts = _joined
+    __slots__ = __match_args__ = ("left", "right")
+    __init__ = _junction
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ExistsV(Formula):
-    var: str
-    body: Formula
-
-    _facts = _bound
+    __slots__ = __match_args__ = ("var", "body")
+    __init__ = _vertex_quantifier
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ForallV(Formula):
-    var: str
-    body: Formula
-
-    _facts = _bound
+    __slots__ = __match_args__ = ("var", "body")
+    __init__ = _vertex_quantifier
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ExistsS(Formula):
-    var: str
-    body: Formula
-
-    _facts = _bound
+    __slots__ = __match_args__ = ("var", "body")
+    __init__ = _set_quantifier
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class ForallS(Formula):
-    var: str
-    body: Formula
-
-    _facts = _bound
+    __slots__ = __match_args__ = ("var", "body")
+    __init__ = _set_quantifier
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class TC(Formula):
     """(a, b) lies in the reflexive-transitive closure of
     {(u, v) | body} computed under the ambient valuation."""
-    u: str
-    v: str
-    body: Formula
-    a: str
-    b: str
+    __slots__ = __match_args__ = ("u", "v", "body", "a", "b")
 
-    def _facts(self):
-        b = self.body
-        return ((b.free - {self.u, self.v}) | {self.a, self.b}, b.calls,
-                b.sets, False)
+    def __init__(self, u: str, v: str, body: Formula, a: str, b: str):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "body", body)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _keep(self, _shared((body.free - {u, v}) | {a, b}), body.calls,
+              body.sets, False, (u, v, body, a, b))
 
 
 def is_set_var(name: str) -> bool:
@@ -391,11 +385,13 @@ _TOKEN_RE = re.compile(r"""
   | (?P<num>[0-9]+)
 """, re.VERBOSE)
 
-@dataclass
-class _Token:
-    kind: str   # 'ident', 'num', 'sym', 'arrow', 'arrow2', 'eof'
-    text: str
-    pos: int
+class _Token(Record):
+    __match_args__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # 'ident', 'num', 'sym', 'arrow', 'arrow2', 'eof'
+        self.text = text
+        self.pos = pos
 
     def __str__(self) -> str:
         return repr(self.text) if self.kind != "eof" else "end of input"
@@ -646,11 +642,13 @@ def parse_formula(text: str) -> Formula:
 # Predicate libraries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    params: tuple[str, ...]
-    body: Formula
+class Definition(Frozen):
+    __match_args__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: tuple[str, ...], body: Formula):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
 
 
 class Definitions(tuple):
@@ -681,14 +679,14 @@ class LibraryError(ValueError):
     pass
 
 
-@dataclass
-class PredicateLibrary:
+class PredicateLibrary(Record):
     """Ordered named definitions.  A body may call a name defined later,
     but no definition may reach itself through calls."""
 
-    defs: list[Definition] = field(default_factory=list)
+    __match_args__ = ("defs",)
 
-    def __post_init__(self):
+    def __init__(self, defs: Optional[list[Definition]] = None):
+        self.defs = [] if defs is None else defs
         self.by_name: dict[str, Definition] = {}
         self.key = NO_DEFINITIONS  # the plan-cache key of defs
         self._calls: dict[str, set[str]] = {}  # the names each body calls

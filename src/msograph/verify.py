@@ -13,8 +13,7 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from . import bichain_family as bf
 from . import power_family as pf
@@ -28,29 +27,37 @@ from .logic import (And, EdgeAtom, Eq, ExistsS, ExistsV, ForallS, ForallV,
                     Formula, Implies, Not, Or, SetAtom, TC, TrueF, evaluate,
                     materialize_all, parse_formula, relativize,
                     tc_naive_encoding)
+from .records import Record
 from .search import is_antichain, is_induced_subgraph_of, is_isomorphic
 from .widths import (cliquewidth_exact, extend_decomposition_for_subdivision,
                      treewidth_exact, verify_k_expression,
                      verify_tree_decomposition)
 
 
-@dataclass
-class CheckRecord:
-    id: str
-    parameters: dict
-    expected: str
-    observed: str
-    passed: bool
-    seconds: float
+class CheckRecord(Record):
+    __match_args__ = ("id", "parameters", "expected", "observed", "passed",
+                      "seconds")
+
+    def __init__(self, id: str, parameters: dict, expected: str,
+                 observed: str, passed: bool, seconds: float):
+        self.id = id
+        self.parameters = parameters
+        self.expected = expected
+        self.observed = observed
+        self.passed = passed
+        self.seconds = seconds
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    records: list[CheckRecord] = field(default_factory=list)
-    # the end of the last check, or the making of the report
-    _t0: float = field(default_factory=time.perf_counter, init=False,
-                       repr=False, compare=False)
+class VerificationReport(Record):
+    __match_args__ = ("suite", "records")
+
+    def __init__(self, suite: str,
+                 records: Optional[list[CheckRecord]] = None):
+        self.suite = suite
+        self.records = [] if records is None else records
+        # the end of the last check, or the making of the report; no
+        # field, so neither compared nor shown
+        self._t0 = time.perf_counter()
 
     @property
     def passed(self) -> bool:

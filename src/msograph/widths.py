@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import GraphError, LabeledGraph, _load_json, subdivide
+from .records import Frozen
 from .search import (BudgetExhausted, _automorphisms, _mask_map,
                      is_isomorphic)
 from .table import bits
@@ -58,12 +58,15 @@ def _load_certificate(text: str, kind: str) -> dict:
 # Tree decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(Frozen):
     """Bags indexed 0..len(bags)-1 joined into a tree by tree_edges."""
 
-    bags: tuple[frozenset[int], ...]
-    tree_edges: frozenset[tuple[int, int]]
+    __match_args__ = ("bags", "tree_edges")
+
+    def __init__(self, bags: tuple[frozenset[int], ...],
+                 tree_edges: frozenset[tuple[int, int]]):
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "tree_edges", tree_edges)
 
     @staticmethod
     def build(bags: Iterable[Iterable[int]],
@@ -322,15 +325,17 @@ def extend_decomposition_for_subdivision(G: LabeledGraph,
 _FIELDS = {"leaf": 1, "union": 2, "join": 3, "relabel": 3}
 
 
-@dataclass(frozen=True)
-class KExpression:
+class KExpression(Frozen):
     """An expression over: ("leaf", label), ("union", a, b),
     ("join", i, j, sub) adding all edges between labels i and j, and
     ("relabel", i, j, sub) turning label i into label j.  Labels run
     over 1..k."""
 
-    k: int
-    root: tuple
+    __match_args__ = ("k", "root")
+
+    def __init__(self, k: int, root: tuple):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "root", root)
 
     def evaluate(self) -> tuple[LabeledGraph, list[int]]:
         """The graph the expression builds plus the final vertex labels.

@@ -22,12 +22,12 @@ subdivision away.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 
 from .graphs import LabeledGraph
 from .interpret import Interpretation
 from .logic import PredicateLibrary, parse_formula, parse_library
+from .records import Frozen
 
 
 class WordError(ValueError):
@@ -43,8 +43,7 @@ def _check_word(alpha: str) -> None:
 # Planning and construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColumnPlan:
+class ColumnPlan(Frozen):
     """The column window realizing a piece G_n of the word graph.
 
     ``p`` is the index of the first non-0 letter of alpha, ``l`` the
@@ -53,12 +52,16 @@ class ColumnPlan:
     edges between columns j and j+1 for j < l - 1).
     """
 
-    alpha: str
-    n: int
-    p: int
-    l: int
-    beta: str
-    sizes: tuple[int, ...]
+    __match_args__ = ("alpha", "n", "p", "l", "beta", "sizes")
+
+    def __init__(self, alpha: str, n: int, p: int, l: int, beta: str,
+                 sizes: tuple[int, ...]):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def total(self) -> int:

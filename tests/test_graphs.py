@@ -32,6 +32,13 @@ def test_json_round_trip():
     G = grid(2, 3).with_labels({"mark": [0, 5]})
     H = LabeledGraph.from_json(G.to_json())
     assert H == G
+    # a graph compares by its fields, and has no hash
+    assert H is not G and H != G.with_labels({"mark": [0]}) and H != grid(3, 2)
+    assert (H == (G.n, G.edges, G.labels, G.names)) is False
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(H)
+    with pytest.raises(AttributeError):
+        H.n = 7
 
 
 def test_with_labels_checks_only_the_added_labels():

@@ -626,6 +626,70 @@ def test_deep_formulas_pickle_without_recursion():
     assert node == Eq("x", "y")
 
 
+# one node of each class, and its repr
+ONE_NODE_EACH = [
+    (TrueF(), "TrueF()"),
+    (FalseF(), "FalseF()"),
+    (EdgeAtom("x", "y"), "EdgeAtom(x='x', y='y')"),
+    (Eq("x", "y"), "Eq(x='x', y='y')"),
+    (SetAtom("X", "x"), "SetAtom(set_name='X', x='x')"),
+    (App("p", ("x", "y")), "App(name='p', args=('x', 'y'))"),
+    (Not(TrueF()), "Not(body=TrueF())"),
+    (And(TrueF(), Eq("x", "y")), "And(left=TrueF(), right=Eq(x='x', y='y'))"),
+    (Or(FalseF(), TrueF()), "Or(left=FalseF(), right=TrueF())"),
+    (Implies(TrueF(), FalseF()), "Implies(left=TrueF(), right=FalseF())"),
+    (Iff(FalseF(), FalseF()), "Iff(left=FalseF(), right=FalseF())"),
+    (ExistsV("x", Eq("x", "y")),
+     "ExistsV(var='x', body=Eq(x='x', y='y'))"),
+    (ForallV("y", TrueF()), "ForallV(var='y', body=TrueF())"),
+    (ExistsS("X", SetAtom("X", "x")),
+     "ExistsS(var='X', body=SetAtom(set_name='X', x='x'))"),
+    (ForallS("X", FalseF()), "ForallS(var='X', body=FalseF())"),
+    (TC("u", "v", EdgeAtom("u", "v"), "x", "y"),
+     "TC(u='u', v='v', body=EdgeAtom(x='u', y='v'), a='x', b='y')"),
+]
+
+
+def test_one_node_of_each_class_is_listed():
+    assert {type(node) for node, _ in ONE_NODE_EACH} == \
+        set(Formula.__subclasses__())
+    assert len(ONE_NODE_EACH) == 16
+
+
+@pytest.mark.parametrize("node, text", ONE_NODE_EACH,
+                         ids=[type(node).__name__ for node, _ in ONE_NODE_EACH])
+def test_nodes_are_immutable_values(node, text):
+    cls = type(node)
+    fields = tuple(getattr(node, name) for name in cls.__match_args__)
+    assert repr(node) == text
+    for name in (*cls.__match_args__, "free", "sets"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, TrueF())
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert tuple(getattr(node, name) for name in cls.__match_args__) == fields
+    copy = pickle.loads(pickle.dumps(node))
+    assert copy is not node and copy == node and hash(copy) == hash(node)
+    assert cls(*fields) == node
+    with pytest.raises(TypeError):
+        cls(*fields, "z")
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*fields[1:])
+    match (len(fields), node):
+        case (0, cls()):
+            matched = ()
+        case (1, cls(a)):
+            matched = (a,)
+        case (2, cls(a, b)):
+            matched = (a, b)
+        case (5, cls(a, b, c, d, e)):
+            matched = (a, b, c, d, e)
+        case _:
+            matched = None
+    assert matched == fields
+
+
 def test_the_set_cap_error_pickles():
     error = SetQuantifierCapError(3, 2)
     copy = pickle.loads(pickle.dumps(error))
@@ -726,6 +790,15 @@ def test_equal_libraries_built_apart_share_their_plans():
     parsed = parse_library(text)
     assert grown.key == parsed.key and hash(grown.key) == hash(parsed.key)
     assert parsed.key != parse_library("def p(x, y) := E(x, y)").key
+    # definitions compare and hash by their fields
+    d, e = grown.defs[0], parsed.defs[0]
+    assert d == e and hash(d) == hash(e) and d is not e and {d: 1}[e] == 1
+    assert d != parsed.defs[1]
+    assert repr(d) == ("Definition(name='p', params=('x', 'y'), "
+                       "body=EdgeAtom(x='x', y='y'))")
+    assert grown == parsed and grown != PredicateLibrary()
+    with pytest.raises(AttributeError):
+        d.name = "r"
     P = LabeledGraph.build(3, [(0, 1), (1, 2)])
     f = parse_formula("exists y. q(x, y) & !p(x, y)")
     assert evaluate(P, grown, f, {"x": 1})
@@ -906,6 +979,18 @@ def test_set_ranges_list_each_allowed_set_once_in_ascending_order():
             assert N(within, must, forbid) is bool(want)
             empty += not want
     assert empty > 20
+
+
+def test_bindings_of_one_size_and_cap_share_their_helpers():
+    P = LabeledGraph.build(9, [(v, v + 1) for v in range(8)])
+    base = plans.Binding(grid(3, 3), None, 4).base
+    assert plans.Binding(P, None, 4).base is base
+    low = plans.Binding(P, None, 2).base
+    assert low is not base and low["_F"] == base["_F"] == (1 << 9) - 1
+    for helpers, cap in ((base, 4), (low, 2)):
+        with pytest.raises(SetQuantifierCapError) as exc:
+            helpers["_S"]()  # all 9 vertices free
+        assert (exc.value.free, exc.value.cap) == (9, cap)
 
 
 def test_an_empty_range_is_empty_under_any_cap():

@@ -24,6 +24,12 @@ def test_single_bag_decomposition_is_valid():
     td = TreeDecomposition.build([range(4)], [])
     assert verify_tree_decomposition(K4, td)
     assert td.width == 3
+    # a decomposition compares and hashes by its fields
+    same = TreeDecomposition((frozenset(range(4)),), frozenset())
+    assert td == same and hash(td) == hash(same) and {td: 1}[same] == 1
+    assert td != TreeDecomposition.build([range(3)], [])
+    assert repr(same) == ("TreeDecomposition(bags=(frozenset({0, 1, 2, 3}),), "
+                          "tree_edges=frozenset())")
 
 
 def test_path_decomposition_of_a_path():
@@ -107,6 +113,12 @@ def test_kexpression_hand_built():
     K3 = LabeledGraph.build(3, [(0, 1), (0, 2), (1, 2)])
     assert verify_k_expression(K3, e)
     assert not verify_k_expression(PATH4, e)
+    # an expression compares and hashes by its fields
+    same = KExpression.from_json(e.to_json())
+    assert same == e and hash(same) == hash(e) and {e: 1}[same] == 1
+    assert e != KExpression(3, e.root) and e != KExpression(2, ("leaf", 1))
+    assert repr(KExpression(1, ("leaf", 1))) == \
+        "KExpression(k=1, root=('leaf', 1))"
 
 
 def test_kexpression_malformed():
