@@ -25,12 +25,10 @@ and so does a valuation that gives a vertex outside V(G).
 graph object, the library's definitions and the set cap stay the same,
 so calls at many points of one graph plan, bind and close TC once; that
 binding holds its graph until another one comes.  A formula asked at
-one point of a binding runs the plan of that point; from the second
-point on, it is answered from its row over the last vertex variable,
-memoized for the last n tuples of the other arguments, so the n²
-points of one graph cost n rows.  Either plan falls back to the other when it
-reaches a set quantifier over the cap, so the answer is unknown only
-when both reach one.
+a point has one plan, its row over the last vertex variable: the first
+point asks it for the point's bit alone, later points read the full
+row, memoized for the last n tuples of the other arguments (so the n²
+points of one graph cost n rows), or the one-bit row at the set cap.
 The syntax lives in ``syntax``; its names are re-exported here.
 """
 
@@ -104,25 +102,17 @@ def _binding(G: LabeledGraph, lib: Optional[PredicateLibrary], set_cap: int,
     return binding, asked
 
 
-_CAPPED = "capped"  # the row reached a set quantifier over the cap
-
-
 def _at_point(binding: Binding, asked: dict, f: Formula,
               names: tuple[str, ...], args: list[int], i: int) -> bool:
-    """Whether f holds at args, the values of names, of which names[i] is
-    the last vertex variable.
-
-    While f and names have been asked at one point only, the plan of the
-    point runs, which is all a one-shot or repeated query needs.  From
-    the second point on, the point's bit is read from the row of f over
-    names[i], memoized for the last n tuples of the other arguments,
-    until that row once reaches a set quantifier over the cap.
-    Whichever plan runs first, the other runs if it raises
-    SetQuantifierCapError, so the answer is known whenever either plan
-    stays under the cap; if neither does, the point's error is raised."""
+    """Whether f holds at args, the values of names: bit y = args[i] of
+    the row of f over names[i], the last vertex variable.  While f and
+    names have been asked at one point only, the row is asked for bit y
+    alone; later points read the full row, memoized for the last n
+    tuples of the other arguments, or the one-bit row at the set cap,
+    which does no work the full row skips, over no larger set ranges."""
     key, point = (f, names), tuple(args)
-    state = asked.get(key)  # the point asked, the row memo or _CAPPED
-    others, y = names[:i] + names[i + 1:], names[i]
+    state = asked.get(key)  # the point asked, or the row memo
+    others, y = names[:i] + names[i + 1:], args[i]
     rest = (*args[:i], *args[i + 1:])
     if state is None:
         if len(asked) >= PLAN_CACHE_SIZE:
@@ -130,21 +120,13 @@ def _at_point(binding: Binding, asked: dict, f: Formula,
         state = asked[key] = point
     elif type(state) is tuple and state != point:  # a second point
         state = asked[key] = functools.lru_cache(maxsize=binding.G.n)(
-            binding.compile(f, others, y))
-    if not callable(state):
+            binding.compile(f, others, names[i]))
+    if callable(state):
         try:
-            return bool(binding.compile(f, names)(*args))
-        except SetQuantifierCapError as error:
-            capped = error  # the row may not reach the capped quantifier
-        try:
-            return bool(binding.compile(f, others, y)(*rest) >> args[i] & 1)
+            return bool(state(*rest) >> y & 1)
         except SetQuantifierCapError:
-            raise capped from None
-    try:
-        return bool(state(*rest) >> args[i] & 1)
-    except SetQuantifierCapError:
-        asked[key] = _CAPPED  # the plan of the point runs first again
-    return bool(binding.compile(f, names)(*args))
+            pass
+    return bool(binding.compile(f, others, names[i])(*rest, 1 << y) >> y & 1)
 
 
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
@@ -161,13 +143,10 @@ def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,
     other definitions or another set cap, and it keeps the last graph
     alive until then.
 
-    With a vertex variable in the valuation, f is evaluated at the point
-    alone while it has been asked at one point of the binding with these
-    names; from the second point on, the answer is the point's bit of
-    the row of f over the last vertex variable, memoized for the last n
-    tuples of the other values.
-    SetQuantifierCapError is raised only when both plans reach a set
-    quantifier over the cap, whatever was asked before."""
+    With a vertex variable in the valuation, the answer is the point's
+    bit of the row of f over the last vertex variable (``_at_point``),
+    and SetQuantifierCapError is raised only when the row asked for that
+    bit alone reaches a set quantifier over the cap."""
     valuation = valuation or {}
     names = tuple(valuation)
     args = [_argument(G.n, name, val) for name, val in valuation.items()]

@@ -61,8 +61,7 @@ class EvalError(ValueError):
 # a | b complemented when every one is a complement; its rows of rank 1,
 # then its literals of rank 2, follow, each ANDed into a temporary,
 # stopping at the first one whose row is 0.  So a set quantifier is
-# reached only from a live branch, and one that a row skips is rarely
-# reached at a point (``evaluate``).  An idle set quantifier makes its
+# reached only from a live branch.  An idle set quantifier makes its
 # range and reads its body once, in the order its loop did.  Constant
 # rows and tests fold away, the reflexive closure TC[..](a, a) too.  The
 # tables of library predicates are rows too (Table).  A TC body and a
@@ -70,6 +69,15 @@ class EvalError(ValueError):
 # planned and bound when the binding first binds them and memoized per
 # argument tuple; TC rows are reachability masks, built from one
 # successor row per vertex.
+#
+# Want.  A row function takes last the mask _w of the bits its caller
+# wants (_F by default, as every caller but ``evaluate`` at a point
+# leaves it), and its row need be right on those bits only.  Only the
+# loops that build the row over y read it: _E, _I and _ES stop once
+# they hold the bits of _w, a chain at the first row with none of them,
+# _P tests the vertices of _w, and a set quantifier with a literal S(y)
+# or !S(y), which stays, puts _w in or out of S when _w is one bit.  So
+# no loop runs longer, or over a larger range, than with _F.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -161,10 +169,10 @@ class _Planner:
         self.levels: dict[str, int] = {}
 
     def function(self, f: Formula, params: Sequence[str],
-                 row: Optional[str] = None) -> CodeType:
+                 row: Optional[str] = None, want: bool = False) -> CodeType:
         """The code of a function of params equivalent to f; given a row
-        variable, of the function of params that returns the row of f
-        over it.  Split functions become recipes."""
+        variable, of the function of params (and _w, if want) that
+        returns the row of f over it.  Split functions become recipes."""
         if len(set(params)) < len(params) or row in params:
             raise EvalError(f"repeated variable in {[*params, row]}")
         scope = frozenset(params)
@@ -173,8 +181,9 @@ class _Planner:
         elif is_set_var(row):
             raise EvalError(f"row variable {row!r} is a set variable")
         else:
-            expr = self._final(*self._row(f, scope, row, 0))
-        src = (f"def _f({', '.join(map(_ident, params))}):\n"
+            expr = self._final(*self._row(f, scope, row, 0, want))
+        names = [*map(_ident, params), *["_w"] * want]
+        src = (f"def _f({', '.join(names)}):\n"
                f"    return {expr}\n")
         namespace: dict = {}
         exec(src, namespace)
@@ -393,13 +402,13 @@ class _Planner:
 
     # -- row mode -----------------------------------------------------------
 
-    def _row(self, f: Formula, scope: frozenset, y: str,
-             depth: int) -> tuple[str, bool]:
+    def _row(self, f: Formula, scope: frozenset, y: str, depth: int,
+             want: bool = False) -> tuple[str, bool]:
         """The row of f over y, the mask of the y at which it holds, as
         (source, complemented): the row is the value of the source, or its
         complement if complemented, so that a negation costs nothing.  The
         constant rows are "0" and "_F".  The other free variables of f are
-        in scope; a y there is shadowed."""
+        in scope; a y there is shadowed.  If want, the loops read _w."""
         scope = scope - {y}
         if y not in f.free:
             t = self.test(f, scope, depth)
@@ -429,21 +438,22 @@ class _Planner:
             lits = _conjuncts(f, not conj)
             if len(lits) == 1:  # a negation
                 g, neg = lits[0]
-                src, comp = self._row(g, scope, y, d)
+                src, comp = self._row(g, scope, y, d, want)
                 return src, comp != neg
-            src, comp = self._conjunction(lits, scope, y, d)
+            src, comp = self._conjunction(lits, scope, y, d, want)
             return src, comp == conj
         if kind is ExistsV:
-            return self._exists_row(f.var, _conjuncts(f.body), scope, y, d)
+            return self._exists_row(f.var, _conjuncts(f.body), scope, y,
+                                    d, want)
         if kind is ForallV:  # forall z. f is !exists z. !f
             src, comp = self._exists_row(f.var, _conjuncts(f.body, True),
-                                         scope, y, d)
+                                         scope, y, d, want)
             return src, not comp
         if kind is App:
-            return self._app_row(f, scope, y), False
+            return self._app_row(f, scope, y, want), False
         if kind is Iff:
-            left, lc = self._row(f.left, scope, y, d)
-            right, rc = self._row(f.right, scope, y, d)
+            left, lc = self._row(f.left, scope, y, d, want)
+            right, rc = self._row(f.right, scope, y, d, want)
             if left == right:
                 return ("_F" if lc == rc else "0"), False
             if left == "0" or left == "_F":
@@ -453,21 +463,22 @@ class _Planner:
             return self._op(_XOR, f"{self._at(left, _XOR)} ^ "
                                   f"{self._at(right, _BAND)}"), lc == rc
         if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
-            args, lits = self._set_range(f, scope)
-            body = self._final(*self._conjunction(lits, scope | {f.var}, y, d))
+            args, lits = self._set_range(f, scope, y if want else None)
+            body = self._final(*self._conjunction(lits, scope | {f.var}, y, d,
+                                                  want))
             z = _ident(f.var)
             if _reads(body, z):
-                found = f"_ES(_S{args}, lambda {z}: {body})"
+                found = f"_ES(_S{args}, lambda {z}: {body}{', _w' * want})"
             else:  # the range is still made, for its cap
                 found = self._idle(body, f"_N{args}")
             return found, kind is ForallS
         if kind is TC:
-            return self._tc_row(f, scope, y), False
+            return self._tc_row(f, scope, y, want), False
         raise TypeError(f"unknown node {f!r}")
 
     def _conjunction(self, lits: list[tuple[Formula, bool]],
-                     scope: frozenset, y: str,
-                     depth: int) -> tuple[str, bool]:
+                     scope: frozenset, y: str, depth: int,
+                     want: bool = False) -> tuple[str, bool]:
         """The row over y of the conjunction of the literals, as ``_row``
         gives it, by rank (``_rank``).  Those of rank 0 come first: those
         without y are tested, and the rows of those with y are ANDed into
@@ -481,7 +492,7 @@ class _Planner:
         for g, n in lits:
             rank = self._rank(g)
             if y in g.free:
-                src, comp = self._row(g, scope, y, depth)
+                src, comp = self._row(g, scope, y, depth, want)
                 comp = comp != n
                 if src == "0" or src == "_F":
                     zero = zero or (src == "_F") == comp
@@ -512,21 +523,21 @@ class _Planner:
         elif len(chain) == 1:
             src, comp = chain[0]
         else:
-            src, comp = self._chain(chain), False
+            src, comp = self._chain(chain, want), False
         if guard:
             cond = self._at(self._join(guard, " and ", _AND), _OR)
             src = self._op(_COND, f"{self._at(src, _OR)} if {cond} else "
                                   f"{'_F' if comp else '0'}")
         return src, comp
 
-    def _chain(self, chain: list) -> str:
+    def _chain(self, chain: list, want: bool) -> str:
         """Source of the AND of the rows in chain, a row first, as long as
-        they and the tests between them are not 0: each row but the last
-        is kept in a temporary."""
+        they and the tests between them are not 0: each row that is not
+        last is kept in a temporary."""
         self.temps += 1
         t = f"_t{self.temps}"
-        last = max(i for i, item in enumerate(chain) if type(item) is tuple)
-        terms = [f"({t} := {self._final(*chain[0])})"]
+        stop = " & _w" * want
+        terms = [f"({t} := {self._final(*chain[0])}){stop}"]
         for i in range(1, len(chain)):
             item = chain[i]
             if type(item) is str:
@@ -535,8 +546,8 @@ class _Planner:
             m, comp = item
             m = (f"{t} & ~{self._at(m, _INV)}" if comp else
                  f"{t} & {self._at(m, _BAND)}")
-            terms.append(f"({t} := {m})" if i < last else m)
-        if last < len(chain) - 1:
+            terms.append(f"({t} := {m}){stop}" if i < len(chain) - 1 else m)
+        if type(chain[-1]) is str:
             terms.append(t)
         src = " and ".join(terms)
         if all(type(item) is tuple for item in chain):
@@ -544,8 +555,8 @@ class _Planner:
         return self._op(_OR, f"{src} or 0")  # not False when a test fails
 
     def _exists_row(self, z: str, lits: list[tuple[Formula, bool]],
-                    scope: frozenset, y: str,
-                    depth: int) -> tuple[str, bool]:
+                    scope: frozenset, y: str, depth: int,
+                    want: bool) -> tuple[str, bool]:
         """The row over y of exists z. (the conjunction of lits), as
         ``_row`` gives it.  The literals of rank 0 or 1 (``_rank``)
         without y give the z to visit, those without z are taken once,
@@ -558,12 +569,13 @@ class _Planner:
              outside if low and z not in g.free else rest).append((g, neg))
         # an empty conjunction is "_F": every z, or the row _F at each
         zs = self._final(*self._conjunction(guard, scope - {z}, z, depth))
-        body = self._final(*self._conjunction(rest, scope | {z}, y, depth))
+        body = self._final(*self._conjunction(rest, scope | {z}, y, depth,
+                                              want))
         found = ("0" if zs == "0" or body == "0" else
-                 self._exists(zs, _ident(z), body))
+                 self._exists(zs, _ident(z), body, want))
         if not outside:
             return found, False
-        out, comp = self._conjunction(outside, scope, y, depth)
+        out, comp = self._conjunction(outside, scope, y, depth, want)
         if found == "_F":
             return out, comp
         out = self._final(out, comp)
@@ -573,10 +585,10 @@ class _Planner:
             return found, False
         self.temps += 1
         t = f"_t{self.temps}"
-        return self._op(_AND, f"({t} := {out}) and "
+        return self._op(_AND, f"({t} := {out}){' & _w' * want} and "
                               f"{t} & {self._at(found, _BAND)}"), False
 
-    def _exists(self, zs: str, z: str, body: str) -> str:
+    def _exists(self, zs: str, z: str, body: str, want: bool) -> str:
         """Source of the OR of the row body over the vertices z in zs."""
         if not _reads(body, z):  # idle: the same row at every z
             return "_F" if body == zs == "_F" else self._idle(body, zs)
@@ -584,26 +596,32 @@ class _Planner:
             return zs
         rows, _, index = body.rpartition("[")
         if index == f"{z}]" and not _reads(rows, z) and _lookup(rows):
-            return f"_I({zs}, {rows})"  # body is rows[z]
-        return f"_E({zs}, lambda {z}: {body})"
+            return f"_I({zs}, {rows}{', _w' * want})"  # body is rows[z]
+        return f"_E({zs}, lambda {z}: {body}{', _w' * want})"
 
     # -- set quantifiers ----------------------------------------------------
 
-    def _set_range(self, f: ExistsS | ForallS, scope: frozenset
+    def _set_range(self, f: ExistsS | ForallS, scope: frozenset,
+                   y: Optional[str] = None
                    ) -> tuple[str, list[tuple[Formula, bool]]]:
         """The bracketed arguments of the range of exists Z. g, or of
         forall Z. g as !exists Z. !g, and the literals of g (of !g) left
         once its guards are taken.  A guard is a literal Z(v) or !Z(v), v
-        a vertex variable in scope, or Z ⊆ M (``_subset_guard``).  Z then
-        ranges over must | s for each submask s of M & ~must & ~forbid:
-        ``_S`` in the binding, which counts those free vertices against
-        the set cap, given (M, must, forbid), and ``_N`` tells whether
-        that range has a set.  Unguarded, M is V(G) and must and forbid
-        are empty, the defaults of both."""
+        a vertex variable in scope, Z ⊆ M (``_subset_guard``), or a
+        one-bit _w, from Z(y) or !Z(y) on the row variable y, which stays.
+        Z then ranges over must | s for each submask s of M & ~must &
+        ~forbid: ``_S`` in the binding, which counts those free vertices
+        against the set cap, given (M, must, forbid), and ``_N`` tells
+        whether that range has a set.  Unguarded, M is V(G) and must and
+        forbid are empty, the defaults of both."""
         z = f.var
         within, must, forbid, rest = [], [], [], []
         for g, neg in _conjuncts(f.body, type(f) is ForallS):
-            if type(g) is SetAtom and g.set_name == z and g.x in scope:
+            if type(g) is SetAtom and g.set_name == z and g.x == y:
+                rest.append((g, neg))
+                part = forbid if neg else must
+                mask = self._op(_COND, "_w if _w & _w - 1 == 0 else 0")
+            elif type(g) is SetAtom and g.set_name == z and g.x in scope:
                 part = forbid if neg else must
                 mask = self._op(_SHIFT, f"1 << {_ident(g.x)}")
             else:
@@ -645,7 +663,7 @@ class _Planner:
                 return self.label(m.name)
         return None
 
-    def _app_row(self, f: App, scope: frozenset, y: str) -> str:
+    def _app_row(self, f: App, scope: frozenset, y: str, want: bool) -> str:
         at = tuple(i for i, a in enumerate(f.args) if a == y)
         key = [self.arg(a, scope) for a in f.args if a != y]
         if f.name in self.tables:
@@ -653,20 +671,21 @@ class _Planner:
             return rows + "".join(f"[{a}]" for a in key)
         if f.name in self.lib:
             if len(at) > 1:
-                return self._pointwise(f, scope, y)
+                return self._pointwise(f, scope, y, want)
             return f"{self._definition(f, at[0])}({', '.join(key)})"
         if len(f.args) == 1 and f.name in self.labels:
             return self.label(f.name)
         raise EvalError(f"unknown predicate or label {f.name!r}")
 
-    def _pointwise(self, f: Formula, scope: frozenset, y: str) -> str:
+    def _pointwise(self, f: Formula, scope: frozenset, y: str,
+                   want: bool) -> str:
         """The row of f over y built one vertex at a time, for the calls
         and TC bodies whose row cannot be taken whole; a constant test is
         the row _F or 0."""
         t = self.test(f, scope | {y})
         if t == "True" or t == "False":
             return "_F" if t == "True" else "0"
-        return f"_P(lambda {_ident(y)}: {t})"
+        return f"_P(lambda {_ident(y)}: {t}{', _w' * want})"
 
     # -- tables, definitions and TC -----------------------------------------
 
@@ -698,9 +717,9 @@ class _Planner:
                           f.v))
         return f"{g}({', '.join(map(_ident, outer))})"
 
-    def _tc_row(self, f: TC, scope: frozenset, y: str) -> str:
+    def _tc_row(self, f: TC, scope: frozenset, y: str, want: bool) -> str:
         if y in f.body.free - {f.u, f.v}:  # first: its recipe reads y
-            return self._pointwise(f, scope, y)
+            return self._pointwise(f, scope, y, want)
         if f.a == f.b:
             self._tc(f, scope)  # bound for its names only
             return "_F"  # the closure is reflexive

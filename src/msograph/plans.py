@@ -135,40 +135,40 @@ def _helpers(n: int, set_cap: int) -> dict:
         # whether that range has a set
         return free_of(within, must, forbid) >= 0
 
-    def exists(zs: int, row) -> int:
-        # the OR of row(z) over the vertices z in zs, until full
+    def exists(zs: int, row, want=full) -> int:
+        # the OR of row(z) over the vertices z in zs, until it holds want
         acc = 0
         while zs:
             low = zs & -zs
             acc |= row(low.bit_length() - 1)
-            if acc == full:
+            if acc & want == want:
                 break
             zs ^= low
         return acc
 
-    def exists_set(sets, row) -> int:
-        # the OR of row(Z) over the sets Z, until full
+    def exists_set(sets, row, want=full) -> int:
+        # the OR of row(Z) over the sets Z, until it holds want
         acc = 0
         for Z in sets:
             acc |= row(Z)
-            if acc == full:
+            if acc & want == want:
                 break
         return acc
 
-    def exists_index(zs: int, rows) -> int:
-        # the OR of rows[z] over the vertices z in zs, until full
+    def exists_index(zs: int, rows, want=full) -> int:
+        # the OR of rows[z] over the vertices z in zs, until it holds want
         acc = 0
         while zs:
             low = zs & -zs
             acc |= rows[low.bit_length() - 1]
-            if acc == full:
+            if acc & want == want:
                 break
             zs ^= low
         return acc
 
-    def pointwise(test) -> int:
-        # the row of the vertices at which test holds
-        return _mask(v for v in bits(full) if test(v))
+    def pointwise(test, want=full) -> int:
+        # the row of the vertices of want at which test holds
+        return _mask(v for v in bits(want) if test(v))
 
     return {"_F": full, "_S": subsets, "_N": nonempty, "_E": exists,
             "_ES": exists_set, "_I": exists_index, "_P": pointwise}
@@ -227,7 +227,7 @@ def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
     if given) where the names in labels are labels, those in tables have
     tables and defs are the library's definitions."""
     planner = _Planner(labels, tables, defs)
-    code = planner.function(f, params, row)
+    code = planner.function(f, params, row, row is not None)
     return Plan(code, tuple(planner.recipes))
 
 
@@ -301,7 +301,8 @@ class Binding:
             for name, r in p.recipes:
                 g[name] = (FunctionType(r[1], g) if r[0] == "F"
                            else self.make(r))
-            value = FunctionType(p.code, g)
+            # a row function's last parameter, _w, is _F by default
+            value = FunctionType(p.code, g, None, (g["_F"],) if row else None)
         elif kind == "A":
             value = self.G.adjacency_masks()
         elif kind == "L":

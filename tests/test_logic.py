@@ -306,6 +306,36 @@ def test_rows_match_reference():
     assert used == set(ROW_SHAPES)
 
 
+def test_a_chain_ands_its_last_row_before_a_test_that_follows_it():
+    # two set-quantified rows over y, then a set-quantified test: the
+    # chain ANDs the second row in before it tests the third literal
+    lib = parse_library("def p(x, y) := (exists S. (S(y) & S(x))) & "
+                        "(exists T. (T(y) & x = y)) & exists U. U(x)")
+    assert materialize(grid(1, 3), lib, "p") == {(v, v) for v in range(3)}
+    rng = random.Random(31)
+    orders = set()
+    for _ in range(150):
+        n = rng.randrange(1, 5)
+        G = _random_graph(rng, n)
+        lits = []  # set-quantified rows over y, and tests without y
+        for i in range(rng.randrange(3, 5)):
+            S, reads = f"S_{i}", rng.choice((["x", "y"], ["x"]))
+            lit = ExistsS(S, And(SetAtom(S, reads[-1]), _random_formula(
+                rng, rng.randrange(0, 2), reads, [S])))
+            lits.append(Not(lit) if rng.random() < 0.3 else lit)
+        orders.add(tuple("y" in free_vars(g) for g in lits))
+        body = functools.reduce(And, lits)
+        lib = PredicateLibrary()
+        lib.define("p", ("x", "y"), body)
+        assert materialize(G, lib, "p") == {
+            (a, b) for a in range(n) for b in range(n)
+            if ref_eval(G, body, {"x": a, "y": b})}, body
+        for a, b in itertools.product(range(n), repeat=2):  # points
+            assert evaluate(G, None, body, {"x": a, "y": b}) == \
+                ref_eval(G, body, {"x": a, "y": b}), body
+    assert any(o[-1] is False and o.count(True) >= 2 for o in orders)
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -906,7 +936,7 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
         return sum(memo.cache_info().currsize for memo in binding.memos)
     for S in range(1 << G.n):
         one = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
-        want = one.compile(f, ("x", "S"))(0, S)
+        want = bool(one.compile(f, ("S",), "x")(S, 1) & 1)  # bit 0 alone
         S_set = frozenset(v for v in range(G.n) if S >> v & 1)
         assert evaluate(G, lib, f, {"x": 0, "S": S}) == want == \
             ref_eval(G, f, {"x": 0, "S": S_set}, lib)
@@ -1073,24 +1103,23 @@ def test_a_point_is_read_from_the_row_of_the_last_vertex_variable():
             got = _capped(lambda: evaluate(G, lib, f, valuation,
                                            set_cap=cap))
             assert got is None or type(got) is bool
-            if rows is None and point is None:
-                assert got is None, f
-                seen.add("neither")
-                continue
             want = ref_eval(G, f, valuation, lib)
-            assert got == want, f
-            for answer in (rows, point):
+            for answer in (rows, point, got):
                 assert answer is None or bool(answer) == want, f
-            # the first call runs the point first, a later one at
-            # another point the row
+            # evaluate answers every point that the full row or the
+            # boolean plan answers: its one-bit row reaches no set
+            # quantifier that either of them skips
+            if rows is not None or point is not None:
+                assert got is not None, f
+            # the first call runs the one-bit row, a later one at
+            # another point the full row
             seen.add(("both" if rows is not None and point is not None else
-                      "row only" if point is None else "point only",
+                      "row only" if rows is not None else
+                      "point only" if point is not None else
+                      "neither" if got is None else "one bit only",
                       "first" if j == 0 else "later"))
-    # both plans order their literals alike, so on this corpus no point
-    # is "row only": the point plan reaches no set quantifier that the
-    # row skips (the fallback to the row is covered in the test below)
-    assert seen == {"neither", "bound again", "row not free"} | {
-        (answered, call) for answered in ("both", "point only")
+    assert seen == {"bound again", "row not free"} | {
+        (answered, call) for answered in ("both", "point only", "neither")
         for call in ("first", "later")}
 
 
@@ -1106,27 +1135,35 @@ def test_a_row_skips_the_set_quantifier_that_an_atom_decides():
 
 
 def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
+    # the full row over y reaches the set quantifier at y = 1; the row
+    # that wants bit 0 alone stops at x = y, which holds there
     G = grid(5, 6)
     f = parse_formula("x = y | exists S. E(x, y)")
-    binding = plans.Binding(G, None, logic.DEFAULT_SET_CAP)
-    with pytest.raises(SetQuantifierCapError):  # the row over y
-        binding.compile(f, ("x",), "y")(0)
-    assert evaluate(G, None, f, {"x": 0, "y": 0})  # the point
+    row = plans.Binding(G, None, logic.DEFAULT_SET_CAP).compile(
+        f, ("x",), "y")
+    with pytest.raises(SetQuantifierCapError):
+        row(0)
+    assert row(0, 0b1) & 0b1
+    with pytest.raises(SetQuantifierCapError):
+        row(0, 0b10)
+    assert evaluate(G, None, f, {"x": 0, "y": 0})  # the one-bit row
     assert logic._last[2][(f, ("x", "y"))] == (0, 0)
-    with pytest.raises(SetQuantifierCapError):  # the row, then the point
+    with pytest.raises(SetQuantifierCapError):  # the full row, then bit 1
         evaluate(G, None, f, {"x": 0, "y": 1})
-    # the row that reached the cap is not asked again
-    assert logic._last[2][(f, ("x", "y"))] is logic._CAPPED
+    # the memo of the full row is kept, and each later point falls back
+    # to its one-bit row while the full row reaches the cap
+    assert callable(logic._last[2][(f, ("x", "y"))])
     assert evaluate(G, None, f, {"x": 0, "y": 0})
-    # on its first call, a point its own plan cannot reach: at the point,
-    # exists z is the row of its body over z, whose set quantifier is
-    # reached once red(z) holds somewhere; the row over x visits z = 0
-    # first, where red(z) fails, and stops there, full
+    # a point the boolean plan cannot reach: at the point, exists z is
+    # the row of its body over z, whose set quantifier is reached once
+    # red(z) holds somewhere; the row over x visits z = 0 first, where
+    # red(z) fails, and stops there, full
     H = LabeledGraph.build(2, [], labels={"red": [1]})
     g = parse_formula("exists z. (red(z) -> exists S. red(x))")
     with pytest.raises(SetQuantifierCapError):
         plans.Binding(H, None, 0).compile(g, ("x",))(0)
     assert plans.Binding(H, None, 0).compile(g, (), "x")() == 0b11
+    assert plans.Binding(H, None, 0).compile(g, (), "x")(0b1) & 0b1
     assert evaluate(H, None, g, {"x": 0}, set_cap=0)
     assert logic._last[2][(g, ("x",))] == (0,)
 
@@ -1165,10 +1202,10 @@ def test_a_row_without_sets_comes_before_set_quantifiers_in_the_chain():
 
 
 def test_a_point_asked_once_runs_the_plan_of_the_point(monkeypatch):
-    # a guarded set quantifier whose body, at the point, does not read
-    # its set: the point tests that its range has a set, while the row
-    # over y has one free vertex more and a body that reads S
-    f = parse_formula("exists S. (S(x) & S(y) & !(x = y))")
+    # a set quantifier that S(y) or !S(y) guards at a point: the row that
+    # wants bit y alone puts y in or out of S, and stops at the first
+    # set, where the bit holds; the full row over y has one free vertex
+    # more, and stops only once it is full
     G = LabeledGraph.build(12, [])
     visited = []
     evaluate(G, None, parse_formula("true"))  # the binding of G
@@ -1180,13 +1217,38 @@ def test_a_point_asked_once_runs_the_plan_of_the_point(monkeypatch):
             visited.append(Z)
             yield Z
     monkeypatch.setitem(helpers, "_S", counted)
-    for _ in range(3):
-        assert evaluate(G, None, f, {"x": 0, "y": 1})
-    assert visited == []  # one point, however often, visits no set
-    assert not evaluate(G, None, f, {"x": 0, "y": 0})
-    assert len(visited) == 1 << G.n - 1  # the row over y, at x = 0
-    assert evaluate(G, None, f, {"x": 0, "y": 5})
-    assert len(visited) == 1 << G.n - 1  # read from the kept row
+    for text in ("exists S. (S(x) & S(y) & !(x = y))",
+                 "exists S. (S(x) & !S(y) & !(x = y))"):
+        f = parse_formula(text)
+        for calls in range(1, 4):
+            assert evaluate(G, None, f, {"x": 0, "y": 1})
+            assert len(visited) == calls  # one set per call of one point
+        assert not evaluate(G, None, f, {"x": 0, "y": 0})
+        assert len(visited) == 3 + (1 << G.n - 1)  # the row over y, x = 0
+        assert evaluate(G, None, f, {"x": 0, "y": 5})
+        assert len(visited) == 3 + (1 << G.n - 1)  # read from the kept row
+        visited.clear()
+
+
+def test_a_point_builds_its_row_pointwise_at_its_bit_alone(monkeypatch):
+    # a TC body that reads the row variable y: the row over y is built
+    # one vertex at a time, and a one-bit row tests the wanted vertex only
+    f = parse_formula("TC[a, b: E(a, b) & !(b = y)](x, z)")
+    G = grid(1, 6)
+    evaluate(G, None, parse_formula("true"))  # the binding of G
+    helpers = logic._last[0].base
+    pointwise = helpers["_P"]
+    tested = []
+
+    def counted(test, *want):
+        return pointwise(lambda v: tested.append(v) or test(v), *want)
+    monkeypatch.setitem(helpers, "_P", counted)
+    assert evaluate(G, None, f, {"x": 0, "z": 4, "y": 5})
+    assert tested == [5]
+    assert not evaluate(G, None, f, {"x": 0, "z": 4, "y": 2})
+    assert tested == [5] + list(range(G.n))  # the full row at (0, 4)
+    assert evaluate(G, None, f, {"x": 0, "z": 4, "y": 3}) is False
+    assert len(tested) == 1 + G.n  # read from the kept row
 
 
 # ---------------------------------------------------------------------------
