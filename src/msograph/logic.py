@@ -120,13 +120,14 @@ def _at_point(binding: Binding, asked: dict, f: Formula,
         state = asked[key] = point
     elif type(state) is tuple and state != point:  # a second point
         state = asked[key] = functools.lru_cache(maxsize=binding.G.n)(
-            binding.compile(f, others, names[i]))
+            binding.compile(f, others, names[i], True))
     if callable(state):
         try:
-            return bool(state(*rest) >> y & 1)
+            return bool(state(*rest, binding.base["_F"]) >> y & 1)
         except SetQuantifierCapError:
             pass
-    return bool(binding.compile(f, others, names[i])(*rest, 1 << y) >> y & 1)
+    row = binding.compile(f, others, names[i], True)
+    return bool(row(*rest, 1 << y) >> y & 1)
 
 
 def evaluate(G: LabeledGraph, lib: Optional[PredicateLibrary], f: Formula,

@@ -70,14 +70,16 @@ class EvalError(ValueError):
 # argument tuple; TC rows are reachability masks, built from one
 # successor row per vertex.
 #
-# Want.  A row function takes last the mask _w of the bits its caller
-# wants (_F by default, as every caller but ``evaluate`` at a point
-# leaves it), and its row need be right on those bits only.  Only the
-# loops that build the row over y read it: _E, _I and _ES stop once
-# they hold the bits of _w, a chain at the first row with none of them,
-# _P tests the vertices of _w, and a set quantifier with a literal S(y)
-# or !S(y), which stays, puts _w in or out of S when _w is one bit.  So
-# no loop runs longer, or over a larger range, than with _F.
+# Want.  A row planned with want, as ``evaluate`` plans one for a point,
+# takes last the mask _w of the bits wanted, and is right on those.  Its
+# loops over y read it: _E, _I and _ES stop once they hold _w, a chain
+# or a quantifier's literals taken out of its loop at a row that is 0
+# on _w, _P tests the vertices of _w, and the row of a definition it
+# calls without a table takes _w too.  A set quantifier with S(y) or
+# !S(y), which stays, puts a one-bit _w in or out of S, and takes out of
+# its loop, once its range is made, its literals without S of rank 0
+# or 1, as a vertex quantifier does in any row.  So no loop runs longer,
+# or over a larger range, than with _w = _F.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -274,13 +276,15 @@ class _Planner:
         return (self.set_mask(name, scope) if is_set_var(name)
                 else self.vertex(name, scope))
 
-    def _split(self, f: Formula, scope: frozenset, row: Optional[str]) -> str:
+    def _split(self, f: Formula, scope: frozenset, row: Optional[str],
+               want: bool = False) -> str:
         """A call of f compiled as a function of its own, once the current
-        one is done, so that deep formulas do not deepen the stack."""
+        one is done, so that deep formulas do not deepen the stack; a row
+        that wants passes its _w on."""
         params = sorted(f.free & scope)
         g = self._new_global("F")
-        self.pending.append((g, f, params, row))
-        return f"{g}({', '.join(map(_ident, params))})"
+        self.pending.append((g, f, params, row, want))
+        return f"{g}({', '.join([*map(_ident, params), *['_w'] * want])})"
 
     def _idle(self, body: str, cond: str) -> str:
         """The value of a quantifier whose body does not read its
@@ -334,7 +338,7 @@ class _Planner:
             return self._op(_CMP, f"{self._at(left, _BOR)} == "
                                   f"{self._at(right, _BOR)}")
         if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
-            args, lits = self._set_range(f, scope)
+            args, lits, _ = self._set_range(f, scope)
             body = self._junction(lits, True, scope | {f.var}, d)
             z = _ident(f.var)
             if _reads(body, z):
@@ -416,7 +420,7 @@ class _Planner:
                 return ("_F" if t == "True" else "0"), False
             return self._op(_COND, f"_F if {self._at(t, _OR)} else 0"), False
         if depth == _MAX_NESTING:
-            return self._split(f, scope, y), False
+            return self._split(f, scope, y, want), False
         d = depth + 1
         kind = type(f)
         if kind is EdgeAtom:
@@ -463,15 +467,19 @@ class _Planner:
             return self._op(_XOR, f"{self._at(left, _XOR)} ^ "
                                   f"{self._at(right, _BAND)}"), lc == rc
         if kind is ExistsS or kind is ForallS:  # forall Z. f is !exists Z. !f
-            args, lits = self._set_range(f, scope, y if want else None)
+            args, lits, out = self._set_range(f, scope, y if want else None)
             body = self._final(*self._conjunction(lits, scope | {f.var}, y, d,
                                                   want))
             z = _ident(f.var)
+            found = body
             if _reads(body, z):
                 found = f"_ES(_S{args}, lambda {z}: {body}{', _w' * want})"
-            else:  # the range is still made, for its cap
-                found = self._idle(body, f"_N{args}")
-            return found, kind is ForallS
+                if not out:
+                    return found, kind is ForallS
+            # else the range is still made, for its cap, and so it is
+            # before the literals taken out of the loop, as at a point
+            found = self._final(*self._outside(found, out, scope, y, d, want))
+            return self._idle(found, f"_N{args}"), kind is ForallS
         if kind is TC:
             return self._tc_row(f, scope, y, want), False
         raise TypeError(f"unknown node {f!r}")
@@ -534,12 +542,10 @@ class _Planner:
         """Source of the AND of the rows in chain, a row first, as long as
         they and the tests between them are not 0: each row that is not
         last is kept in a temporary."""
-        self.temps += 1
-        t = f"_t{self.temps}"
+        t = self._new_global("t")
         stop = " & _w" * want
         terms = [f"({t} := {self._final(*chain[0])}){stop}"]
-        for i in range(1, len(chain)):
-            item = chain[i]
+        for i, item in enumerate(chain[1:], 1):
             if type(item) is str:
                 terms.append(self._at(item, _AND))
                 continue
@@ -573,6 +579,14 @@ class _Planner:
                                               want))
         found = ("0" if zs == "0" or body == "0" else
                  self._exists(zs, _ident(z), body, want))
+        return self._outside(found, outside, scope, y, depth, want)
+
+    def _outside(self, found: str, outside: list[tuple[Formula, bool]],
+                 scope: frozenset, y: str, depth: int,
+                 want: bool) -> tuple[str, bool]:
+        """The row found of a quantifier, ANDed with the row of the
+        literals taken out of its loop, which come first: the loop runs
+        only if their row is not 0 (on the bits of _w, if want)."""
         if not outside:
             return found, False
         out, comp = self._conjunction(outside, scope, y, depth, want)
@@ -583,8 +597,7 @@ class _Planner:
             return "0", False
         if out == "_F":
             return found, False
-        self.temps += 1
-        t = f"_t{self.temps}"
+        t = self._new_global("t")
         return self._op(_AND, f"({t} := {out}){' & _w' * want} and "
                               f"{t} & {self._at(found, _BAND)}"), False
 
@@ -602,20 +615,20 @@ class _Planner:
     # -- set quantifiers ----------------------------------------------------
 
     def _set_range(self, f: ExistsS | ForallS, scope: frozenset,
-                   y: Optional[str] = None
-                   ) -> tuple[str, list[tuple[Formula, bool]]]:
+                   y: Optional[str] = None) -> tuple[str, list, list]:
         """The bracketed arguments of the range of exists Z. g, or of
         forall Z. g as !exists Z. !g, and the literals of g (of !g) left
-        once its guards are taken.  A guard is a literal Z(v) or !Z(v), v
-        a vertex variable in scope, Z ⊆ M (``_subset_guard``), or a
-        one-bit _w, from Z(y) or !Z(y) on the row variable y, which stays.
+        once its guards are taken; given a row variable y, those of rank
+        0 or 1 without Z are apart, last.  A guard is a literal Z(v) or
+        !Z(v), v a vertex variable in scope, Z ⊆ M (``_subset_guard``), or
+        a one-bit _w, from Z(y) or !Z(y), which stays.
         Z then ranges over must | s for each submask s of M & ~must &
         ~forbid: ``_S`` in the binding, which counts those free vertices
         against the set cap, given (M, must, forbid), and ``_N`` tells
         whether that range has a set.  Unguarded, M is V(G) and must and
         forbid are empty, the defaults of both."""
         z = f.var
-        within, must, forbid, rest = [], [], [], []
+        within, must, forbid, rest, out = [], [], [], [], []
         for g, neg in _conjuncts(f.body, type(f) is ForallS):
             if type(g) is SetAtom and g.set_name == z and g.x == y:
                 rest.append((g, neg))
@@ -627,7 +640,8 @@ class _Planner:
             else:
                 part, mask = within, self._subset_guard(g, neg, z, scope)
                 if mask is None:
-                    rest.append((g, neg))
+                    (out if y and z not in g.free and self._rank(g) < 2
+                     else rest).append((g, neg))
                     continue
             if mask not in part:
                 part.append(mask)
@@ -636,7 +650,7 @@ class _Planner:
                 self._join(forbid, " | ", _BOR) if forbid else "0"]
         while args and args[-1] == ("0" if len(args) > 1 else "_F"):
             args.pop()  # a default
-        return f"({', '.join(args)})", rest
+        return f"({', '.join(args)})", rest, out
 
     def _subset_guard(self, g: Formula, negated: bool, z: str,
                       scope: frozenset) -> Optional[str]:
@@ -672,7 +686,8 @@ class _Planner:
         if f.name in self.lib:
             if len(at) > 1:
                 return self._pointwise(f, scope, y, want)
-            return f"{self._definition(f, at[0])}({', '.join(key)})"
+            g = self._definition(f, at[0], want)
+            return f"{g}({', '.join([*key, *['_w'] * want])})"
         if len(f.args) == 1 and f.name in self.labels:
             return self.label(f.name)
         raise EvalError(f"unknown predicate or label {f.name!r}")
@@ -695,10 +710,11 @@ class _Planner:
             raise EvalError(f"table {f.name!r} takes vertex arguments")
         return self._global(("R", f.name, positions, len(f.args)))
 
-    def _definition(self, f: App, at: Optional[int]) -> str:
+    def _definition(self, f: App, at: Optional[int],
+                    want: bool = False) -> str:
         """The global holding the compiled definition f calls, memoized
         per argument tuple: a test, or the row over its parameter at
-        position at."""
+        position at, which takes _w last if want."""
         d = self.lib[f.name]
         if len(d.params) != len(f.args):
             raise EvalError(f"{f.name!r} called with arity {len(f.args)}, "
@@ -707,7 +723,7 @@ class _Planner:
             params, row = d.params, None
         else:
             params, row = d.params[:at] + d.params[at + 1:], d.params[at]
-        return self._global(("D", d.body, params, row))
+        return self._global(("W" if want else "D", d.body, params, row))
 
     def _tc(self, f: TC, scope: frozenset, reverse: bool = False) -> str:
         """Source of the reachability rows of f, or of its reverse, under

@@ -199,7 +199,8 @@ class Plan:
     function and, for the globals that code reads, one recipe each.  A
     recipe is a tuple: ("A",) the adjacency rows, ("L", name) a label's
     mask, ("R", name, positions, arity) the rows of a table, ("D", body,
-    params, row) a memoized callee, ("C", body, params, row) and ("K",
+    params, row) a memoized callee, ("W", body, params, row) one whose
+    row takes the bits wanted, ("C", body, params, row) and ("K",
     body, params, row) the reachability rows of a TC body and their
     transpose, ("F", code) a split function."""
 
@@ -221,13 +222,14 @@ def _tabulatable(d: Definition) -> bool:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
-         labels: frozenset, tables: frozenset,
-         defs: Definitions) -> Plan:
+         labels: frozenset, tables: frozenset, defs: Definitions,
+         want: bool = False) -> Plan:
     """The plan of f as a function of params (returning the row over row,
-    if given) where the names in labels are labels, those in tables have
-    tables and defs are the library's definitions."""
+    if given, and taking last the bits wanted of it, if want) where the
+    names in labels are labels, those in tables have tables and defs are
+    the library's definitions."""
     planner = _Planner(labels, tables, defs)
-    code = planner.function(f, params, row, row is not None)
+    code = planner.function(f, params, row, want)
     return Plan(code, tuple(planner.recipes))
 
 
@@ -274,20 +276,23 @@ class Binding:
         return self.tables
 
     def compile(self, f: Formula, params: Sequence[str],
-                row: Optional[str] = None):
+                row: Optional[str] = None, want: bool = False):
         """The function of params (vertex indices for vertex variables,
         bitmasks for set variables) that tells whether f holds or, given
         a row variable, returns the row of f over it, planned for the
         label names of G, the names that have tables now and the library.
+        If want, the row function takes last the mask of the bits wanted
+        and its row is right on those (``planner``).
         An unknown name in f or in a callee or TC body it reaches raises
         EvalError here, before anything is evaluated.  The same f,
-        params, row and table names return the same function while the
-        store keeps it."""
-        return self.make(("P", f, tuple(params), row, frozenset(self.tables)))
+        params, row, want and table names return the same function while
+        the store keeps it."""
+        return self.make(("P", f, tuple(params), row, frozenset(self.tables),
+                          want))
 
     def make(self, recipe: tuple):
         """The value of a recipe on this graph, made once while the store
-        keeps it; ("P", f, params, row, tables) is a compiled function."""
+        keeps it; ("P", f, params, row, tables, want) is a plan function."""
         value = self.made.get(recipe)
         if value is not None:
             return value
@@ -295,14 +300,13 @@ class Binding:
         if kind == "P":
             if len(self.made) >= PLAN_CACHE_SIZE:
                 self.made.clear()
-            f, params, row, tables = args
-            p = plan(f, params, row, self.labels, tables, self.defs)
+            f, params, row, tables, want = args
+            p = plan(f, params, row, self.labels, tables, self.defs, want)
             g = dict(self.base)
             for name, r in p.recipes:
                 g[name] = (FunctionType(r[1], g) if r[0] == "F"
                            else self.make(r))
-            # a row function's last parameter, _w, is _F by default
-            value = FunctionType(p.code, g, None, (g["_F"],) if row else None)
+            value = FunctionType(p.code, g)
         elif kind == "A":
             value = self.G.adjacency_masks()
         elif kind == "L":
@@ -317,11 +321,11 @@ class Binding:
         elif kind == "K":
             rows = self.make(("C", *args))
             value = functools.cache(lambda *val: _transpose(rows(*val)))
-        else:  # "D" or "C", compiled when first bound
-            fn = self.make(("P", *args, frozenset(self.tables)))
-            value = (functools.cache(fn) if kind == "D"
-                     else _tc_rows(fn, self.G.n))
-        if kind in "DCK":
+        else:  # "D", "W" or "C", compiled when first bound
+            fn = self.make(("P", *args, frozenset(self.tables), kind == "W"))
+            value = (_tc_rows(fn, self.G.n) if kind == "C"
+                     else functools.cache(fn))
+        if kind in "DWCK":
             self.memos.add(value)
         self.made[recipe] = value
         return value

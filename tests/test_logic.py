@@ -936,7 +936,7 @@ def test_memos_of_a_reused_binding_hold_what_one_call_leaves():
         return sum(memo.cache_info().currsize for memo in binding.memos)
     for S in range(1 << G.n):
         one = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
-        want = bool(one.compile(f, ("S",), "x")(S, 1) & 1)  # bit 0 alone
+        want = bool(one.compile(f, ("S",), "x", True)(S, 1) & 1)  # bit 0 alone
         S_set = frozenset(v for v in range(G.n) if S >> v & 1)
         assert evaluate(G, lib, f, {"x": 0, "S": S}) == want == \
             ref_eval(G, f, {"x": 0, "S": S_set}, lib)
@@ -1140,9 +1140,9 @@ def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
     G = grid(5, 6)
     f = parse_formula("x = y | exists S. E(x, y)")
     row = plans.Binding(G, None, logic.DEFAULT_SET_CAP).compile(
-        f, ("x",), "y")
+        f, ("x",), "y", True)
     with pytest.raises(SetQuantifierCapError):
-        row(0)
+        row(0, (1 << G.n) - 1)
     assert row(0, 0b1) & 0b1
     with pytest.raises(SetQuantifierCapError):
         row(0, 0b10)
@@ -1163,7 +1163,7 @@ def test_a_point_the_row_cannot_reach_under_the_cap_still_answers():
     with pytest.raises(SetQuantifierCapError):
         plans.Binding(H, None, 0).compile(g, ("x",))(0)
     assert plans.Binding(H, None, 0).compile(g, (), "x")() == 0b11
-    assert plans.Binding(H, None, 0).compile(g, (), "x")(0b1) & 0b1
+    assert plans.Binding(H, None, 0).compile(g, (), "x", True)(0b1) & 0b1
     assert evaluate(H, None, g, {"x": 0}, set_cap=0)
     assert logic._last[2][(g, ("x",))] == (0,)
 
@@ -1204,8 +1204,10 @@ def test_a_row_without_sets_comes_before_set_quantifiers_in_the_chain():
 def test_a_point_asked_once_runs_the_plan_of_the_point(monkeypatch):
     # a set quantifier that S(y) or !S(y) guards at a point: the row that
     # wants bit y alone puts y in or out of S, and stops at the first
-    # set, where the bit holds; the full row over y has one free vertex
-    # more, and stops only once it is full
+    # set, where the bit holds; at x = y it stops before any set, at
+    # !(x = y), which is taken out of the loop.  The full row over y has
+    # one free vertex more, and stops only once it is full: S(y) makes it
+    # full at the first set with the highest vertex, !S(y) never
     G = LabeledGraph.build(12, [])
     visited = []
     evaluate(G, None, parse_formula("true"))  # the binding of G
@@ -1217,17 +1219,46 @@ def test_a_point_asked_once_runs_the_plan_of_the_point(monkeypatch):
             visited.append(Z)
             yield Z
     monkeypatch.setitem(helpers, "_S", counted)
-    for text in ("exists S. (S(x) & S(y) & !(x = y))",
-                 "exists S. (S(x) & !S(y) & !(x = y))"):
+    for text, row in (("exists S. (S(x) & S(y) & !(x = y))",
+                       1 + (1 << G.n - 2)),
+                      ("exists S. (S(x) & !S(y) & !(x = y))", 1 << G.n - 1)):
         f = parse_formula(text)
+        assert not evaluate(G, None, f, {"y": 4, "x": 4})  # a point x = y
+        assert visited == []
         for calls in range(1, 4):
             assert evaluate(G, None, f, {"x": 0, "y": 1})
             assert len(visited) == calls  # one set per call of one point
         assert not evaluate(G, None, f, {"x": 0, "y": 0})
-        assert len(visited) == 3 + (1 << G.n - 1)  # the row over y, x = 0
+        assert len(visited) == 3 + row  # the row over y, at x = 0
         assert evaluate(G, None, f, {"x": 0, "y": 5})
-        assert len(visited) == 3 + (1 << G.n - 1)  # read from the kept row
+        assert len(visited) == 3 + row  # read from the kept row
         visited.clear()
+
+
+def test_a_point_passes_the_bits_it_wants_to_splits_and_callees():
+    # E(x, y) & exists S. S(x), continued in a split function past the
+    # nesting that one generated function holds, or called as a library
+    # predicate: the row asked for one bit passes it on, so it stops at
+    # the non-edge before the set quantifier that the full row reaches
+    # over the cap
+    deep = parse_formula("E(x, y) & exists S. S(x)")
+    for _ in range(2 * planner._MAX_NESTING):
+        deep = Iff(TrueF(), deep)
+    assert any(r[0] == "F" for _, r in plans.plan(
+        deep, ("x",), "y", frozenset(), frozenset(), NO_DEFINITIONS,
+        True).recipes)
+    lib = parse_library("def p(x, y) := E(x, y) & exists S. S(x)")
+    G = grid(1, 24)
+    for f, lib in ((deep, None), (parse_formula("p(x, y)"), lib)):
+        row = plans.Binding(G, lib, logic.DEFAULT_SET_CAP).compile(
+            f, ("x",), "y", True)
+        with pytest.raises(SetQuantifierCapError):
+            row(0, (1 << G.n) - 1)
+        assert row(0, 0b100) == 0
+        assert evaluate(G, lib, f, {"x": 0, "y": 2}) is False
+        with pytest.raises(SetQuantifierCapError):  # the full row, then bit 1
+            evaluate(G, lib, f, {"x": 0, "y": 1})
+        assert evaluate(G, lib, f, {"x": 0, "y": 3}) is False  # bit 3 alone
 
 
 def test_a_point_builds_its_row_pointwise_at_its_bit_alone(monkeypatch):
