@@ -80,6 +80,21 @@ class EvalError(ValueError):
 # its loop, once its range is made, its literals without S of rank 0
 # or 1, as a vertex quantifier does in any row.  So no loop runs longer,
 # or over a larger range, than with _w = _F.
+#
+# Lifting.  In a plan without want, a vertex quantifier exists z whose
+# literals all have rank 0 or 1 first spreads each literal exists w. g:
+# the literals of g that read neither w nor y come out, to pick the z to
+# visit (``_spread``).  If the literals left in its loop read no set
+# variable and fewer vertex variables, but z and y, than are in scope,
+# the loop becomes one call of a callee, exists z. (those literals),
+# planned like a definition without a table and memoized on the
+# variables it reads (``_lift``): a row that does not read an outer
+# variable is made once per value of those it reads, as in the
+# decorrelation of nested queries and in tabling.  The call stands where
+# the loop stood, after the same tests; no literal that moves, or that
+# is lifted, reaches a set quantifier, so none is reached elsewhere or
+# in another order and no cap outcome changes.  The memo lives in the
+# binding's store, which ``forget`` empties.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -153,16 +168,24 @@ def _conjuncts(f: Formula, negated: bool = False
     return out
 
 
+def _formula(lits: list[tuple[Formula, bool]]) -> Formula:
+    """The conjunction of the literals, in their order."""
+    if not lits:
+        return TrueF()
+    return functools.reduce(And, [Not(g) if neg else g for g, neg in lits])
+
+
 class _Planner:
     """Builds the plan of one function: the source of it and of its split
     functions, and the recipes of the globals they read.  Callees and TC
     bodies are recipes, planned when they are bound."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
-                 defs: Definitions):
+                 defs: Definitions, lifts: bool = True):
         self.labels = labels
         self.tables = tables
         self.lib = defs.by_name
+        self.lifts = lifts  # whether loops may become callees (``_lift``)
         self.recipes: list[tuple[str, tuple]] = []
         self.names: dict[tuple, str] = {}
         self.pending: list[tuple] = []
@@ -567,12 +590,24 @@ class _Planner:
         ``_row`` gives it.  The literals of rank 0 or 1 (``_rank``)
         without y give the z to visit, those without z are taken once,
         outside the loop, and the OR over the visited z takes the rows of
-        the others."""
-        guard, outside, rest = [], [], []
+        the others, or a callee does (``_lift``)."""
+        spread = self.lifts and self._spread(lits, y)
+        lits = spread or lits
+        guard, outside, rest, loop = [], [], [], []
         for g, neg in lits:
-            low = self._rank(g) < 2
-            (guard if low and y not in g.free else
-             outside if low and z not in g.free else rest).append((g, neg))
+            rank = self._rank(g)
+            part = (guard if rank < 2 and y not in g.free else
+                    outside if rank < 2 and z not in g.free else rest)
+            part.append((g, neg))
+            if part is rest or part is guard and z in g.free:
+                loop.append((g, neg))
+        call = spread and self._lift(z, loop, scope, y)
+        if call:  # after the tests without z
+            test = self._junction([(g, n) for g, n in guard
+                                   if z not in g.free], True, scope, depth)
+            found = (call if test == "True" else "0" if test == "False" else
+                     self._idle(call, test))
+            return self._outside(found, outside, scope, y, depth, want)
         # an empty conjunction is "_F": every z, or the row _F at each
         zs = self._final(*self._conjunction(guard, scope - {z}, z, depth))
         body = self._final(*self._conjunction(rest, scope | {z}, y, depth,
@@ -580,6 +615,42 @@ class _Planner:
         found = ("0" if zs == "0" or body == "0" else
                  self._exists(zs, _ident(z), body, want))
         return self._outside(found, outside, scope, y, depth, want)
+
+    def _spread(self, lits: list[tuple[Formula, bool]],
+                y: str) -> Optional[list[tuple[Formula, bool]]]:
+        """lits with each literal exists w. g, or !forall w. g, spread:
+        the literals of g that read neither w nor y come out before it,
+        where they pick the values of an enclosing variable to visit; or
+        None if a literal has rank 2."""
+        out = []
+        for g, neg in lits:
+            if g.sets or g.calls and self._rank(g) > 1:
+                return None
+            if type(g) is (ForallV if neg else ExistsV):
+                inner = _conjuncts(g.body, neg)
+                stay = [(h, n) for h, n in inner
+                        if g.var in h.free or y in h.free]
+                if len(stay) < len(inner):
+                    out += [lit for lit in inner if lit not in stay]
+                    g, neg = ExistsV(g.var, _formula(stay)), False
+            out.append((g, neg))
+        return out
+
+    def _lift(self, z: str, loop: list[tuple[Formula, bool]],
+              scope: frozenset, y: str) -> Optional[str]:
+        """A call of the callee whose row over y is exists z. (the
+        conjunction of the literals of the loop), memoized on the vertex
+        variables it reads but z and y, if they are fewer than scope
+        holds and it reads no set variable; else None."""
+        if all(map(is_set_var, scope)):
+            return None  # no vertex variable to skip
+        free = frozenset().union(*(g.free for g, _ in loop)) - {z, y}
+        if not (loop and free < scope) or any(map(is_set_var, free)) or \
+                all(map(is_set_var, scope - free)):
+            return None
+        params = tuple(sorted(free))
+        g = self._global(("D", ExistsV(z, _formula(loop)), params, y))
+        return f"{g}({', '.join(map(_ident, params))})"
 
     def _outside(self, found: str, outside: list[tuple[Formula, bool]],
                  scope: frozenset, y: str, depth: int,

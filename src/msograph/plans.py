@@ -42,7 +42,7 @@ from .graphs import LabeledGraph
 from .planner import EvalError, _Planner
 from .syntax import (NO_DEFINITIONS, Definition, Definitions, Formula,
                      PredicateLibrary, is_set_var)
-from .table import Table, bits
+from .table import Table, bits, transpose
 
 
 class SetQuantifierCapError(EvalError):
@@ -79,14 +79,6 @@ def _reach_rows(succ: list[int]) -> list[int]:
             seen |= new
         rows.append(seen)
     return rows
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    cols = [0] * len(rows)
-    for p, m in enumerate(rows):
-        for q in bits(m):
-            cols[q] |= 1 << p
-    return cols
 
 
 def _tc_rows(succ, n: int):
@@ -228,7 +220,7 @@ def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
     if given, and taking last the bits wanted of it, if want) where the
     names in labels are labels, those in tables have tables and defs are
     the library's definitions."""
-    planner = _Planner(labels, tables, defs)
+    planner = _Planner(labels, tables, defs, not want)
     code = planner.function(f, params, row, want)
     return Plan(code, tuple(planner.recipes))
 
@@ -320,7 +312,7 @@ class Binding:
             value = t.rows(positions)
         elif kind == "K":
             rows = self.make(("C", *args))
-            value = functools.cache(lambda *val: _transpose(rows(*val)))
+            value = functools.cache(lambda *val: transpose(rows(*val)))
         else:  # "D", "W" or "C", compiled when first bound
             fn = self.make(("P", *args, frozenset(self.tables), kind == "W"))
             value = (_tc_rows(fn, self.G.n) if kind == "C"

@@ -17,6 +17,31 @@ def bits(m: int) -> Iterator[int]:
         m ^= low
 
 
+def transpose(rows: list[int]) -> list[int]:
+    """The columns of a square matrix of bit rows: bit p of column q is
+    bit q of row p."""
+    cols = [0] * len(rows)
+    for p, m in enumerate(rows):
+        bit = 1 << p
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
+def _column(rows, depth: int, i: int):
+    """Rows nested depth levels deep with level i moved to the leaves:
+    nested lists indexed by the other levels, in order, whose leaves are
+    bitmasks of the index at level i."""
+    if i:
+        return [_column(r, depth - 1, i - 1) for r in rows]
+    if depth == 1:
+        return transpose(rows)
+    return [_column([r[b] for r in rows], depth - 1, 0)
+            for b in range(len(rows))]
+
+
 def _empty_rows(n: int, depth: int):
     """Rows indexed by depth leading arguments, all empty."""
     if depth == 0:
@@ -64,18 +89,23 @@ class Table(AbstractSet):
         """The rows of the tuples that hold one vertex at all the given
         positions: nested lists indexed by the arguments at the other
         positions, in order, whose leaves are bitmasks of that vertex.
-        Positions other than the last are transposed once, here."""
+        Positions other than the last are transposed once, here: one
+        position by bits, repeated ones tuple by tuple."""
         if self.arity == 0 or positions == (self.arity - 1,):
             return self._rows
         got = self._by_positions.get(positions)
-        if got is None:
+        if got is not None:
+            return got
+        if len(positions) == 1:
+            got = _column(self._rows, self.arity - 1, positions[0])
+        else:
             others = [i for i in range(self.arity) if i not in positions]
             got = _empty_rows(self.n, len(others))
             for t in self:
                 v = t[positions[0]]
                 if all(t[p] == v for p in positions):
                     got = _add(got, tuple(t[i] for i in others), v)
-            self._by_positions[positions] = got
+        self._by_positions[positions] = got
         return got
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:

@@ -264,6 +264,14 @@ ROW_SHAPES = (
     "TC[a, b: p(a, b)]({y}, {x})", "TC[a, b: p(a, b)]({x}, {y})",
     "TC[a, b: r(a, b, {x})]({y}, {x})", "TC[a, b: r(a, b, {x})]({x}, {y})",
     "TC[a, b: E(a, b) & u(b)]({y}, {y})",
+    # nested quantifiers whose inner loop skips an outer variable, so the
+    # planner spreads the inner literals and lifts the loop into a callee
+    "exists a. (exists b. (p(a, {x}) & u(b) & p(b, {y}) & !E(a, b)))",
+    "forall a. (p({x}, a) -> exists b. (u(a) & E(a, b) & r(b, {y}, b)))",
+    "exists a. (exists b. (u(a) & E(a, {x}) & p(a, b) & "
+    "TC[c, d: p(c, d)](b, {y})))",
+    "exists a. (p({x}, a) & !(forall b. (E(b, {x}) | !E(a, b) | "
+    "b = {y})))",
 )
 
 
@@ -304,6 +312,87 @@ def test_rows_match_reference():
             t for t in itertools.product(range(n), repeat=k)
             if ref_eval(G, App("t", names), dict(zip(names, t)), lib)}
     assert used == set(ROW_SHAPES)
+
+
+def _lifted(p: plans.Plan) -> list[tuple]:
+    """The callee recipes of the plan whose body is a quantifier that the
+    planner lifted, not a library definition."""
+    return [r for _, r in p.recipes if r[0] == "D" and type(r[1]) is ExistsV]
+
+
+def test_loops_that_skip_an_outer_variable_are_lifted():
+    # the inner loops of the families' libraries that do not read an
+    # outer variable each become a memoized callee
+    for lib, G, names in (
+            (bichain_predicates(), build_Zn(6), ["adjcolumn"]),
+            (word_predicates(), build_Hn("121212", 1),
+             ["eta_1", "zreach", "vedge"]),
+            (power_predicates(), build_Dn(10), ["cliqueord"])):
+        binding = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
+        tables = frozenset(binding.tabulate(names))
+        for name in names:
+            d = lib.by_name[name]
+            lifted = _lifted(plans.plan(d.body, d.params[:-1], d.params[-1],
+                                        binding.labels, tables, lib.key))
+            assert lifted and all(d.params[0] not in r[2]
+                                  for r in lifted), name
+        assert any(memo.cache_info().currsize for memo in binding.memos)
+        binding.forget()  # the memos of the lifted callees too
+        assert not any(memo.cache_info().currsize
+                       for memo in binding.memos)
+    # the prenex sentences of the sentence-check bench, two vertex
+    # quantifiers and one set quantifier, and their relativizations call
+    # nothing and have no loop to lift, so their plans hold no callee;
+    # nor does a row planned for a point lift
+    rng = random.Random(1)
+    for _ in range(200):
+        f = _random_sentence(rng)
+        for g, params in ((f, ()), (relativize(f, "X"), ("X",))):
+            assert all(r[0] != "D" for _, r in plans.plan(
+                g, params, None, frozenset(), frozenset(),
+                NO_DEFINITIONS).recipes)
+    f = parse_formula("exists a. (exists b. (E(a, x) & E(a, b) & E(b, y)))")
+    assert _lifted(plans.plan(f, ("x",), "y", frozenset(), frozenset(),
+                              NO_DEFINITIONS))
+    assert not _lifted(plans.plan(f, ("x",), "y", frozenset(), frozenset(),
+                                  NO_DEFINITIONS, True))
+
+
+def _random_sentence(rng):
+    """A prenex sentence with one set and two vertex quantifiers in a
+    seeded order and polarity, over a seeded depth-2 matrix of E, = and
+    membership atoms: the shapes of the sentence-check bench."""
+    kinds = ["S", "v", "v"]
+    rng.shuffle(kinds)
+    vvars, svars, prefix = [], [], []
+    for i, kind in enumerate(kinds):
+        if kind == "S":
+            svars.append(f"S{i}")
+            prefix.append((rng.choice((ExistsS, ForallS)), f"S{i}"))
+        else:
+            vvars.append(f"v{i}")
+            prefix.append((rng.choice((ExistsV, ForallV)), f"v{i}"))
+
+    def atom():
+        kind = rng.choice(("edge", "edge", "eq", "mem", "mem"))
+        if kind == "edge":
+            a = EdgeAtom(rng.choice(vvars), rng.choice(vvars))
+        elif kind == "eq":
+            a = Eq(rng.choice(vvars), rng.choice(vvars))
+        else:
+            a = SetAtom(svars[0], rng.choice(vvars))
+        return Not(a) if rng.random() < 0.15 else a
+
+    def matrix(depth):
+        if depth == 0:
+            return atom()
+        op = rng.choice((And, Or, Implies, Iff))
+        return op(matrix(depth - 1), matrix(depth - 1))
+
+    f = matrix(2)
+    for quantifier, var in reversed(prefix):
+        f = quantifier(var, f)
+    return f
 
 
 def test_a_chain_ands_its_last_row_before_a_test_that_follows_it():
@@ -565,6 +654,35 @@ def test_table_keeps_the_set_contract():
     assert materialize(P, lib, "end") == {(0,), (3,)}
     assert materialize(P, lib, "some") == {()}
     assert materialize(LabeledGraph.build(4, []), lib, "mid") == set()
+
+
+def test_table_rows_at_any_positions_match_the_tuples():
+    rng = random.Random(41)
+    for arity in (1, 2, 3):
+        for n in range(5):
+            tuples = {t for t in itertools.product(range(n), repeat=arity)
+                      if rng.random() < 0.4}
+
+            def rows(prefix=()):
+                if len(prefix) == arity - 1:
+                    return sum(1 << v for v in range(n)
+                               if (*prefix, v) in tuples)
+                return [rows((*prefix, i)) for i in range(n)]
+            t = Table(n, arity, rows())
+            assert t == tuples
+            for k in range(1, arity + 1):
+                for at in itertools.combinations(range(arity), k):
+                    others = [i for i in range(arity) if i not in at]
+                    for key in itertools.product(range(n),
+                                                 repeat=len(others)):
+                        row = t.rows(at)
+                        for a in key:
+                            row = row[a]
+                        point = dict(zip(others, key))
+                        assert row == sum(
+                            1 << v for v in range(n) if tuple(
+                                point.get(i, v) for i in range(arity))
+                            in tuples)
 
 
 # ---------------------------------------------------------------------------
