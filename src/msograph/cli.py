@@ -11,14 +11,11 @@ library, an interpretation file, a valuation or a JSON file) exits 2.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from . import bichain_family as bf
-from . import power_family as pf
-from . import word_family as wf
 from .graphs import (LabeledGraph, SubdivisionPlan, antichain_member_In,
                      grid, make_Tn, tri_corner_grid, uniform_subdivide_utg,
                      upper_tri_grid)
@@ -30,7 +27,6 @@ from .logic import (DEFAULT_SET_CAP, App, SetQuantifierCapError,
                     PredicateLibrary, evaluate)
 from .search import BudgetExhausted
 from .syntax import _Parser
-from .verify import SUITES, run_suite
 from .widths import (KExpression, SizeCapExceeded, TreeDecomposition,
                      cliquewidth_exact, treewidth_exact, verify_k_expression,
                      verify_tree_decomposition)
@@ -41,8 +37,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+# the names of ``verify.SUITES``, listed here so that building the
+# parser (for ``--help`` too) imports no suite
+SUITE_NAMES = ("bichain", "bpg", "gamma-class", "power", "relativize",
+               "split", "tc", "widths", "word")
+
+
 class UsageError(ValueError):
     pass
+
+
+def _family(name: str):
+    """The module of a graph family, imported by the first command that
+    builds or interprets one of its members."""
+    return import_module(f"{__package__}.{name}_family")
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +58,7 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _split(args) -> LabeledGraph:
+    bf = _family("bichain")
     Z = bf.build_Zn(args.n, with_labels=args.labels)
     A, _ = bf.zn_parts(args.n)
     return bf.split_from_bichain(Z, A)
@@ -69,12 +78,14 @@ def _subdiv(args) -> LabeledGraph:
 _FAMILIES = {
     "grid": (("m", "n"), lambda a: grid(a.m, a.n)),
     "utg": (("t",), lambda a: upper_tri_grid(a.t)),
-    "word": (("alpha", "n"), lambda a: wf.build_Hn(a.alpha, a.n)
-             if a.labels else wf.build_Gn(a.alpha, a.n)),
-    "bichain": (("n",), lambda a: bf.build_Zn(a.n, with_labels=a.labels)),
+    "word": (("alpha", "n"), lambda a: (
+        _family("word").build_Hn if a.labels
+        else _family("word").build_Gn)(a.alpha, a.n)),
+    "bichain": (("n",), lambda a: _family("bichain").build_Zn(
+        a.n, with_labels=a.labels)),
     "split": (("n",), _split),
-    "bpg": (("n",), lambda a: bf.build_Pn(a.n)),
-    "power": (("n",), lambda a: pf.build_Dn(a.n)),
+    "bpg": (("n",), lambda a: _family("bichain").build_Pn(a.n)),
+    "power": (("n",), lambda a: _family("power").build_Dn(a.n)),
     "Tn": (("n",), lambda a: make_Tn(a.n)),
     "subdiv": (("r",), _subdiv),
     "In": (("n",), lambda a: antichain_member_In(a.n)),
@@ -171,11 +182,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 _BUILTIN_INTERPS = {
-    "delta": wf.delta_interp,
-    "gamma-contract": wf.gamma_contract_interp,
-    "psi-bichain": bf.psi_bichain,
-    "psi-split": bf.psi_split,
-    "phi-power": pf.phi_power,
+    "delta": lambda: _family("word").delta_interp(),
+    "gamma-contract": lambda: _family("word").gamma_contract_interp(),
+    "psi-bichain": lambda: _family("bichain").psi_bichain(),
+    "psi-split": lambda: _family("bichain").psi_split(),
+    "phi-power": lambda: _family("power").phi_power(),
     "complement": builtin_complement,
     "induced": builtin_induced,
 }
@@ -201,7 +212,7 @@ def cmd_apply(args) -> int:
             raise UsageError(f"--params is missing {missing}")
         params = [bind[p] for p in interps[0].params]
     if interps[0].name == "phi-power":
-        pf.check_power_input(G.n)
+        _family("power").check_power_input(G.n)
     stages = [(I, params if i == 0 else None)
               for i, I in enumerate(interps)]
     H = compose_pipeline(Pipeline(stages), G, set_cap=args.set_cap)
@@ -257,6 +268,7 @@ def cmd_width(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suite
     knobs = {}
     if args.seed is not None:
         knobs["seed"] = args.seed
@@ -265,7 +277,7 @@ def cmd_verify(args) -> int:
     if args.trials is not None:
         knobs["trials"] = args.trials
     fn = SUITES[args.suite]
-    accepted = set(inspect.signature(fn).parameters)
+    accepted = set(_parameters(fn))
     dropped = {k for k in knobs if k not in accepted}
     for k in dropped:
         print(f"note: suite {args.suite!r} ignores --{k.replace('_', '-')}",
@@ -287,9 +299,15 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _parameters(fn) -> tuple[str, ...]:
+    """The names of the parameters of fn, none of them keyword-only."""
+    return fn.__code__.co_varnames[:fn.__code__.co_argcount]
+
+
 def _default(fn, name: str):
-    """The default of a keyword of fn, for help texts."""
-    return inspect.signature(fn).parameters[name].default
+    """The default of a parameter of fn, for help texts."""
+    names = _parameters(fn)
+    return fn.__defaults__[names.index(name) - len(names)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(fn=cmd_width)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("--suite", required=True, choices=sorted(SUITES))
+    v.add_argument("--suite", required=True, choices=SUITE_NAMES)
     v.add_argument("--seed", type=int)
     v.add_argument("--max-n", type=int, dest="max_n")
     v.add_argument("--trials", type=int)

@@ -177,14 +177,23 @@ def materialize(G: LabeledGraph, lib: PredicateLibrary, name: str, *,
         raise EvalError(
             f"{name!r} has arity above {MAX_MATERIALIZE_ARITY} or set "
             f"parameters and cannot be tabulated; evaluate it pointwise")
-    return Binding(G, lib, set_cap).tabulate([name])[name]
+    return _full(Binding(G, lib, set_cap).tabulate([name]))[name]
 
 
 def materialize_all(G: LabeledGraph, lib: PredicateLibrary, *,
                     set_cap: int = DEFAULT_SET_CAP) -> dict[str, Table]:
     """Tables for every tabulatable definition in the library, all bound
     in one binding of G."""
-    return Binding(G, lib, set_cap).tabulate([d.name for d in lib.defs])
+    return _full(Binding(G, lib, set_cap).tabulate([d.name
+                                                    for d in lib.defs]))
+
+
+def _full(tables: dict[str, Table]) -> dict[str, Table]:
+    """tables with every row made, in library order, so that every row
+    over the set cap raises here as a full tabulation would."""
+    for t in tables.values():
+        t.fill()
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ recipe values, which a compile empties when it holds ``PLAN_CACHE_SIZE``
 values, so compiling the same formula again on it costs one lookup.
 A binding also owns the tables of its library predicates, which only
 ``Binding.tabulate`` makes; a compile after it reads their rows in
-place of calling the definitions.
+place of calling the definitions.  A table of arity 2 or 3 makes a row
+when a plan first reads it, unless its row function would read lazy
+tables ``_MAX_LAZY_DEPTH`` deep: then it is filled at once, which keeps
+the stack of a lazy read bounded however long a chain of tables is.
 Names are resolved while planning and binding: an unassigned variable
 or an unknown predicate raises ``EvalError`` before anything is
 evaluated.  ``logic`` calls this module and re-exports its errors.
@@ -42,7 +45,7 @@ from .graphs import LabeledGraph
 from .planner import EvalError, _Planner
 from .syntax import (NO_DEFINITIONS, Definition, Definitions, Formula,
                      PredicateLibrary, is_set_var)
-from .table import Table, bits, transpose
+from .table import LazyRows, Table, bits, transpose
 
 
 class SetQuantifierCapError(EvalError):
@@ -205,6 +208,8 @@ class Plan:
 
 PLAN_CACHE_SIZE = 128
 MAX_MATERIALIZE_ARITY = 3
+# the most lazy tables that one lazy read may nest
+_MAX_LAZY_DEPTH = 24
 
 
 def _tabulatable(d: Definition) -> bool:
@@ -240,6 +245,9 @@ class Binding:
         self.G = G
         self.lib = lib
         self.tables: dict[str, Table] = {}
+        # the depth of each lazy table: one more than the deepest of the
+        # lazy tables that its row function reads
+        self.depths: dict[str, int] = {}
         self.labels = frozenset(G.labels)
         self.defs = lib.key if lib else NO_DEFINITIONS
         self.base = _helpers(G.n, set_cap)
@@ -253,7 +261,11 @@ class Binding:
         the definitions ``names`` reach, in library order after one walk
         of the call graph.  A table is one call of the definition's row
         function per tuple of its leading arguments; later compiles read
-        its rows instead of calling the definition."""
+        its rows instead of calling the definition.  Each row function
+        is planned here, so an unknown name raises EvalError at once.
+        A table of arity 2 or 3 makes each row when it is first read
+        (``table.LazyRows``), unless its depth would pass
+        ``_MAX_LAZY_DEPTH``; other tables are filled here."""
         n = self.G.n
         for d in self.lib.reach(names):
             if d.name in self.tables or not _tabulatable(d):
@@ -263,9 +275,30 @@ class Binding:
                 rows = int(self.compile(d.body, ())())
             else:
                 fn = self.compile(d.body, d.params[:-1], d.params[-1])
-                rows = _all_rows(fn, n, k - 1)
+                depth = self._beneath(d) + 1
+                if k > 1 and depth <= _MAX_LAZY_DEPTH:
+                    rows = LazyRows(fn, k - 1)
+                    self.depths[d.name] = depth
+                else:
+                    rows = _all_rows(fn, n, k - 1)
             self.tables[d.name] = Table(n, k, rows)
         return self.tables
+
+    def _beneath(self, d: Definition) -> int:
+        """The depth of the deepest lazy table that the row function of
+        d reads: directly, or through definitions without a table, which
+        it calls."""
+        deepest, seen, stack = 0, {d.name}, [d]
+        while stack:
+            for c, _ in stack.pop().body.calls:
+                if c in seen:
+                    continue
+                seen.add(c)
+                if c in self.tables:
+                    deepest = max(deepest, self.depths.get(c, 0))
+                elif c in self.lib:
+                    stack.append(self.lib.by_name[c])
+        return deepest
 
     def compile(self, f: Formula, params: Sequence[str],
                 row: Optional[str] = None, want: bool = False):

@@ -1,7 +1,7 @@
 """Relation tables over the vertices of one graph, stored as rows of
 bitmasks: for each tuple of the leading arguments, the bitmask of the
-last one.  ``plans.Binding.tabulate`` makes them and
-``logic.materialize`` returns them."""
+last one.  ``plans.Binding.tabulate`` makes them, with rows that fill
+on first read, and ``logic.materialize`` returns them full."""
 
 from __future__ import annotations
 
@@ -42,6 +42,37 @@ def _column(rows, depth: int, i: int):
             for b in range(len(rows))]
 
 
+class LazyRows(dict):
+    """Rows that fill on first read: the row at v is fn(*prefix, v), made
+    when first subscripted and kept; above the last of depth levels, the
+    rows of the tuples that start with prefix and v.  A hit is a plain
+    dict subscript."""
+
+    __slots__ = ("fn", "depth", "prefix")
+
+    def __init__(self, fn, depth: int, prefix: tuple[int, ...] = ()):
+        self.fn = fn
+        self.depth = depth
+        self.prefix = prefix
+
+    def __missing__(self, v: int):
+        if self.depth == 1:
+            row = self.fn(*self.prefix, v)
+        else:
+            row = LazyRows(self.fn, self.depth - 1, (*self.prefix, v))
+        self[v] = row
+        return row
+
+
+def _filled(rows, n: int, depth: int):
+    """rows as nested lists, the rows not read yet made in index order."""
+    if not isinstance(rows, LazyRows):
+        return rows
+    if depth == 1:
+        return [rows[v] for v in range(n)]
+    return [_filled(rows[v], n, depth - 1) for v in range(n)]
+
+
 def _empty_rows(n: int, depth: int):
     """Rows indexed by depth leading arguments, all empty."""
     if depth == 0:
@@ -70,9 +101,12 @@ class Table(AbstractSet):
     """A relation over the vertices 0..n-1 of one graph, stored as rows:
     nested lists indexed by the leading arity-1 arguments whose leaves
     are bitmasks of the last argument (for arity 0, 1 if the empty tuple
-    holds).  As a set it holds the tuples themselves: it compares equal
-    to the plain set of them, ``len`` counts them and ``|``, ``&`` and
-    ``-`` return frozensets."""
+    holds).  The rows may be ``LazyRows``, which fill on first read;
+    every reader other than ``rows`` at the last position fills them
+    all first, in index order, and keeps them as nested lists.  As a
+    set it holds the tuples themselves: it compares equal to the plain
+    set of them, ``len`` counts them and ``|``, ``&`` and ``-`` return
+    frozensets."""
 
     def __init__(self, n: int, arity: int, rows):
         self.n = n
@@ -80,6 +114,11 @@ class Table(AbstractSet):
         self._rows = rows
         self._by_positions: dict[tuple[int, ...], object] = {}
         self._len: Optional[int] = None
+
+    def fill(self) -> "Table":
+        """The table with every row made, in index order."""
+        self._rows = _filled(self._rows, self.n, self.arity - 1)
+        return self
 
     @classmethod
     def _from_iterable(cls, it):
@@ -89,13 +128,15 @@ class Table(AbstractSet):
         """The rows of the tuples that hold one vertex at all the given
         positions: nested lists indexed by the arguments at the other
         positions, in order, whose leaves are bitmasks of that vertex.
-        Positions other than the last are transposed once, here: one
-        position by bits, repeated ones tuple by tuple."""
+        At the last position they are the table's own rows, lazy or not.
+        Other positions fill the table and are transposed once, here:
+        one position by bits, repeated ones tuple by tuple."""
         if self.arity == 0 or positions == (self.arity - 1,):
             return self._rows
         got = self._by_positions.get(positions)
         if got is not None:
             return got
+        self.fill()
         if len(positions) == 1:
             got = _column(self._rows, self.arity - 1, positions[0])
         else:
@@ -109,6 +150,7 @@ class Table(AbstractSet):
         return got
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
+        self.fill()
         if self.arity == 0:
             if self._rows:
                 yield ()
@@ -125,6 +167,7 @@ class Table(AbstractSet):
 
     def __len__(self) -> int:
         if self._len is None:
+            self.fill()
             self._len = _count(self._rows, self.arity - 1)
         return self._len
 
@@ -134,7 +177,7 @@ class Table(AbstractSet):
             return False
         if not t:
             return bool(self._rows)
-        node = self._rows
+        node = self.fill()._rows
         for v in t[:-1]:
             node = node[v]
         return bool((node >> t[-1]) & 1)

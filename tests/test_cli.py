@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 
 import msograph
+from msograph import cli
 from msograph.cli import main, parse_assignment
 from msograph.graphs import LabeledGraph, grid
 from msograph.search import is_isomorphic
+from msograph.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -409,6 +411,10 @@ def test_width_grid33_at_cap_10_fits_the_default_budget(tmp_path, capsys):
     code, out, _ = run(capsys, "width", str(g), "--measure", "cwd",
                        "--cap", "10")
     assert code == 0 and json.loads(out) == {"measure": "cwd", "value": 4}
+
+
+def test_the_parser_lists_every_verify_suite():
+    assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
 
 def test_verify_suite_and_report(tmp_path, capsys):

@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from msograph import interpret
-from msograph.bichain_family import build_Pn, build_Zn
+from msograph import interpret, plans
+from msograph.bichain_family import build_Pn, build_Zn, psi_bichain
 from msograph.graphs import LabeledGraph, grid, make_Tn, upper_tri_grid
 from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
                                 apply, apply_all_params, builtin_complement,
@@ -15,9 +15,14 @@ from msograph.interpret import (Interpretation, InterpretationError, Pipeline,
 from msograph.logic import (EvalError, PredicateLibrary, SetQuantifierCapError,
                             evaluate, materialize, materialize_all,
                             parse_formula, parse_library)
+from msograph.power_family import build_Dn, phi_power
 from msograph.search import (_automorphisms, is_isomorphic,
                              isomorphism_classes)
-from msograph.word_family import gamma_contract_interp
+from msograph.table import LazyRows
+from msograph.verify import WORDS
+from msograph.word_family import (build_Hn, delta_interp,
+                                  gamma_contract_interp, grid_parameter_O,
+                                  word_predicates)
 
 
 def test_complement_twice_is_identity():
@@ -117,6 +122,113 @@ def test_tabulating_a_chain_walks_the_library_once(monkeypatch):
     assert len(walks) == 1
     for name in ("p0", "p500", "p999"):
         assert tables[name] == materialize(G, lib, name)
+
+
+def test_a_long_chain_of_ternary_tables():
+    # each lazy table reads the one below it, so the chain is cut into
+    # lazy runs whose reads nest a bounded number of tables deep
+    lib = parse_library("def q0(x, z, y) := E(x, y) | E(z, y)\n" + "".join(
+        f"def q{i}(x, z, y) := q{i - 1}(x, z, y)\n" for i in range(1, 1000)))
+    G = grid(1, 3)
+    I = Interpretation((), parse_formula("x = x"),
+                       parse_formula("q999(x, x, y)"), lib)
+    assert apply(I, G).edges == G.edges
+    either = {(x, z, y) for x in range(3) for z in range(3) for y in range(3)
+              if G.has_edge(x, y) or G.has_edge(z, y)}
+    assert materialize(G, lib, "q999") == either
+    assert materialize_all(G, lib)["q999"] == either
+    binding = plans.Binding(G, lib, 22)
+    tables = binding.tabulate(["q999"])
+    assert 0 < max(binding.depths.values()) <= plans._MAX_LAZY_DEPTH
+    assert tables["q999"] == either
+
+
+def _tabulated_before_use(monkeypatch):
+    """Make every binding fill its tables when it tabulates them."""
+    tabulate = plans.Binding.tabulate
+
+    def filled(self, names):
+        tables = tabulate(self, names)
+        for t in tables.values():
+            t.fill()
+        return tables
+    monkeypatch.setattr(plans.Binding, "tabulate", filled)
+
+
+def _differential_hosts():
+    """(interpretation, host, parameters) of the word, bichain and power
+    suites: the word pipeline on four words at n = 1 and 2, psi_bichain
+    on Z_6 and Z_8, phi_power on D_20."""
+    for pattern in WORDS:
+        for n in (1, 2):
+            reps = -(-(2 * n + 4) // sum(c != "0" for c in pattern))
+            H = build_Hn(pattern * reps, n)
+            yield delta_interp(), H, None
+            D = apply(delta_interp(), H)
+            yield gamma_contract_interp(), D, [grid_parameter_O(D)]
+    for n in (6, 8):
+        yield psi_bichain(), build_Zn(n), None
+    yield phi_power(), build_Dn(20), None
+
+
+def test_lazy_tables_change_no_output(monkeypatch):
+    cases = list(_differential_hosts())
+    for I, G, _ in cases:
+        # each lazy table, a row at the last vertex read first, is the
+        # full table once its other rows are read
+        lib = I.library
+        tables = plans.Binding(G, lib, 22).tabulate(
+            [d.name for d in lib.defs])
+        lazy = [t for t in tables.values() if isinstance(t._rows, LazyRows)]
+        assert lazy or not lib.defs
+        for t in lazy:
+            row = t.rows((t.arity - 1,))
+            for _ in range(t.arity - 1):
+                row = row[G.n - 1]
+        assert tables == materialize_all(G, lib)
+        assert not any(isinstance(t._rows, LazyRows) for t in lazy)
+    outputs = [apply(I, G, params) for I, G, params in cases]
+    _tabulated_before_use(monkeypatch)
+    assert outputs == [apply(I, G, params) for I, G, params in cases]
+
+
+def test_apply_makes_few_rows_of_lessthan(monkeypatch):
+    # gamma_2 reads lessthan(x, z, .) only where rhscolumn_2(x, z) holds
+    body = word_predicates().by_name["lessthan"].body
+    calls = []
+    compile_ = plans.Binding.compile
+
+    def counted(self, f, params, row=None, want=False):
+        fn = compile_(self, f, params, row, want)
+        if f is body:
+            return lambda *args: calls.append(args) or fn(*args)
+        return fn
+    monkeypatch.setattr(plans.Binding, "compile", counted)
+    H = build_Hn("102" * 4, 2)
+    apply(delta_interp(), H)
+    assert 0 < len(calls) < 0.05 * H.n ** 2
+    assert len(set(calls)) == len(calls)
+
+
+def test_rows_that_apply_never_reads_may_pass_the_cap(monkeypatch):
+    # p's rows at the x outside Small reach an unguarded set quantifier
+    lib = parse_library("def p(x, y) := E(x, y) & (Small(x) | exists S. S(y))")
+    G = grid(2, 3).with_labels({"Small": [0, 1, 2]})
+    I = Interpretation((), parse_formula("Small(x)"),
+                       parse_formula("p(x, y)"), lib)
+    H = apply(I, G, set_cap=2)
+    assert H == apply(I, G, set_cap=22) and H.edges == {(0, 1), (1, 2)}
+    with pytest.raises(SetQuantifierCapError):
+        materialize(G, lib, "p", set_cap=2)
+    with pytest.raises(SetQuantifierCapError):
+        materialize_all(G, lib, set_cap=2)
+    everywhere = Interpretation((), parse_formula("x = x"),
+                                parse_formula("p(x, y)"), lib)
+    with pytest.raises(SetQuantifierCapError):
+        apply(everywhere, G, set_cap=2)
+    _tabulated_before_use(monkeypatch)
+    with pytest.raises(SetQuantifierCapError):
+        apply(I, G, set_cap=2)
 
 
 def test_primed_names():

@@ -330,6 +330,8 @@ def test_loops_that_skip_an_outer_variable_are_lifted():
             (power_predicates(), build_Dn(10), ["cliqueord"])):
         binding = plans.Binding(G, lib, logic.DEFAULT_SET_CAP)
         tables = frozenset(binding.tabulate(names))
+        for t in binding.tables.values():
+            len(t)  # a table makes its rows when they are first read
         for name in names:
             d = lib.by_name[name]
             lifted = _lifted(plans.plan(d.body, d.params[:-1], d.params[-1],

@@ -65,3 +65,21 @@ def test_modules_are_attributes_after_a_bare_import():
         "print(json.dumps([type(f).__name__, msograph.syntax.__name__,\n"
         "                  msograph.apply is msograph.interpret.apply]))")
     assert seen == ["EdgeAtom", "msograph.syntax", True]
+
+
+def test_the_command_line_imports_no_family_suite_or_inspect_for_help():
+    loaded = _fresh(
+        "import contextlib, io\n"
+        "from msograph import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps([sorted(set(sys.modules) - before),\n"
+        "                  'verify' in out.getvalue()]))")
+    modules, listed = loaded
+    assert "msograph.cli" in modules and listed
+    for unused in ("inspect", "msograph.verify", "msograph.word_family",
+                   "msograph.bichain_family", "msograph.power_family"):
+        assert unused not in modules
