@@ -81,20 +81,21 @@ class EvalError(ValueError):
 # or 1, as a vertex quantifier does in any row.  So no loop runs longer,
 # or over a larger range, than with _w = _F.
 #
-# Lifting.  In a plan without want, a vertex quantifier exists z whose
-# literals all have rank 0 or 1 first spreads each literal exists w. g:
-# the literals of g that read neither w nor y come out, to pick the z to
-# visit (``_spread``).  If the literals left in its loop read no set
-# variable and fewer vertex variables, but z and y, than are in scope,
-# the loop becomes one call of a callee, exists z. (those literals),
-# planned like a definition without a table and memoized on the
-# variables it reads (``_lift``): a row that does not read an outer
-# variable is made once per value of those it reads, as in the
-# decorrelation of nested queries and in tabling.  The call stands where
-# the loop stood, after the same tests; no literal that moves, or that
-# is lifted, reaches a set quantifier, so none is reached elsewhere or
-# in another order and no cap outcome changes.  The memo lives in the
-# binding's store, which ``forget`` empties.
+# Lifting.  A vertex quantifier exists z whose literals all have rank 0
+# or 1 first spreads each literal exists w. g: the literals of g that
+# read neither w nor y come out, to pick the z to visit (``_spread``).
+# If the literals left in its loop read no set variable and fewer vertex
+# variables, but z and y, than are in scope, the loop becomes one call
+# of a callee, exists z. (those literals), planned like a definition
+# without a table and memoized on the variables it reads (``_lift``): a
+# row that does not read an outer variable is made once per value of
+# those it reads, as in the decorrelation of nested queries and in
+# tabling.  The call stands where the loop stood, after the same tests;
+# no literal that moves, or that is lifted, reaches a set quantifier, so
+# none is reached elsewhere or in another order and no cap outcome
+# changes.  In a row planned with want the call takes no _w: it makes
+# the callee's full row, memoized, as a plan without want does.  The
+# memo lives in the binding's store, which ``forget`` empties.
 
 # AST levels per generated function; deeper subformulas continue in a
 # function of their own, because Python's parser refuses more than 200
@@ -181,11 +182,10 @@ class _Planner:
     bodies are recipes, planned when they are bound."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
-                 defs: Definitions, lifts: bool = True):
+                 defs: Definitions):
         self.labels = labels
         self.tables = tables
         self.lib = defs.by_name
-        self.lifts = lifts  # whether loops may become callees (``_lift``)
         self.recipes: list[tuple[str, tuple]] = []
         self.names: dict[tuple, str] = {}
         self.pending: list[tuple] = []
@@ -419,7 +419,7 @@ class _Planner:
         args = [self.arg(a, scope) for a in f.args]
         if f.name in self.tables:
             *key, last = args
-            rows = self._table_rows(f, (len(args) - 1,))
+            rows = self._table_rows(f, len(args) - 1)
             return self._bit(rows + "".join(f"[{a}]" for a in key), last)
         if f.name in self.lib:
             return f"{self._definition(f, None)}({', '.join(args)})"
@@ -591,7 +591,7 @@ class _Planner:
         without y give the z to visit, those without z are taken once,
         outside the loop, and the OR over the visited z takes the rows of
         the others, or a callee does (``_lift``)."""
-        spread = self.lifts and self._spread(lits, y)
+        spread = self._spread(lits, y)
         lits = spread or lits
         guard, outside, rest, loop = [], [], [], []
         for g, neg in lits:
@@ -749,14 +749,14 @@ class _Planner:
         return None
 
     def _app_row(self, f: App, scope: frozenset, y: str, want: bool) -> str:
-        at = tuple(i for i, a in enumerate(f.args) if a == y)
+        at = [i for i, a in enumerate(f.args) if a == y]
+        if len(at) > 1 and f.name in self.lib:
+            return self._pointwise(f, scope, y, want)
         key = [self.arg(a, scope) for a in f.args if a != y]
         if f.name in self.tables:
-            rows = self._table_rows(f, at)
+            rows = self._table_rows(f, at[0])
             return rows + "".join(f"[{a}]" for a in key)
         if f.name in self.lib:
-            if len(at) > 1:
-                return self._pointwise(f, scope, y, want)
             g = self._definition(f, at[0], want)
             return f"{g}({', '.join([*key, *['_w'] * want])})"
         if len(f.args) == 1 and f.name in self.labels:
@@ -775,11 +775,20 @@ class _Planner:
 
     # -- tables, definitions and TC -----------------------------------------
 
-    def _table_rows(self, f: App, positions: tuple[int, ...]) -> str:
-        """The global holding the rows of f's table over positions."""
+    def _arity(self, f: App, kind: str):
+        """Raise EvalError unless f has the arity of its definition, kind
+        ("tabulated" or "defined") saying how the callee is bound."""
+        k = len(self.lib[f.name].params)
+        if k != len(f.args):
+            raise EvalError(f"{f.name!r} called with arity {len(f.args)}, "
+                            f"{kind} with {k}")
+
+    def _table_rows(self, f: App, position: int) -> str:
+        """The global holding the rows of f's table over one position."""
+        self._arity(f, "tabulated")
         if any(is_set_var(a) for a in f.args):
             raise EvalError(f"table {f.name!r} takes vertex arguments")
-        return self._global(("R", f.name, positions, len(f.args)))
+        return self._global(("R", f.name, position))
 
     def _definition(self, f: App, at: Optional[int],
                     want: bool = False) -> str:
@@ -787,9 +796,7 @@ class _Planner:
         per argument tuple: a test, or the row over its parameter at
         position at, which takes _w last if want."""
         d = self.lib[f.name]
-        if len(d.params) != len(f.args):
-            raise EvalError(f"{f.name!r} called with arity {len(f.args)}, "
-                            f"defined with {len(d.params)}")
+        self._arity(f, "defined")
         if at is None:
             params, row = d.params, None
         else:

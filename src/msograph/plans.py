@@ -10,9 +10,9 @@ parameters and row variable, the label names of the graph, the names
 that have tables and the library's definitions.  ``Binding.compile``,
 the one entry point, builds that key for one graph and library and runs
 the plan's recipes on the graph: it supplies the full row, the ranges
-of set quantifiers under the set cap, label masks, table rows after
-their arity is checked, and fresh memos for callees and TC, each
-compiled when first bound, so planning one formula never plans another.
+of set quantifiers under the set cap, label masks, table rows and
+fresh memos for callees and TC, each compiled when first bound, so
+planning one formula never plans another.
 A set quantifier ranges over the sets its guards allow: its body's
 literals Z(v) and !Z(v), for a vertex variable v bound outside it, and
 forall w. (Z(w) -> M(w)), for a set variable or label M, fix v in or out
@@ -28,7 +28,8 @@ A binding also owns the tables of its library predicates, which only
 place of calling the definitions.  A table of arity 2 or 3 makes a row
 when a plan first reads it, unless its row function would read lazy
 tables ``_MAX_LAZY_DEPTH`` deep: then it is filled at once, which keeps
-the stack of a lazy read bounded however long a chain of tables is.
+the stack of a lazy read bounded however long a chain of tables is.  A
+table of arity 0 or 1 has one row, which ``tabulate`` makes.
 Names are resolved while planning and binding: an unassigned variable
 or an unknown predicate raises ``EvalError`` before anything is
 evaluated.  ``logic`` calls this module and re-exports its errors.
@@ -179,23 +180,13 @@ def _submasks(must: int, free: int):
         s = (s - free) & free
 
 
-def _all_rows(fn, n: int, depth: int, prefix: tuple[int, ...] = ()):
-    """fn at every tuple of depth vertices after prefix, as nested lists
-    indexed by the tuple; the last level calls fn directly."""
-    if depth == 0:
-        return fn(*prefix)
-    if depth == 1:
-        return [fn(*prefix, v) for v in range(n)]
-    return [_all_rows(fn, n, depth - 1, (*prefix, v)) for v in range(n)]
-
-
 class Plan:
     """The graph-independent half of a compiled formula: the code of its
     function and, for the globals that code reads, one recipe each.  A
     recipe is a tuple: ("A",) the adjacency rows, ("L", name) a label's
-    mask, ("R", name, positions, arity) the rows of a table, ("D", body,
-    params, row) a memoized callee, ("W", body, params, row) one whose
-    row takes the bits wanted, ("C", body, params, row) and ("K",
+    mask, ("R", name, position) a table's rows over one position, ("D",
+    body, params, row) a memoized callee, ("W", body, params, row) one
+    whose row takes the bits wanted, ("C", body, params, row) and ("K",
     body, params, row) the reachability rows of a TC body and their
     transpose, ("F", code) a split function."""
 
@@ -225,7 +216,7 @@ def plan(f: Formula, params: tuple[str, ...], row: Optional[str],
     if given, and taking last the bits wanted of it, if want) where the
     names in labels are labels, those in tables have tables and defs are
     the library's definitions."""
-    planner = _Planner(labels, tables, defs, not want)
+    planner = _Planner(labels, tables, defs)
     code = planner.function(f, params, row, want)
     return Plan(code, tuple(planner.recipes))
 
@@ -266,7 +257,6 @@ class Binding:
         A table of arity 2 or 3 makes each row when it is first read
         (``table.LazyRows``), unless its depth would pass
         ``_MAX_LAZY_DEPTH``; other tables are filled here."""
-        n = self.G.n
         for d in self.lib.reach(names):
             if d.name in self.tables or not _tabulatable(d):
                 continue
@@ -275,13 +265,15 @@ class Binding:
                 rows = int(self.compile(d.body, ())())
             else:
                 fn = self.compile(d.body, d.params[:-1], d.params[-1])
+                rows = fn() if k == 1 else LazyRows(fn, k - 1)
+            table = Table(self.G.n, k, rows)
+            if k > 1:
                 depth = self._beneath(d) + 1
-                if k > 1 and depth <= _MAX_LAZY_DEPTH:
-                    rows = LazyRows(fn, k - 1)
-                    self.depths[d.name] = depth
+                if depth > _MAX_LAZY_DEPTH:
+                    table.fill()
                 else:
-                    rows = _all_rows(fn, n, k - 1)
-            self.tables[d.name] = Table(n, k, rows)
+                    self.depths[d.name] = depth
+            self.tables[d.name] = table
         return self.tables
 
     def _beneath(self, d: Definition) -> int:
@@ -337,12 +329,8 @@ class Binding:
         elif kind == "L":
             value = _mask(self.G.labels[args[0]])
         elif kind == "R":
-            name, positions, arity = args
-            t = self.tables[name]
-            if t.arity != arity:
-                raise EvalError(f"{name!r} called with arity {arity}, "
-                                f"tabulated with {t.arity}")
-            value = t.rows(positions)
+            name, position = args
+            value = self.tables[name].rows(position)
         elif kind == "K":
             rows = self.make(("C", *args))
             value = functools.cache(lambda *val: transpose(rows(*val)))

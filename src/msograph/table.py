@@ -73,24 +73,6 @@ def _filled(rows, n: int, depth: int):
     return [_filled(rows[v], n, depth - 1) for v in range(n)]
 
 
-def _empty_rows(n: int, depth: int):
-    """Rows indexed by depth leading arguments, all empty."""
-    if depth == 0:
-        return 0
-    return [_empty_rows(n, depth - 1) for _ in range(n)]
-
-
-def _add(rows, key: tuple[int, ...], v: int):
-    """rows with vertex v added to the row at key."""
-    if not key:
-        return rows | (1 << v)
-    node = rows
-    for i in key[:-1]:
-        node = node[i]
-    node[key[-1]] |= 1 << v
-    return rows
-
-
 def _count(rows, depth: int) -> int:
     if depth <= 0:
         return rows.bit_count()
@@ -112,7 +94,7 @@ class Table(AbstractSet):
         self.n = n
         self.arity = arity
         self._rows = rows
-        self._by_positions: dict[tuple[int, ...], object] = {}
+        self._by_position: dict[int, object] = {}
         self._len: Optional[int] = None
 
     def fill(self) -> "Table":
@@ -124,29 +106,18 @@ class Table(AbstractSet):
     def _from_iterable(cls, it):
         return frozenset(it)
 
-    def rows(self, positions: tuple[int, ...]):
-        """The rows of the tuples that hold one vertex at all the given
-        positions: nested lists indexed by the arguments at the other
-        positions, in order, whose leaves are bitmasks of that vertex.
-        At the last position they are the table's own rows, lazy or not.
-        Other positions fill the table and are transposed once, here:
-        one position by bits, repeated ones tuple by tuple."""
-        if self.arity == 0 or positions == (self.arity - 1,):
+    def rows(self, position: int):
+        """The rows over one argument position: nested lists indexed by
+        the arguments at the other positions, in order, whose leaves are
+        bitmasks of the argument at position.  At the last position they
+        are the table's own rows, lazy or not; another position fills the
+        table and is transposed once, here."""
+        if position == self.arity - 1:
             return self._rows
-        got = self._by_positions.get(positions)
-        if got is not None:
-            return got
-        self.fill()
-        if len(positions) == 1:
-            got = _column(self._rows, self.arity - 1, positions[0])
-        else:
-            others = [i for i in range(self.arity) if i not in positions]
-            got = _empty_rows(self.n, len(others))
-            for t in self:
-                v = t[positions[0]]
-                if all(t[p] == v for p in positions):
-                    got = _add(got, tuple(t[i] for i in others), v)
-        self._by_positions[positions] = got
+        got = self._by_position.get(position)
+        if got is None:
+            got = self._by_position[position] = _column(
+                self.fill()._rows, self.arity - 1, position)
         return got
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 import random
 import re
 
@@ -182,7 +183,7 @@ def test_lazy_tables_change_no_output(monkeypatch):
         lazy = [t for t in tables.values() if isinstance(t._rows, LazyRows)]
         assert lazy or not lib.defs
         for t in lazy:
-            row = t.rows((t.arity - 1,))
+            row = t.rows(t.arity - 1)
             for _ in range(t.arity - 1):
                 row = row[G.n - 1]
         assert tables == materialize_all(G, lib)
@@ -229,6 +230,38 @@ def test_rows_that_apply_never_reads_may_pass_the_cap(monkeypatch):
     _tabulated_before_use(monkeypatch)
     with pytest.raises(SetQuantifierCapError):
         apply(I, G, set_cap=2)
+
+
+def test_only_tables_of_arity_2_or_3_wait_for_a_read():
+    # L0 is empty, so apply reads no row of the table the edge formula
+    # calls; but a unary table makes its one row when it is tabulated,
+    # and that row reaches a set quantifier over 23 free vertices
+    G = LabeledGraph.build(23, [(0, 1)]).with_labels({"L0": ()})
+
+    def interp(definition, call):
+        return parse_interpretation(
+            f"def {definition}\ndomain(x) := x = x\n"
+            f"edge(x, y) := E(x, y) & L0(x) & {call}\n")
+    with pytest.raises(SetQuantifierCapError):
+        apply(interp("big(x) := exists S. forall z. S(z)", "big(x)"), G)
+    H = apply(interp("big2(x, y) := x = y & exists S. forall z. S(z)",
+                     "big2(x, x)"), G)
+    assert H.n == 23 and not H.edges
+
+
+def test_tables_survive_pickle():
+    H = build_Hn("1212", 1)
+    tables = dict(materialize_all(H, word_predicates()))
+    lib = parse_library("def some() := exists x. exists y. E(x, y)\n"
+                        "def end(x) := exists! y. E(x, y)\n"
+                        "def adj(x, y) := E(x, y)\n"
+                        "def path(x, y, z) := E(x, y) & E(y, z)")
+    for d in lib.defs:
+        tables[d.name] = materialize(H, lib, d.name)
+    assert {t.arity for t in tables.values()} == {0, 1, 2, 3}
+    for name, t in tables.items():
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and set(copy) == set(t), name
 
 
 def test_primed_names():
