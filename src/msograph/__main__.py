@@ -1,0 +1,8 @@
+"""``python -m msograph``: the command line of ``msograph.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

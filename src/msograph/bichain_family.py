@@ -14,13 +14,12 @@ coincide with the word family of the all-2s word.
 
 from __future__ import annotations
 
-import functools
-from importlib import resources
 from typing import Iterable, Optional
 
 from .graphs import LabeledGraph
 from .interpret import Interpretation
-from .logic import PredicateLibrary, parse_formula, parse_library
+from .logic import PredicateLibrary, parse_formula
+from .syntax import _packaged_library
 
 
 class BichainError(ValueError):
@@ -71,11 +70,9 @@ def build_Zn(n: int, with_labels: bool = True) -> LabeledGraph:
     return LabeledGraph.build(n * n, edges, labels=labels, names=names)
 
 
-@functools.cache
 def bichain_predicates() -> PredicateLibrary:
     """The predicate library for the bichain graphs (loaded once)."""
-    text = (resources.files("msograph") / "libraries" / "bichain.mso").read_text()
-    return parse_library(text)
+    return _packaged_library("bichain")
 
 
 def psi_bichain() -> Interpretation:

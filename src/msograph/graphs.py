@@ -9,7 +9,7 @@ defined in.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .records import Frozen
 
@@ -280,32 +280,12 @@ def uniform_subdivide_utg(plan: SubdivisionPlan) -> tuple[LabeledGraph, frozense
     replaced by a path on k_j vertices (endpoints included).
     """
     base = upper_tri_grid(plan.r)
-    idx = {}
-    for j in range(1, plan.r + 1):
-        for i in range(1, j + 1):
-            idx[(i, j)] = len(idx)
-    edges = []
-    names = dict(base.names)
-    nverts = base.n
-    originals = set(range(base.n))
-    for j in range(1, plan.r):
-        k = plan.path_sizes.get(j, 2)
-        for i in range(1, j + 1):
-            a, b = idx[(i, j)], idx[(i, j + 1)]
-            if k == 2:
-                edges.append((a, b))
-                continue
-            prev = a
-            for s in range(1, k - 1):
-                names[nverts] = f"({i},{j})+{s}"
-                edges.append((prev, nverts))
-                prev = nverts
-                nverts += 1
-            edges.append((prev, b))
-    for j in range(2, plan.r + 1):
-        for i in range(1, j):
-            edges.append((idx[(i, j)], idx[(i + 1, j)]))
-    return LabeledGraph.build(nverts, edges, names=names), frozenset(originals)
+    # u_{i,j} is vertex j(j-1)/2 + i - 1 of U_r
+    inner = {(j * (j - 1) // 2 + i, j * (j + 1) // 2 + i): k - 2
+             for j, k in plan.path_sizes.items() for i in range(j)}
+    G, _ = _replace_edges(base, lambda u, v: inner.get((u, v), 0),
+                          lambda u, v, s: f"{base.name_of(u)}+{s}")
+    return G, frozenset(range(base.n))
 
 
 def contract_subdivision(H: LabeledGraph, originals: Iterable[int]) -> LabeledGraph:
@@ -391,25 +371,39 @@ def make_Tn(n: int) -> LabeledGraph:
     return LabeledGraph.build(nverts, edges, names=names)
 
 
+def _replace_edges(G: LabeledGraph, inner: Callable[[int, int], int],
+                   name: Callable[[int, int, int], str]
+                   ) -> tuple[LabeledGraph, list[list[int]]]:
+    """G with each edge (u, v), u < v, replaced by a path from u to v
+    through inner(u, v) new vertices, and those paths.  The new vertices
+    are numbered on from G.n in sorted edge order; the s-th of a path is
+    named name(u, v, s).  Every old vertex keeps its name, explicitly,
+    and its labels."""
+    names = {v: G.name_of(v) for v in range(G.n)}
+    edges, paths, n = [], [], G.n
+    for (u, v) in sorted(G.edges):
+        path = [u, *range(n, n + inner(u, v)), v]
+        n += len(path) - 2
+        for s, p in enumerate(path[1:-1], 1):
+            names[p] = name(u, v, s)
+        edges += zip(path, path[1:])
+        paths.append(path)
+    return LabeledGraph.build(n, edges, labels=G.labels, names=names), paths
+
+
+def _subdivision(G: LabeledGraph, t: int
+                 ) -> tuple[LabeledGraph, list[list[int]]]:
+    """G^t, t >= 2, and the path that replaces each edge of G, in sorted
+    edge order."""
+    return _replace_edges(G, lambda u, v: t - 1, lambda u, v, s:
+                          f"{G.name_of(u)}~{G.name_of(v)}#{s}")
+
+
 def subdivide(G: LabeledGraph, t: int) -> LabeledGraph:
     """The t-subdivision G^t: every edge becomes a path of length t."""
     if t < 1:
         raise GraphError("subdivision parameter must be >= 1")
-    if t == 1:
-        return G
-    nverts = G.n
-    names = {v: G.name_of(v) for v in range(G.n)}
-    edges = []
-    for (u, v) in sorted(G.edges):
-        prev = u
-        for s in range(1, t):
-            names[nverts] = f"{G.name_of(u)}~{G.name_of(v)}#{s}"
-            edges.append((prev, nverts))
-            prev = nverts
-            nverts += 1
-        edges.append((prev, v))
-    labels = {k: vs for k, vs in G.labels.items()}
-    return LabeledGraph.build(nverts, edges, labels=labels, names=names)
+    return G if t == 1 else _subdivision(G, t)[0]
 
 
 def branch_vertices(H: LabeledGraph) -> frozenset[int]:

@@ -68,7 +68,9 @@ class EvalError(ValueError):
 # definition called without a table each have a plan of their own,
 # planned and bound when the binding first binds them and memoized per
 # argument tuple; TC rows are reachability masks, built from one
-# successor row per vertex.
+# successor row per vertex.  A subformula deeper than ``_MAX_NESTING``
+# is split off the same way: a recipe for the plan of its own function,
+# with the parameters it reads, planned when first bound.
 #
 # Want.  A row planned with want, as ``evaluate`` plans one for a point,
 # takes last the mask _w of the bits wanted, and is right on those.  Its
@@ -97,9 +99,9 @@ class EvalError(ValueError):
 # the callee's full row, memoized, as a plan without want does.  The
 # memo lives in the binding's store, which ``forget`` empties.
 
-# AST levels per generated function; deeper subformulas continue in a
-# function of their own, because Python's parser refuses more than 200
-# nested brackets and a level can open five.
+# AST levels per generated function; deeper subformulas are split off as
+# calls of plan recipes (``_split``), because Python's parser refuses
+# more than 200 nested brackets and a level can open five.
 _MAX_NESTING = 35
 
 
@@ -177,9 +179,9 @@ def _formula(lits: list[tuple[Formula, bool]]) -> Formula:
 
 
 class _Planner:
-    """Builds the plan of one function: the source of it and of its split
-    functions, and the recipes of the globals they read.  Callees and TC
-    bodies are recipes, planned when they are bound."""
+    """Builds the plan of one function: its source and the recipes of
+    the globals it reads.  Callees, TC bodies and split subformulas are
+    recipes, planned when they are bound, never inside this plan."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
                  defs: Definitions):
@@ -188,7 +190,6 @@ class _Planner:
         self.lib = defs.by_name
         self.recipes: list[tuple[str, tuple]] = []
         self.names: dict[tuple, str] = {}
-        self.pending: list[tuple] = []
         self.temps = 0
         # the fragments whose top operator binds looser than an atom
         self.levels: dict[str, int] = {}
@@ -197,7 +198,7 @@ class _Planner:
                  row: Optional[str] = None, want: bool = False) -> CodeType:
         """The code of a function of params equivalent to f; given a row
         variable, of the function of params (and _w, if want) that
-        returns the row of f over it.  Split functions become recipes."""
+        returns the row of f over it."""
         if len(set(params)) < len(params) or row in params:
             raise EvalError(f"repeated variable in {[*params, row]}")
         scope = frozenset(params)
@@ -212,9 +213,6 @@ class _Planner:
                f"    return {expr}\n")
         namespace: dict = {}
         exec(src, namespace)
-        while self.pending:
-            g, *split = self.pending.pop()
-            self.recipes.append((g, ("F", self.function(*split))))
         return namespace["_f"].__code__
 
     # -- source fragments ---------------------------------------------------
@@ -301,19 +299,19 @@ class _Planner:
 
     def _split(self, f: Formula, scope: frozenset, row: Optional[str],
                want: bool = False) -> str:
-        """A call of f compiled as a function of its own, once the current
-        one is done, so that deep formulas do not deepen the stack; a row
-        that wants passes its _w on."""
-        params = sorted(f.free & scope)
-        g = self._new_global("F")
-        self.pending.append((g, f, params, row, want))
+        """A call of f planned as a function of its own, a recipe that
+        the binding plans when it binds it, so that deep formulas do not
+        deepen the stack; a row that wants passes its _w on."""
+        params = tuple(sorted(f.free & scope))
+        g = self._global(("P", f, params, row, self.tables, want))
         return f"{g}({', '.join([*map(_ident, params), *['_w'] * want])})"
 
-    def _idle(self, body: str, cond: str) -> str:
-        """The value of a quantifier whose body does not read its
-        variable: the body if its range, tested by cond, is not empty."""
+    def _idle(self, body: str, cond: str, otherwise: str = "0") -> str:
+        """Source of body if cond holds, else of otherwise: a quantifier
+        whose body does not read its variable, cond testing that its
+        range is not empty, or a row that the test cond guards."""
         return self._op(_COND, f"{self._at(body, _OR)} if "
-                               f"{self._at(cond, _OR)} else 0")
+                               f"{self._at(cond, _OR)} else {otherwise}")
 
     # -- boolean mode -------------------------------------------------------
 
@@ -441,7 +439,7 @@ class _Planner:
             t = self.test(f, scope, depth)
             if t == "True" or t == "False":
                 return ("_F" if t == "True" else "0"), False
-            return self._op(_COND, f"_F if {self._at(t, _OR)} else 0"), False
+            return self._idle("_F", t), False
         if depth == _MAX_NESTING:
             return self._split(f, scope, y, want), False
         d = depth + 1
@@ -556,9 +554,8 @@ class _Planner:
         else:
             src, comp = self._chain(chain, want), False
         if guard:
-            cond = self._at(self._join(guard, " and ", _AND), _OR)
-            src = self._op(_COND, f"{self._at(src, _OR)} if {cond} else "
-                                  f"{'_F' if comp else '0'}")
+            src = self._idle(src, self._join(guard, " and ", _AND),
+                             "_F" if comp else "0")
         return src, comp
 
     def _chain(self, chain: list, want: bool) -> str:
@@ -668,9 +665,7 @@ class _Planner:
             return "0", False
         if out == "_F":
             return found, False
-        t = self._new_global("t")
-        return self._op(_AND, f"({t} := {out}){' & _w' * want} and "
-                              f"{t} & {self._at(found, _BAND)}"), False
+        return self._chain([(out, False), (found, False)], want), False
 
     def _exists(self, zs: str, z: str, body: str, want: bool) -> str:
         """Source of the OR of the row body over the vertices z in zs."""

@@ -1,18 +1,18 @@
 """Formula plans: a formula is compiled once per shape and bound to
 each graph it is evaluated on.
 
-A *plan* does not depend on the graph.  It holds the code of the
-function a formula compiles to, and of its split functions, and a
-recipe for each global that code reads: the adjacency rows, a label's
-mask, a table's rows, a callee or a TC body to compile.  ``plan`` keeps
-the plans in a fixed-size LRU cache keyed by the formula, its
-parameters and row variable, the label names of the graph, the names
+A *plan* does not depend on the graph.  It holds the code of the one
+function a formula compiles to and a recipe for each global that code
+reads: the adjacency rows, a label's mask, a table's rows, a callee, a
+TC body or a subformula split off past the planner's nesting to compile.
+``plan`` keeps the plans in a fixed-size LRU cache keyed by the formula,
+its parameters and row variable, the label names of the graph, the names
 that have tables and the library's definitions.  ``Binding.compile``,
 the one entry point, builds that key for one graph and library and runs
-the plan's recipes on the graph: it supplies the full row, the ranges
-of set quantifiers under the set cap, label masks, table rows and
-fresh memos for callees and TC, each compiled when first bound, so
-planning one formula never plans another.
+the plan's recipes on the graph: it supplies the full row, the ranges of
+set quantifiers under the set cap, label masks, table rows and fresh
+memos for callees and TC, and the functions of split subformulas, each
+compiled when first bound, so planning one formula never plans another.
 A set quantifier ranges over the sets its guards allow: its body's
 literals Z(v) and !Z(v), for a vertex variable v bound outside it, and
 forall w. (Z(w) -> M(w)), for a set variable or label M, fix v in or out
@@ -188,7 +188,8 @@ class Plan:
     body, params, row) a memoized callee, ("W", body, params, row) one
     whose row takes the bits wanted, ("C", body, params, row) and ("K",
     body, params, row) the reachability rows of a TC body and their
-    transpose, ("F", code) a split function."""
+    transpose, ("P", f, params, row, tables, want) the function of a
+    split subformula, keyed as ``Binding.compile`` keys a plan."""
 
     __slots__ = ("code", "recipes")
 
@@ -321,8 +322,7 @@ class Binding:
             p = plan(f, params, row, self.labels, tables, self.defs, want)
             g = dict(self.base)
             for name, r in p.recipes:
-                g[name] = (FunctionType(r[1], g) if r[0] == "F"
-                           else self.make(r))
+                g[name] = self.make(r)
             value = FunctionType(p.code, g)
         elif kind == "A":
             value = self.G.adjacency_masks()

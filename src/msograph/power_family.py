@@ -11,12 +11,10 @@ power cliques.
 
 from __future__ import annotations
 
-import functools
-from importlib import resources
-
 from .graphs import LabeledGraph
 from .interpret import Interpretation
-from .logic import PredicateLibrary, parse_formula, parse_library
+from .logic import PredicateLibrary, parse_formula
+from .syntax import _packaged_library
 
 
 class PowerError(ValueError):
@@ -61,11 +59,9 @@ def longest_factor_length(G: LabeledGraph) -> int:
     return best
 
 
-@functools.cache
 def power_predicates() -> PredicateLibrary:
     """The predicate library for the power graphs (loaded once)."""
-    text = (resources.files("msograph") / "libraries" / "power.mso").read_text()
-    return parse_library(text)
+    return _packaged_library("power")
 
 
 def check_power_input(n: int) -> None:

@@ -786,6 +786,15 @@ def parse_library(text: str) -> PredicateLibrary:
     return lib
 
 
+@functools.cache
+def _packaged_library(name: str) -> PredicateLibrary:
+    """The library ``libraries/<name>.mso`` that ships with msograph,
+    read and parsed once."""
+    from importlib import resources
+    path = resources.files("msograph") / "libraries" / f"{name}.mso"
+    return parse_library(path.read_text())
+
+
 def all_vars(f: Formula) -> set[str]:
     """Every variable name of f, free or bound."""
     out = set(free_vars(f))

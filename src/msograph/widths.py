@@ -32,7 +32,7 @@ import reprlib
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .graphs import GraphError, LabeledGraph, _load_json, subdivide
+from .graphs import GraphError, LabeledGraph, _load_json, _subdivision
 from .records import Frozen
 from .search import (BudgetExhausted, _automorphisms, _mask_map,
                      is_isomorphic)
@@ -298,20 +298,17 @@ def extend_decomposition_for_subdivision(G: LabeledGraph,
         return td
     bags = [set(b) for b in td.bags]
     tree_edges = list(td.tree_edges)
-    # mirror the vertex numbering of subdivide(): new vertices appear in
-    # sorted edge order, t-1 per edge, starting at G.n
-    nxt = G.n
-    for (u, v) in sorted(G.edges):
+    H, paths = _subdivision(G, t)
+    for path in paths:
+        u, v = path[0], path[-1]
         anchor = next(i for i, b in enumerate(td.bags) if u in b and v in b)
-        path = [u] + list(range(nxt, nxt + t - 1)) + [v]
-        nxt += t - 1
         prev_node = anchor
         for a, b in zip(path, path[1:]):
             bags.append({u, v, a, b})
             tree_edges.append((prev_node, len(bags) - 1))
             prev_node = len(bags) - 1
     out = TreeDecomposition.build(bags, tree_edges)
-    bad = decomposition_violation(subdivide(G, t), out)
+    bad = decomposition_violation(H, out)
     if bad is not None:
         raise WidthError(f"internal: extended decomposition invalid: {bad}")
     return out

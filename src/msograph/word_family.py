@@ -21,13 +21,11 @@ subdivision away.
 
 from __future__ import annotations
 
-import functools
-from importlib import resources
-
 from .graphs import LabeledGraph
 from .interpret import Interpretation
-from .logic import PredicateLibrary, parse_formula, parse_library
+from .logic import PredicateLibrary, parse_formula
 from .records import Frozen
+from .syntax import _packaged_library
 
 
 class WordError(ValueError):
@@ -204,11 +202,9 @@ def build_Hn(alpha: str, n: int) -> LabeledGraph:
 # Predicates and interpretations
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def word_predicates() -> PredicateLibrary:
     """The predicate library for the word pieces (loaded once)."""
-    text = (resources.files("msograph") / "libraries" / "word.mso").read_text()
-    return parse_library(text)
+    return _packaged_library("word")
 
 
 def delta_interp() -> Interpretation:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_m_msograph_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, code in ((["--help"], 0), (["eval"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "msograph", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert "usage: msograph" in proc.stderr  # the graph argument is missing
 
 
 def test_parse_assignment():

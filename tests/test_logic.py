@@ -1363,7 +1363,7 @@ def test_a_point_passes_the_bits_it_wants_to_splits_and_callees():
     deep = parse_formula("E(x, y) & exists S. S(x)")
     for _ in range(2 * planner._MAX_NESTING):
         deep = Iff(TrueF(), deep)
-    assert any(r[0] == "F" for _, r in plans.plan(
+    assert any(r[0] == "P" for _, r in plans.plan(
         deep, ("x",), "y", frozenset(), frozenset(), NO_DEFINITIONS,
         True).recipes)
     lib = parse_library("def p(x, y) := E(x, y) & exists S. S(x)")
@@ -1378,6 +1378,37 @@ def test_a_point_passes_the_bits_it_wants_to_splits_and_callees():
         with pytest.raises(SetQuantifierCapError):  # the full row, then bit 1
             evaluate(G, lib, f, {"x": 0, "y": 1})
         assert evaluate(G, lib, f, {"x": 0, "y": 3}) is False  # bit 3 alone
+
+
+def _nested(text: str, levels: int) -> Formula:
+    f = parse_formula(text)
+    for _ in range(levels):
+        f = Iff(TrueF(), f)
+    return f
+
+
+def test_a_split_is_a_plan_shared_by_graphs_with_the_same_labels():
+    # the split subformulas are plan recipes, planned once and found in
+    # the plan cache when a second graph binds them
+    f = _nested("E(x, y) & exists z. E(y, z)", 2 * planner._MAX_NESTING)
+    assert evaluate(grid(1, 24), None, f, {"x": 0, "y": 1})
+    misses = plans.plan.cache_info().misses
+    G = grid(2, 12)
+    assert evaluate(G, None, f, {"x": 0, "y": 12})
+    assert not evaluate(G, None, f, {"x": 0, "y": 2})
+    assert plans.plan.cache_info().misses == misses
+
+
+def test_an_unknown_name_in_a_split_raises_when_compiled():
+    # binding the split plans it, before the caller's function runs
+    G = grid(1, 3)
+    f = _nested("nosuch(x) & E(x, y)", 2 * planner._MAX_NESTING)
+    binding = plans.Binding(G, None, logic.DEFAULT_SET_CAP)
+    for params, row in ((("x",), "y"), (("x", "y"), None)):
+        with pytest.raises(EvalError):
+            binding.compile(f, params, row)
+    with pytest.raises(EvalError):  # the false conjunct folds the split
+        evaluate(G, None, And(FalseF(), f), {"x": 0, "y": 1})
 
 
 def test_a_point_builds_its_row_pointwise_at_its_bit_alone(monkeypatch):
