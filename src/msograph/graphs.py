@@ -12,6 +12,7 @@ import json
 from typing import Callable, Iterable, Mapping, Optional
 
 from .records import Frozen
+from .table import bits
 
 
 class GraphError(ValueError):
@@ -77,11 +78,7 @@ class LabeledGraph(Frozen):
               labels: Optional[Mapping[str, Iterable[int]]] = None,
               names: Optional[Mapping[int, str]] = None) -> "LabeledGraph":
         """Canonicalize and construct; accepts edges in either orientation."""
-        canon = set()
-        for (u, v) in edges:
-            if u == v:
-                raise GraphError(f"loop edge ({u},{v}) not allowed")
-            canon.add((u, v) if u < v else (v, u))
+        canon = {(u, v) if u < v else (v, u) for u, v in edges}
         labs = {k: frozenset(vs) for k, vs in (labels or {}).items()}
         return LabeledGraph(n, frozenset(canon), labs, dict(names or {}))
 
@@ -97,11 +94,7 @@ class LabeledGraph(Frozen):
         return (u, v) in self.edges
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return [set(bits(row)) for row in self._adjacency_rows()]
 
     def adjacency_masks(self) -> list[int]:
         """Neighbourhoods as bitmasks, for the search cores: a fresh list
@@ -118,11 +111,7 @@ class LabeledGraph(Frozen):
         return self._adj
 
     def degree_sequence(self) -> list[int]:
-        deg = [0] * self.n
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [row.bit_count() for row in self._adjacency_rows()]
 
     def name_of(self, v: int) -> str:
         return self.names.get(v, str(v))

@@ -69,19 +69,21 @@ class EvalError(ValueError):
 # planned and bound when the binding first binds them and memoized per
 # argument tuple; TC rows are reachability masks, built from one
 # successor row per vertex.  A subformula deeper than ``_MAX_NESTING``
-# is split off the same way: a recipe for the plan of its own function,
-# with the parameters it reads, planned when first bound.
+# is split off the same way: a callee of its own, with the parameters
+# it reads.  The row of a callee takes last the bits its caller wants
+# (``_call``), so one callee serves a point and a full row.
 #
 # Want.  A row planned with want, as ``evaluate`` plans one for a point,
 # takes last the mask _w of the bits wanted, and is right on those.  Its
 # loops over y read it: _E, _I and _ES stop once they hold _w, a chain
 # or a quantifier's literals taken out of its loop at a row that is 0
-# on _w, _P tests the vertices of _w, and the row of a definition it
-# calls without a table takes _w too.  A set quantifier with S(y) or
-# !S(y), which stays, puts a one-bit _w in or out of S, and takes out of
-# its loop, once its range is made, its literals without S of rank 0
-# or 1, as a vertex quantifier does in any row.  So no loop runs longer,
-# or over a larger range, than with _w = _F.
+# on _w, _P tests the vertices of _w, and it passes _w to the row of a
+# definition it calls without a table and of a split; a row without
+# want passes _F.  A set quantifier with S(y) or !S(y), which stays,
+# puts a one-bit _w in or out of S, and takes out of its loop, once its
+# range is made, its literals without S of rank 0 or 1, as a vertex
+# quantifier does in any row.  So no loop runs longer, or over a larger
+# range, than with _w = _F.
 #
 # Lifting.  A vertex quantifier exists z whose literals all have rank 0
 # or 1 first spreads each literal exists w. g: the literals of g that
@@ -95,12 +97,12 @@ class EvalError(ValueError):
 # tabling.  The call stands where the loop stood, after the same tests;
 # no literal that moves, or that is lifted, reaches a set quantifier, so
 # none is reached elsewhere or in another order and no cap outcome
-# changes.  In a row planned with want the call takes no _w: it makes
-# the callee's full row, memoized, as a plan without want does.  The
-# memo lives in the binding's store, which ``forget`` empties.
+# changes.  In a row planned with want, as in any row, the call passes
+# _F: it makes the callee's full row, memoized.  The memo lives in the
+# binding's store, which ``forget`` empties.
 
 # AST levels per generated function; deeper subformulas are split off as
-# calls of plan recipes (``_split``), because Python's parser refuses
+# calls of callees (``_split``), because Python's parser refuses
 # more than 200 nested brackets and a level can open five.
 _MAX_NESTING = 35
 
@@ -180,8 +182,9 @@ def _formula(lits: list[tuple[Formula, bool]]) -> Formula:
 
 class _Planner:
     """Builds the plan of one function: its source and the recipes of
-    the globals it reads.  Callees, TC bodies and split subformulas are
-    recipes, planned when they are bound, never inside this plan."""
+    the globals it reads.  Callees, split subformulas among them, and TC
+    bodies are recipes, planned when they are bound, never inside this
+    plan."""
 
     def __init__(self, labels: frozenset, tables: frozenset,
                  defs: Definitions):
@@ -299,12 +302,11 @@ class _Planner:
 
     def _split(self, f: Formula, scope: frozenset, row: Optional[str],
                want: bool = False) -> str:
-        """A call of f planned as a function of its own, a recipe that
-        the binding plans when it binds it, so that deep formulas do not
-        deepen the stack; a row that wants passes its _w on."""
+        """A call of f planned as a callee of its own, so that deep
+        formulas do not deepen the stack; a row passes its _w on, or _F
+        if it has no want (``_call``)."""
         params = tuple(sorted(f.free & scope))
-        g = self._global(("P", f, params, row, self.tables, want))
-        return f"{g}({', '.join([*map(_ident, params), *['_w'] * want])})"
+        return self._call(("D", f, params, row), map(_ident, params), want)
 
     def _idle(self, body: str, cond: str, otherwise: str = "0") -> str:
         """Source of body if cond holds, else of otherwise: a quantifier
@@ -420,7 +422,7 @@ class _Planner:
             rows = self._table_rows(f, len(args) - 1)
             return self._bit(rows + "".join(f"[{a}]" for a in key), last)
         if f.name in self.lib:
-            return f"{self._definition(f, None)}({', '.join(args)})"
+            return self._call(self._definition(f, None), args, False)
         if len(args) == 1 and f.name in self.labels:
             return self._bit(self.label(f.name), args[0])
         raise EvalError(f"unknown predicate or label {f.name!r}")
@@ -638,7 +640,8 @@ class _Planner:
         """A call of the callee whose row over y is exists z. (the
         conjunction of the literals of the loop), memoized on the vertex
         variables it reads but z and y, if they are fewer than scope
-        holds and it reads no set variable; else None."""
+        holds and it reads no set variable; else None.  The call passes
+        _F, so its memo holds full rows."""
         if all(map(is_set_var, scope)):
             return None  # no vertex variable to skip
         free = frozenset().union(*(g.free for g, _ in loop)) - {z, y}
@@ -646,8 +649,8 @@ class _Planner:
                 all(map(is_set_var, scope - free)):
             return None
         params = tuple(sorted(free))
-        g = self._global(("D", ExistsV(z, _formula(loop)), params, y))
-        return f"{g}({', '.join(map(_ident, params))})"
+        return self._call(("D", ExistsV(z, _formula(loop)), params, y),
+                          map(_ident, params), False)
 
     def _outside(self, found: str, outside: list[tuple[Formula, bool]],
                  scope: frozenset, y: str, depth: int,
@@ -752,8 +755,7 @@ class _Planner:
             rows = self._table_rows(f, at[0])
             return rows + "".join(f"[{a}]" for a in key)
         if f.name in self.lib:
-            g = self._definition(f, at[0], want)
-            return f"{g}({', '.join([*key, *['_w'] * want])})"
+            return self._call(self._definition(f, at[0]), key, want)
         if len(f.args) == 1 and f.name in self.labels:
             return self.label(f.name)
         raise EvalError(f"unknown predicate or label {f.name!r}")
@@ -785,18 +787,22 @@ class _Planner:
             raise EvalError(f"table {f.name!r} takes vertex arguments")
         return self._global(("R", f.name, position))
 
-    def _definition(self, f: App, at: Optional[int],
-                    want: bool = False) -> str:
-        """The global holding the compiled definition f calls, memoized
-        per argument tuple: a test, or the row over its parameter at
-        position at, which takes _w last if want."""
+    def _definition(self, f: App, at: Optional[int]) -> tuple:
+        """The recipe of the definition f calls, memoized per argument
+        tuple: a test, or the row over its parameter at position at."""
         d = self.lib[f.name]
         self._arity(f, "defined")
         if at is None:
-            params, row = d.params, None
-        else:
-            params, row = d.params[:at] + d.params[at + 1:], d.params[at]
-        return self._global(("W" if want else "D", d.body, params, row))
+            return ("D", d.body, d.params, None)
+        return ("D", d.body, d.params[:at] + d.params[at + 1:], d.params[at])
+
+    def _call(self, recipe: tuple, args, want: bool) -> str:
+        """A call of the callee ("D", body, params, row) on the sources
+        args: a row takes last the bits it wants, the caller's _w if
+        want, else the full row _F."""
+        if recipe[3] is not None:
+            args = [*args, "_w" if want else "_F"]
+        return f"{self._global(recipe)}({', '.join(args)})"
 
     def _tc(self, f: TC, scope: frozenset, reverse: bool = False) -> str:
         """Source of the reachability rows of f, or of its reverse, under

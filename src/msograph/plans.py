@@ -3,16 +3,18 @@ each graph it is evaluated on.
 
 A *plan* does not depend on the graph.  It holds the code of the one
 function a formula compiles to and a recipe for each global that code
-reads: the adjacency rows, a label's mask, a table's rows, a callee, a
-TC body or a subformula split off past the planner's nesting to compile.
+reads: the adjacency rows, a label's mask, a table's rows, a TC body or
+a callee to compile, which is a definition without a table, a lifted
+loop or a subformula split off past the planner's nesting.
 ``plan`` keeps the plans in a fixed-size LRU cache keyed by the formula,
 its parameters and row variable, the label names of the graph, the names
 that have tables and the library's definitions.  ``Binding.compile``,
 the one entry point, builds that key for one graph and library and runs
 the plan's recipes on the graph: it supplies the full row, the ranges of
 set quantifiers under the set cap, label masks, table rows and fresh
-memos for callees and TC, and the functions of split subformulas, each
-compiled when first bound, so planning one formula never plans another.
+memos for callees and TC, each compiled when first bound, so planning
+one formula never plans another.  The row of a callee takes last the
+bits its caller wants: the caller's own, or the full row.
 A set quantifier ranges over the sets its guards allow: its body's
 literals Z(v) and !Z(v), for a vertex variable v bound outside it, and
 forall w. (Z(w) -> M(w)), for a set variable or label M, fix v in or out
@@ -185,11 +187,9 @@ class Plan:
     function and, for the globals that code reads, one recipe each.  A
     recipe is a tuple: ("A",) the adjacency rows, ("L", name) a label's
     mask, ("R", name, position) a table's rows over one position, ("D",
-    body, params, row) a memoized callee, ("W", body, params, row) one
-    whose row takes the bits wanted, ("C", body, params, row) and ("K",
-    body, params, row) the reachability rows of a TC body and their
-    transpose, ("P", f, params, row, tables, want) the function of a
-    split subformula, keyed as ``Binding.compile`` keys a plan."""
+    body, params, row) a memoized callee, whose row takes last the bits
+    wanted, and ("C", body, params, row) and ("K", body, params, row) the
+    reachability rows of a TC body and their transpose."""
 
     __slots__ = ("code", "recipes")
 
@@ -334,11 +334,12 @@ class Binding:
         elif kind == "K":
             rows = self.make(("C", *args))
             value = functools.cache(lambda *val: transpose(rows(*val)))
-        else:  # "D", "W" or "C", compiled when first bound
-            fn = self.make(("P", *args, frozenset(self.tables), kind == "W"))
+        else:  # "D" or "C", compiled when first bound; a D row takes _w
+            f, params, row = args
+            fn = self.compile(f, params, row, kind == "D" and row is not None)
             value = (_tc_rows(fn, self.G.n) if kind == "C"
                      else functools.cache(fn))
-        if kind in "DWCK":
+        if kind in "DCK":
             self.memos.add(value)
         self.made[recipe] = value
         return value

@@ -21,6 +21,9 @@ subdivision away.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .graphs import LabeledGraph
 from .interpret import Interpretation
 from .logic import PredicateLibrary, parse_formula
@@ -65,13 +68,9 @@ class ColumnPlan(Frozen):
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
 
     def index(self, row: int, col: int) -> int:
         if not (0 <= col < self.l and 0 <= row < self.sizes[col]):
@@ -128,6 +127,19 @@ def _column_edges(rule: str, left_rows: int, right_rows: int,
     return out
 
 
+def _column_graph(letters: str, sizes: tuple[int, ...]) -> LabeledGraph:
+    """The columns of the given sizes, letters[j] joining columns j and
+    j + 1: vertex (i, j), named "(i,j)", is row i after the columns
+    before j."""
+    offsets = tuple(itertools.accumulate(sizes, initial=0))
+    edges = [(offsets[j] + i, offsets[j + 1] + k)
+             for j in range(len(sizes) - 1)
+             for i, k in _column_edges(letters[j], sizes[j], sizes[j + 1])]
+    names = {offsets[j] + i: f"({i},{j})"
+             for j, h in enumerate(sizes) for i in range(h)}
+    return LabeledGraph.build(offsets[-1], edges, names=names)
+
+
 def palpha_segment(alpha: str, rows: int, cols: int) -> LabeledGraph:
     """The top-left rows x cols window of the infinite column graph,
     columns taken from position 0 of the word.  Vertex names "(i,j)".
@@ -139,27 +151,13 @@ def palpha_segment(alpha: str, rows: int, cols: int) -> LabeledGraph:
         raise WordError(
             f"{cols} columns need {cols - 1} letters; word prefix has "
             f"{len(alpha)}")
-    def idx(i, j):
-        return j * rows + i
-    edges = []
-    for j in range(cols - 1):
-        for (i, k) in _column_edges(alpha[j], rows, rows):
-            edges.append((idx(i, j), idx(k, j + 1)))
-    names = {idx(i, j): f"({i},{j})" for j in range(cols) for i in range(rows)}
-    return LabeledGraph.build(rows * cols, edges, names=names)
+    return _column_graph(alpha, (rows,) * cols)
 
 
 def build_Gn(alpha: str, n: int) -> LabeledGraph:
     """The unlabeled piece G_n; vertex names "(row,col)" (plan-relative)."""
     plan = plan_Gn(alpha, n)
-    edges = []
-    for j in range(plan.l - 1):
-        for (i, k) in _column_edges(plan.beta[j], plan.sizes[j],
-                                    plan.sizes[j + 1]):
-            edges.append((plan.index(i, j), plan.index(k, j + 1)))
-    names = {plan.index(i, j): f"({i},{j})"
-             for j in range(plan.l) for i in range(plan.sizes[j])}
-    return LabeledGraph.build(plan.total, edges, names=names)
+    return _column_graph(plan.beta, plan.sizes)
 
 
 WORD_LABELS = ("Colour1", "Colour2", "top", "bottom", "penult", "prepenult",
@@ -172,7 +170,7 @@ def build_Hn(alpha: str, n: int) -> LabeledGraph:
     top/bottom/penult/prepenult rows, and the first/last columns.
     """
     plan = plan_Gn(alpha, n)
-    G = build_Gn(alpha, n)
+    G = _column_graph(plan.beta, plan.sizes)
     lab: dict[str, set[int]] = {k: set() for k in WORD_LABELS}
     for j in range(plan.l):
         h = plan.sizes[j]

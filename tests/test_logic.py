@@ -1214,8 +1214,8 @@ def test_a_point_is_read_from_the_row_of_the_last_vertex_variable():
             valuation = {name: S if is_set_var(name) else rng.randrange(n)
                          for name in names}
             args = [_mask_of(v) for v in valuation.values()]
-            rows = _capped(lambda: plans.Binding(G, lib, cap).make(
-                ("D", f, (*names[:i], *names[i + 1:]), row))(
+            rows = _capped(lambda: plans.Binding(G, lib, cap).compile(
+                f, (*names[:i], *names[i + 1:]), row)(
                     *args[:i], *args[i + 1:]) >> args[i] & 1)
             point = _capped(lambda: plans.Binding(G, lib, cap).compile(
                 f, names)(*args))
@@ -1363,7 +1363,7 @@ def test_a_point_passes_the_bits_it_wants_to_splits_and_callees():
     deep = parse_formula("E(x, y) & exists S. S(x)")
     for _ in range(2 * planner._MAX_NESTING):
         deep = Iff(TrueF(), deep)
-    assert any(r[0] == "P" for _, r in plans.plan(
+    assert any(r[0] == "D" for _, r in plans.plan(
         deep, ("x",), "y", frozenset(), frozenset(), NO_DEFINITIONS,
         True).recipes)
     lib = parse_library("def p(x, y) := E(x, y) & exists S. S(x)")
@@ -1378,6 +1378,21 @@ def test_a_point_passes_the_bits_it_wants_to_splits_and_callees():
         with pytest.raises(SetQuantifierCapError):  # the full row, then bit 1
             evaluate(G, lib, f, {"x": 0, "y": 1})
         assert evaluate(G, lib, f, {"x": 0, "y": 3}) is False  # bit 3 alone
+
+
+def test_a_callee_reached_by_a_point_and_by_a_full_row_is_planned_once():
+    # p's row over y, asked for one bit by the point and whole by the
+    # sentence's exists y, is one callee: the two formulas add three
+    # plans, theirs and p's body once
+    lib = parse_library(
+        "def pointandrow(x, y) := E(x, y) & exists z. (E(y, z) & !(z = x))")
+    G = grid(2, 3)
+    misses = plans.plan.cache_info().misses
+    assert evaluate(G, lib, parse_formula("pointandrow(x, y)"),
+                    {"x": 0, "y": 1})
+    assert evaluate(G, lib, parse_formula(
+        "exists y. exists x. pointandrow(x, y)"))
+    assert plans.plan.cache_info().misses == misses + 3
 
 
 def _nested(text: str, levels: int) -> Formula:
