@@ -19,14 +19,7 @@ from pathlib import Path
 from .graphs import (LabeledGraph, SubdivisionPlan, antichain_member_In,
                      grid, make_Tn, tri_corner_grid, uniform_subdivide_utg,
                      upper_tri_grid)
-from .interpret import (Interpretation, InterpretationError, Pipeline,
-                        builtin_complement, builtin_induced, compose_pipeline,
-                        parse_interpretation)
-from .logic import (DEFAULT_SET_CAP, App, SetQuantifierCapError,
-                    is_set_var, materialize, parse_formula, parse_library,
-                    PredicateLibrary, evaluate)
 from .search import BudgetExhausted
-from .syntax import _Parser
 from .widths import (KExpression, SizeCapExceeded, TreeDecomposition,
                      cliquewidth_exact, treewidth_exact, verify_k_expression,
                      verify_tree_decomposition)
@@ -37,10 +30,42 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-# the names of ``verify.SUITES``, listed here so that building the
-# parser (for ``--help`` too) imports no suite
+# the names of ``verify.SUITES`` and the value of
+# ``logic.DEFAULT_SET_CAP``, given here so that building the parser (for
+# ``--help`` too) imports no suite and no engine
 SUITE_NAMES = ("bichain", "bpg", "gamma-class", "power", "relativize",
                "split", "tc", "widths", "word")
+DEFAULT_SET_CAP = 22
+
+# each module of the formula engine and the names the commands use from
+# it: the first command that needs them binds them here (``_engine``),
+# and so does the first read of one as an attribute of this module
+_ENGINE = {
+    "interpret": ("Interpretation", "InterpretationError", "Pipeline",
+                  "builtin_complement", "builtin_induced",
+                  "compose_pipeline", "parse_interpretation"),
+    "logic": ("App", "PredicateLibrary", "SetQuantifierCapError",
+              "evaluate", "is_set_var", "materialize", "parse_formula",
+              "parse_library"),
+    "syntax": ("_Parser",),
+}
+
+
+def _engine() -> None:
+    """Import the engine and bind the names of ``_ENGINE`` in this
+    module; a name bound already, or replaced, stays as it is."""
+    names = globals()
+    for module, exported in _ENGINE.items():
+        loaded = import_module(f"{__package__}.{module}")
+        for name in exported:
+            names.setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    if any(name in exported for exported in _ENGINE.values()):
+        _engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(ValueError):
@@ -125,6 +150,7 @@ def cmd_gen(args) -> int:
 
 def parse_assignment(text: str) -> dict:
     """Parse ``x=3, Y={1,2}`` into a valuation dict."""
+    _engine()
     p = _Parser(text)
     out: dict = {}
     while not p.at_end():
@@ -149,6 +175,7 @@ def _load_graph(path: str) -> LabeledGraph:
 
 
 def cmd_eval(args) -> int:
+    _engine()
     G = _load_graph(args.graph)
     lib = PredicateLibrary()
     if args.library:
@@ -187,8 +214,8 @@ _BUILTIN_INTERPS = {
     "psi-bichain": lambda: _family("bichain").psi_bichain(),
     "psi-split": lambda: _family("bichain").psi_split(),
     "phi-power": lambda: _family("power").phi_power(),
-    "complement": builtin_complement,
-    "induced": builtin_induced,
+    "complement": lambda: builtin_complement(),
+    "induced": lambda: builtin_induced(),
 }
 
 
@@ -199,6 +226,7 @@ def _resolve_interp(spec: str) -> Interpretation:
 
 
 def cmd_apply(args) -> int:
+    _engine()
     G = _load_graph(args.graph)
     names = args.pipeline.split(",") if args.pipeline else [args.interp]
     if names == [None]:
@@ -384,16 +412,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExhausted, SizeCapExceeded, SetQuantifierCapError) as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except RecursionError:  # e.g. binding a very long chain of callees
         print(f"limit: the input nests deeper than Python's recursion "
               f"limit ({sys.getrecursionlimit()}) allows", file=sys.stderr)
         return EXIT_BUDGET
-    except InterpretationError as exc:
+    except (BudgetExhausted, ValueError, OSError) as exc:
+        _engine()  # for the engine's own error classes
+        if isinstance(exc, (BudgetExhausted, SizeCapExceeded,
+                            SetQuantifierCapError)):
+            print(f"budget: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_CHECK_FAILED if isinstance(exc, InterpretationError)
+                else EXIT_USAGE)

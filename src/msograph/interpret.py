@@ -27,7 +27,7 @@ from .logic import (
 from .records import Frozen, Record
 from .search import _automorphisms, _first_of_classes, _mask_map
 from .syntax import FormulaSyntaxError, _Parser
-from .table import bits
+from .table import bits, transpose
 
 DEFAULT_ENUM_CAP = 22
 
@@ -105,8 +105,13 @@ def _sweep(I: Interpretation, G: LabeledGraph,
             not any(set(params) & (free_vars(d.body) - set(d.params))
                     for d in reached):
         binding, dom_row, edge_row = _bind(I, G, called, params, set_cap)
+        # the memos are keyed by the last tuple's masks; every one of them
+        # is made when _bind compiles, so a binding without one needs none
+        # forgotten
+        forget = binding.forget if binding.memos else None
         for masks in tuples:
-            binding.forget()  # memos keyed by the last tuple's masks
+            if forget:
+                forget()
             domain, adj = _rows(G, dom_row(*masks), edge_row, masks)
             yield adj, partial(_output, G, params, masks, domain, adj)
     else:
@@ -134,35 +139,47 @@ def _bind(I: Interpretation, G: LabeledGraph, called: set[str],
 def _rows(G: LabeledGraph, dom: int, edge_row, masks: tuple[int, ...]
           ) -> tuple[list[int], tuple[int, ...]]:
     """The vertices of dom, and the adjacency rows of the graph on them
-    whose edges are the rows edge_row(*masks, x), checked for symmetry
-    and irreflexivity and renumbered over 0..m-1 in vertex order."""
-    domain = list(bits(dom))
-    rows = {x: edge_row(*masks, x) & dom for x in domain}
-    place = [0] * G.n  # the bit of each domain vertex in the output
-    for i, v in enumerate(domain):
-        place[v] = 1 << i
-    # the transpose above the diagonal: y > x is in cols[x] iff x is in
-    # rows[y]; and out, each pair below the diagonal renumbered both
-    # ways, which is the whole of the rows once the checks below pass
-    cols = [0] * G.n
-    out = [0] * G.n
-    for y in domain:
-        for x in bits(rows[y] & ((1 << y) - 1)):
-            cols[x] |= 1 << y
-            out[x] |= place[y]
-            out[y] |= place[x]
+    whose edges are the rows edge_row(*masks, x), each renumbered over
+    0..m-1 in vertex order as it is read.  The rows must come out
+    irreflexive and symmetric; else the error names the first bad pair,
+    x by x, each x first against itself, then against the domain
+    vertices after it."""
+    domain: list[int] = []
+    place = {}  # the bit of each domain vertex -> its bit in the output
+    rest = dom
+    while rest:
+        low = rest & -rest
+        place[low] = 1 << len(domain)
+        domain.append(low.bit_length() - 1)
+        rest ^= low
+    adj = []
+    loops = 0  # the domain vertices whose rows hold them
     for x in domain:
-        if (rows[x] >> x) & 1:
+        row, out = edge_row(*masks, x) & dom, 0
+        loops |= row & (1 << x)
+        while row:
+            low = row & -row
+            out |= place[low]
+            row ^= low
+        adj.append(out)
+    if loops or transpose(adj) != adj:
+        _raise_first_bad_pair(G, domain, adj)
+    return domain, tuple(adj)
+
+
+def _raise_first_bad_pair(G: LabeledGraph, domain: list[int],
+                          adj: list[int]) -> None:
+    """Raise the error of the first pair of the rows adj over domain that
+    is reflexive or asymmetric, in the order of the checks of ``_rows``."""
+    for i, x in enumerate(domain):
+        if (adj[i] >> i) & 1:
             raise InterpretationError(
                 f"edge formula is reflexive at {G.name_of(x)}")
-        above = dom & -(2 << x)  # the domain vertices after x
-        odd = (rows[x] ^ cols[x]) & above
-        if odd:
-            y = (odd & -odd).bit_length() - 1
-            raise InterpretationError(
-                f"edge formula asymmetric on "
-                f"({G.name_of(x)}, {G.name_of(y)})")
-    return domain, tuple([out[x] for x in domain])
+        for j in range(i + 1, len(domain)):
+            if ((adj[i] >> j) ^ (adj[j] >> i)) & 1:
+                raise InterpretationError(
+                    f"edge formula asymmetric on "
+                    f"({G.name_of(x)}, {G.name_of(domain[j])})")
 
 
 def _output(G: LabeledGraph, params: tuple[str, ...],
@@ -171,15 +188,27 @@ def _output(G: LabeledGraph, params: tuple[str, ...],
     """The graph of the rows adj over the vertices domain of G, with
     their provenance names and the labels of G, each parameter bound to
     its mask, restricted to the domain."""
-    newid = {v: i for i, v in enumerate(domain)}
-    labels = dict(G.labels)
-    labels.update((p, bits(m)) for p, m in zip(params, masks))
-    labels = {k: frozenset(newid[v] for v in vs if v in newid)
-              for k, vs in labels.items()}
-    names = {i: G.name_of(v) for i, v in enumerate(domain)}
-    edges = frozenset((x, y) for x, row in enumerate(adj)
-                      for y in bits(row & -(2 << x)))
-    return LabeledGraph._unchecked(len(domain), edges, labels, names, adj)
+    newid = {}
+    names = {}
+    known = G.names
+    for i, v in enumerate(domain):
+        newid[v] = i
+        names[i] = known.get(v, str(v))  # as G.name_of(v)
+    sets = dict(G.labels)
+    for p, m in zip(params, masks):
+        sets[p] = bits(m)
+    labels = {}
+    for k, vs in sets.items():
+        labels[k] = frozenset([newid[v] for v in vs if v in newid])
+    edges = []
+    for x, row in enumerate(adj):
+        above = row & -(2 << x)
+        while above:
+            low = above & -above
+            edges.append((x, low.bit_length() - 1))
+            above ^= low
+    return LabeledGraph._unchecked(len(domain), frozenset(edges), labels,
+                                   names, adj)
 
 
 def _single_var(f: Formula, what: str) -> str:

@@ -21,13 +21,14 @@ candidate domains they pass: ``is_induced_subgraph_of`` and
 ``is_antichain`` let v go to any vertex of degree at least deg(v);
 ``is_isomorphic`` to vertices of equal key.  ``isomorphism_classes``
 keeps the record of each class it has yielded, bucketed by invariant,
-and its rows; a new graph with the rows of a kept one is skipped
-unsearched, and otherwise each kept record that shares its invariant is
-searched, as the pattern, into it; isomorphism is symmetric, so a
-duplicate never sorts its vertices.  Its core, ``_first_of_classes``,
-takes bare rows with an item each, so the census of ``interpret``
-builds only the graphs it keeps.  The search core stops at the first
-map or, given a visit callback, passes it every map: ``_automorphisms``
+and the rows of every graph met at the current vertex count; a new
+graph with the rows of one met, kept or not, is skipped unsearched, and
+otherwise each kept record that shares its invariant is searched, as
+the pattern, into it; isomorphism is symmetric, so a duplicate never
+sorts its vertices.  Its core, ``_first_of_classes``, takes bare rows
+with an item each, so the census of ``interpret`` builds only the
+graphs it keeps.  The search core stops at the first map or, given a
+visit callback, passes it every map: ``_automorphisms``
 lists the automorphisms of a graph that way, the label-keeping ones by
 default, under a fixed expansion budget, and falls back to the identity
 alone when the budget runs out (the trivial group serves its callers as
@@ -316,22 +317,30 @@ def _first_of_classes(items: Iterable[tuple[tuple[int, ...], T]]
     """Of (adjacency rows, item) pairs, the item of the first rows of
     each isomorphism class, in input order.
 
-    Rows equal to those of a kept graph are skipped unsearched, since
-    the identity maps them.  Other rows are searched only against the
-    kept records with their invariant, each kept record as the pattern,
-    and a match is always confirmed by the search.
+    Rows equal to those of any graph met at the current vertex count,
+    kept or not, are skipped unsearched: equal rows are the same graph,
+    so they fall in the class of the first of them.  Other rows are
+    searched only against the kept records with their invariant, each
+    kept record as the pattern, and a match is always confirmed by the
+    search.  The rows met are forgotten when the vertex count changes,
+    since rows of different sizes never match; a census that sweeps its
+    subsets by size so keeps the rows of one size at a time.
     """
     kept: dict[tuple, list[_Graph]] = {}
-    rows: set[tuple[int, ...]] = set()  # of the kept graphs
+    met: set[tuple[int, ...]] = set()  # the rows of every graph of size n
+    n = None
     for adj, item in items:
-        if adj in rows:
+        if len(adj) != n:
+            n = len(adj)
+            met.clear()
+        elif adj in met:
             continue
+        met.add(adj)
         g = _Graph(adj)
         bucket = kept.setdefault(g.invariant, [])
         if any(_isomorphism(K, g, None) is not None for K in bucket):
             continue
         bucket.append(g)
-        rows.add(adj)
         yield item
 
 

@@ -430,6 +430,11 @@ def test_the_parser_lists_every_verify_suite():
     assert cli.SUITE_NAMES == tuple(sorted(SUITES))
 
 
+def test_the_parser_gives_the_engine_set_cap():
+    from msograph.logic import DEFAULT_SET_CAP
+    assert cli.DEFAULT_SET_CAP == DEFAULT_SET_CAP
+
+
 def test_verify_suite_and_report(tmp_path, capsys):
     rep = tmp_path / "rep.json"
     code, _, err = run(capsys, "verify", "--suite", "split", "--max-n", "3",

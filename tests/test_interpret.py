@@ -302,6 +302,20 @@ def test_edge_formula_errors_name_the_first_bad_pair():
             apply(bad, G)
 
 
+def test_an_asymmetric_pair_is_named_before_a_later_reflexive_vertex():
+    # the pair (a, e) is checked at a, before the reflexive c, though e
+    # comes after c; vertex b is outside the domain
+    G = LabeledGraph.build(5, [], labels={"red": [0], "blue": [4],
+                                          "green": [2], "out": [1]},
+                           names=dict(enumerate("abcde")))
+    for pair in ("red(x) & blue(y)", "blue(x) & red(y)"):
+        bad = Interpretation((), parse_formula("!out(x)"), parse_formula(
+            f"({pair}) | (x = y & green(x))"))
+        with pytest.raises(InterpretationError,
+                           match=re.escape("asymmetric on (a, e)")):
+            apply(bad, G)
+
+
 def _first_bad_pair(G, edge):
     """The error apply must raise for the edge formula on all of G, found
     pair by pair with the formula evaluator, or None."""

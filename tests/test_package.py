@@ -83,3 +83,24 @@ def test_the_command_line_imports_no_family_suite_or_inspect_for_help():
     for unused in ("inspect", "msograph.verify", "msograph.word_family",
                    "msograph.bichain_family", "msograph.power_family"):
         assert unused not in modules
+
+
+def test_the_command_line_loads_no_formula_engine_for_help():
+    engine = ("msograph.interpret", "msograph.logic", "msograph.planner",
+              "msograph.plans", "msograph.syntax")
+    loaded = _fresh(
+        "import contextlib, io\n"
+        "from msograph import cli\n"
+        "imported = sorted(set(sys.modules) - before)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([imported, sorted(set(sys.modules) - before),\n"
+        "                  code]))")
+    imported, after_help, code = loaded
+    assert code == 0
+    assert "msograph.cli" in imported and "msograph.widths" in imported
+    for module in engine:
+        assert module not in imported and module not in after_help

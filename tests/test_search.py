@@ -261,6 +261,46 @@ def test_rows_of_a_kept_graph_are_skipped_unsearched(monkeypatch):
     assert len(searched) == 1
 
 
+def test_rows_of_a_duplicate_are_skipped_unsearched(monkeypatch):
+    # other is first under another numbering, so it is searched once;
+    # other2 has the rows of other and is not searched again
+    first = LabeledGraph.build(4, [(0, 1), (1, 2)])
+    other = LabeledGraph.build(4, [(2, 3), (1, 2)])
+    other2 = LabeledGraph.build(4, [(1, 2), (2, 3)], names={0: "a"})
+    assert other2._adjacency_rows() == other._adjacency_rows()
+    made, searched = [], []
+    record, isomorphism = search._Graph, search._isomorphism
+    monkeypatch.setattr(search, "_Graph",
+                        lambda adj: made.append(adj) or record(adj))
+    monkeypatch.setattr(search, "_isomorphism", lambda *args: searched.append(
+        args) or isomorphism(*args))
+    kept = list(isomorphism_classes([first, other, other2]))
+    assert [id(G) for G in kept] == [id(first)]
+    assert made == [first._adjacency_rows(), other._adjacency_rows()]
+    assert len(searched) == 1
+
+
+def test_classes_of_a_stream_whose_vertex_count_goes_back_and_forth():
+    # the rows met are forgotten when the vertex count changes, so rows
+    # met before another size are searched again, and still fall in the
+    # class of the first graph of theirs
+    rng = random.Random(17)
+    graphs = []
+    for _ in range(30):
+        for n in (3, 4, 3, 4):
+            G = _random_graph(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [G, LabeledGraph.build(n, G.edges), _relabel(G, perm)]
+    kept = list(isomorphism_classes(graphs))
+    firsts = []
+    for G in graphs:
+        if all(is_isomorphic(G, K) is None for K in firsts):
+            firsts.append(G)
+    assert [id(G) for G in kept] == [id(G) for G in firsts]
+    assert [G.n for G in kept] != sorted(G.n for G in kept)
+
+
 def test_records_from_rows_equal_records_from_the_graph():
     rng = random.Random(15)
     for _ in range(40):
